@@ -290,6 +290,21 @@ void print_cost_model_table(const std::string& path, const DPModel& model,
               total.intensity());
 }
 
+/// The fitting net's recorded cost per atom per evaluation (CostRegistry
+/// "fit.block", booked by every DP path's compute()): forward + backward
+/// FLOPs over the weight bytes its blocks streamed. Batching the atoms of a
+/// center type into blocks is what lifts this intensity above one row's.
+void print_fit_block_cost(std::size_t n_atoms, std::uint64_t force_evals) {
+  const dp::KernelCost c = dp::CostRegistry::instance().get("fit.block");
+  if (c.flops <= 0.0 || force_evals == 0 || n_atoms == 0) return;
+  const double per_eval_atom =
+      1.0 / (static_cast<double>(force_evals) * static_cast<double>(n_atoms));
+  std::printf("fitting net (fit.block): %.1f kFLOP, %.2f kB weights per atom, "
+              "intensity %.2f FLOP/B\n",
+              c.flops * per_eval_atom / 1e3, c.bytes_read * per_eval_atom / 1e3,
+              c.intensity());
+}
+
 int cmd_init(const Args& args) {
   const std::string system = args.get("system", "water");
   const std::string out = args.get("out", "model.dpm");
@@ -606,6 +621,8 @@ int cmd_run(const Args& args) {
   print_cost_model_table(path, model, md.configuration().atoms.size(),
                          md.configuration().box.volume(),
                          static_cast<std::uint64_t>(md.force_evaluations()));
+  print_fit_block_cost(md.configuration().atoms.size(),
+                       static_cast<std::uint64_t>(md.force_evaluations()));
   if (health) {
     health->publish_gauges(dp::obs::MetricsRegistry::instance());
     print_health_summary(health->report());

@@ -27,6 +27,7 @@
 // exact pre-SIMD expressions; AVX levels may differ from it by an ulp.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
@@ -81,9 +82,27 @@ std::size_t lanes_sp();
 /// (see DP_TARGET_AVX2_F16C above). Always true on AVX-512 hardware.
 bool has_f16c();
 
-#if DP_SIMD_X86
-
 #define DP_SIMD_OP inline __attribute__((always_inline))
+
+/// Lane traits: one level's double-precision wrapper ops behind one spelling,
+/// so a kernel body is written once as a template over L and instantiated
+/// per target attribute (nn/gemm.cpp). kRegisters is the architectural
+/// vector register count, which sizes register-blocked tiles.
+/// Scalar lanes: width 1, std::fma — the same single-rounding op the vector
+/// lanes use, so elementwise fma chains agree bitwise across levels.
+struct ScalarLanes {
+  using V = double;
+  static constexpr std::size_t kWidth = 1;
+  static constexpr std::size_t kRegisters = 16;
+  static DP_SIMD_OP V zero() { return 0.0; }
+  static DP_SIMD_OP V set1(double a) { return a; }
+  static DP_SIMD_OP V loadu(const double* p) { return *p; }
+  static DP_SIMD_OP void storeu(double* p, V a) { *p = a; }
+  static DP_SIMD_OP V fmadd(V a, V b, V c) { return std::fma(a, b, c); }
+  static DP_SIMD_OP double reduce_add(V a) { return a; }
+};
+
+#if DP_SIMD_X86
 
 // ---------------------------------------------------------------------------
 // AVX2: 4 doubles per vector, 4 x i32 indices. Callers must be annotated
@@ -301,8 +320,34 @@ DP_TARGET_AVX512 DP_SIMD_OP v16f f16_load_h(const void* p) {
 /// observe them. sfence is baseline x86-64 — no target attribute needed.
 inline __attribute__((always_inline)) void store_fence() { _mm_sfence(); }
 
-#undef DP_SIMD_OP
+/// AVX2 lanes (4 doubles); callers must be DP_TARGET_AVX2 or a superset.
+struct AVX2Lanes {
+  using V = v4d;
+  static constexpr std::size_t kWidth = 4;
+  static constexpr std::size_t kRegisters = 16;
+  DP_TARGET_AVX2 static DP_SIMD_OP V zero() { return v4_zero(); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V set1(double a) { return v4_set1(a); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V loadu(const double* p) { return v4_loadu(p); }
+  DP_TARGET_AVX2 static DP_SIMD_OP void storeu(double* p, V a) { v4_storeu(p, a); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V fmadd(V a, V b, V c) { return v4_fmadd(a, b, c); }
+  DP_TARGET_AVX2 static DP_SIMD_OP double reduce_add(V a) { return v4_reduce_add(a); }
+};
+
+/// AVX-512 lanes (8 doubles); callers must be DP_TARGET_AVX512.
+struct AVX512Lanes {
+  using V = v8d;
+  static constexpr std::size_t kWidth = 8;
+  static constexpr std::size_t kRegisters = 32;
+  DP_TARGET_AVX512 static DP_SIMD_OP V zero() { return v8_zero(); }
+  DP_TARGET_AVX512 static DP_SIMD_OP V set1(double a) { return v8_set1(a); }
+  DP_TARGET_AVX512 static DP_SIMD_OP V loadu(const double* p) { return v8_loadu(p); }
+  DP_TARGET_AVX512 static DP_SIMD_OP void storeu(double* p, V a) { v8_storeu(p, a); }
+  DP_TARGET_AVX512 static DP_SIMD_OP V fmadd(V a, V b, V c) { return v8_fmadd(a, b, c); }
+  DP_TARGET_AVX512 static DP_SIMD_OP double reduce_add(V a) { return v8_reduce_add(a); }
+};
 
 #endif  // DP_SIMD_X86
+
+#undef DP_SIMD_OP
 
 }  // namespace dp::simd

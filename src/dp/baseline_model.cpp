@@ -1,7 +1,6 @@
 #include "dp/baseline_model.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/cost.hpp"
 #include "common/timer.hpp"
@@ -35,15 +34,13 @@ void BaselineDP::prepare(std::size_t n) {
   }
   s_buf_.resize(max_rows);
   g_s_.resize(max_rows);
-  a_mat_.resize(4 * m);
-  g_a_.resize(4 * m);
+  fit_.prepare(cfg.ntypes, m);
 }
 
 std::size_t BaselineDP::workspace_bytes() const {
   std::size_t b = env_.storage_bytes() + env_ws_.bytes() + prod_ws_.bytes() +
                   g_rmat_.capacity() * sizeof(double) + s_buf_.capacity() * sizeof(double) +
-                  g_s_.capacity() * sizeof(double) + a_mat_.capacity() * sizeof(double) +
-                  g_a_.capacity() * sizeof(double) +
+                  g_s_.capacity() * sizeof(double) + fit_.bytes() +
                   row_off_.capacity() * sizeof(std::size_t) +
                   atom_energy_.capacity() * sizeof(double);
   for (const auto& g : g_by_type_) b += g.size() * sizeof(double);
@@ -94,39 +91,44 @@ md::ForceResult BaselineDP::compute(const md::Box& box, md::Atoms& atoms,
     }
   }
 
-  // ---- Per-atom descriptor + fitting net, forward and backward ----------
+  // ---- Descriptor + fitting net, forward and backward: A per atom, one
+  // batched evaluation per block of same-type atoms, dE/dG and dE/dR~ per
+  // atom ------------------------------------------------------------------
   md::ForceResult out;
   {
     ScopedTimer t("baseline.descriptor_fit", "kernel");
-    for (std::size_t i = 0; i < n; ++i) {
-      // A = (1/N_m) R~^T G, accumulated over the per-type slot blocks.
-      std::memset(a_mat_.data(), 0, 4 * m * sizeof(double));
-      for (int t = 0; t < cfg.ntypes; ++t) {
-        const std::size_t krows = static_cast<std::size_t>(rows_of(i, t));
-        if (krows == 0) continue;
-        nn::gemm_tn_acc(env_.rmat_at(env_.block_begin(i, t)), g_by_type_[t].row(row_of(t, i)),
-                        a_mat_.data(), 4, krows, m);
-      }
-      for (double& v : a_mat_) v *= scale;
-
-      atom_energy_[i] = descriptor_fit_atom(model_.fitting(atoms.type[i]), a_mat_.data(), m,
-                                            m_sub, scale, scratch_, g_a_.data());
-      out.energy += atom_energy_[i];
-
-      // dE/dG rows and dE/dR~ rows for every stored slot of this atom.
+    // dE/dG rows and dE/dR~ rows for every stored slot of atom i.
+    const auto pass2 = [&](std::size_t i, std::size_t, const double* g_a) {
       for (int t = 0; t < cfg.ntypes; ++t) {
         const std::size_t krows = static_cast<std::size_t>(rows_of(i, t));
         if (krows == 0) continue;
         const std::size_t base = env_.block_begin(i, t);
         // dG_block (rows x M) = R~_block (rows x 4) * g_a (4 x M)
-        nn::gemm(env_.rmat_at(base), g_a_.data(), g_g_by_type_[t].row(row_of(t, i)), krows, 4,
-                 m);
+        nn::gemm(env_.rmat_at(base), g_a, g_g_by_type_[t].row(row_of(t, i)), krows, 4, m);
         // g_rmat_block (rows x 4) = G_block (rows x M) * g_a^T (M x 4)
-        nn::gemm_nt(g_by_type_[t].row(row_of(t, i)), g_a_.data(), g_rmat_.data() + base * 4,
-                    krows, m, 4);
+        nn::gemm_nt(g_by_type_[t].row(row_of(t, i)), g_a, g_rmat_.data() + base * 4, krows, m,
+                    4);
       }
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      // A = (1/N_m) R~^T G, accumulated over the per-type slot blocks.
+      const int ct = atoms.type[i];
+      double* a_mat = fit_.a_mat(ct, fit_.push(ct, i));
+      for (int t = 0; t < cfg.ntypes; ++t) {
+        const std::size_t krows = static_cast<std::size_t>(rows_of(i, t));
+        if (krows == 0) continue;
+        nn::gemm_tn_acc(env_.rmat_at(env_.block_begin(i, t)), g_by_type_[t].row(row_of(t, i)),
+                        a_mat, 4, krows, m);
+      }
+      for (std::size_t k = 0; k < 4 * m; ++k) a_mat[k] *= scale;
+      if (fit_.full(ct))
+        fit_.flush(ct, model_.fitting(ct), m_sub, scale, atom_energy_.data(), pass2);
     }
+    for (int t = 0; t < cfg.ntypes; ++t)
+      fit_.flush(t, model_.fitting(t), m_sub, scale, atom_energy_.data(), pass2);
+    for (std::size_t i = 0; i < n; ++i) out.energy += atom_energy_[i];
   }
+  record_fit_block_cost(model_.fitting(0), n, fit_.blocks());
 
   // ---- Embedding backward (GEMM-shaped, again over every stored slot) ---
   {

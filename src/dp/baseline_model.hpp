@@ -72,8 +72,8 @@ class BaselineDP final : public md::ForceField {
   std::vector<nn::Matrix> g_by_type_;
   std::vector<nn::EmbeddingNet::BatchWorkspace> ws_by_type_;
   std::vector<nn::Matrix> g_g_by_type_;
-  AlignedVector<double> s_buf_, g_s_, a_mat_, g_a_;
-  AtomKernelScratch scratch_;
+  AlignedVector<double> s_buf_, g_s_;
+  FitBlocks fit_;
   std::vector<std::size_t> row_off_;  ///< ntypes * (n + 1) per-type row prefix
   std::vector<double> atom_energy_;
   std::size_t embedding_bytes_ = 0;

@@ -7,8 +7,11 @@
 // algebra and its adjoint.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <vector>
 
+#include "common/aligned.hpp"
 #include "nn/fitting_net.hpp"
 
 namespace dp::core {
@@ -23,17 +26,90 @@ void descriptor_forward(const double* a_mat, std::size_t m, std::size_t m_sub, d
 void descriptor_backward(const double* a_mat, const double* g_d, std::size_t m,
                          std::size_t m_sub, double* g_a);
 
-/// Scratch for descriptor_fit_atom, reused across atoms.
+/// Scratch for descriptor_fit_block / descriptor_fit_atom, reused across
+/// calls (grow-only). d_flat holds the block's D rows and then, in place,
+/// their dE/dD; g_d is for callers that need both (the training path).
 struct AtomKernelScratch {
   nn::FittingNet::Workspace fit_ws;
   std::vector<double> d_flat, g_d;
 };
 
-/// The shared middle of every inference path: from the (already 1/N_m
-/// scaled) A matrix of one atom to its energy and the scaled gradient
-/// g_a = dE/dA * scale (ready to contract against R~ and G rows).
+/// The shared middle of every inference path, for a block of `rows` atoms of
+/// one center type: from their (already 1/N_m scaled) A matrices (4 x m
+/// each, packed) to energy[r] and the scaled gradients g_a = dE/dA * scale
+/// (packed the same way, ready to contract against R~ and G rows). One
+/// forward and one backward GEMM per fitting layer serve the whole block;
+/// each atom's energy and g_a are bitwise independent of `rows` and of its
+/// position in the block.
+void descriptor_fit_block(const nn::FittingNet& fit, const double* a_mats, std::size_t rows,
+                          std::size_t m, std::size_t m_sub, double scale,
+                          AtomKernelScratch& scratch, double* g_a, double* energy);
+
+/// One atom: descriptor_fit_block with rows = 1.
 double descriptor_fit_atom(const nn::FittingNet& fit, const double* a_mat, std::size_t m,
                            std::size_t m_sub, double scale, AtomKernelScratch& scratch,
                            double* g_a);
+
+/// One thread's pending fitting blocks: the middle phase of every DP path's
+/// three-phase atom loop (pass 1 per atom, one batched descriptor + fitting
+/// evaluation per block, pass 2 per atom). Pass 1 leaves an atom's A matrix
+/// in its center type's block; a block is evaluated when it holds
+/// nn::kFitBlock atoms or when the caller's atom range ends. Water
+/// interleaves O and H, so every center type keeps its own block.
+class FitBlocks {
+ public:
+  /// Grow-only sizing for `ntypes` center types and embedding width m; also
+  /// empties every block and zeroes the block counter.
+  void prepare(int ntypes, std::size_t m);
+
+  /// Queues atom i in center type t's block and returns its slot; the slot's
+  /// A matrix (a_mat(t, slot), 4 x m) is zeroed, ready for pass 1.
+  std::size_t push(int t, std::size_t i);
+  double* a_mat(int t, std::size_t slot) {
+    return a_[static_cast<std::size_t>(t)].data() + slot * 4 * m_;
+  }
+  bool full(int t) const { return count_[static_cast<std::size_t>(t)] == nn::kFitBlock; }
+
+  /// Evaluates type t's queued atoms (a no-op when none): writes
+  /// atom_energy[i] for each, then calls pass2(i, slot, g_a) in slot order
+  /// with g_a = scale * dE/dA (4 x m).
+  template <class Pass2>
+  void flush(int t, const nn::FittingNet& fit, std::size_t m_sub, double scale,
+             double* atom_energy, Pass2&& pass2) {
+    const std::size_t ut = static_cast<std::size_t>(t);
+    const std::size_t rows = count_[ut];
+    if (rows == 0) return;
+    count_[ut] = 0;
+    ++blocks_;
+    descriptor_fit_block(fit, a_[ut].data(), rows, m_, m_sub, scale, kernel_, g_a_.data(),
+                         energy_.data());
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::size_t i = atoms_[ut][r];
+      atom_energy[i] = energy_[r];
+      pass2(i, r, g_a_.data() + r * 4 * m_);
+    }
+  }
+
+  /// Blocks evaluated since prepare().
+  std::size_t blocks() const { return blocks_; }
+  /// Capacity-based bytes of the block buffers.
+  std::size_t bytes() const;
+
+ private:
+  std::size_t m_ = 0;
+  std::vector<AlignedVector<double>> a_;  ///< per type: kFitBlock A matrices
+  std::vector<std::array<std::size_t, nn::kFitBlock>> atoms_;  ///< queued atom ids
+  std::vector<std::size_t> count_;        ///< queued atoms per type
+  AlignedVector<double> g_a_;             ///< kFitBlock scaled dE/dA matrices
+  std::array<double, nn::kFitBlock> energy_{};
+  AtomKernelScratch kernel_;
+  std::size_t blocks_ = 0;
+};
+
+/// Books one compute()'s fitting work under the CostRegistry entry
+/// "fit.block": forward + backward GEMMs (the input-gradient pass repeats
+/// the forward MACs) at 2 FLOPs per MAC for every atom, and the weights
+/// streamed once per block. Its arithmetic intensity is what batching buys.
+void record_fit_block_cost(const nn::FittingNet& fit, std::size_t atoms, std::size_t blocks);
 
 }  // namespace dp::core

@@ -3,7 +3,6 @@
 #include <omp.h>
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/cost.hpp"
 #include "common/simd.hpp"
@@ -235,9 +234,10 @@ void FusedDP::prepare(std::size_t n) {
   for (ThreadScratch& sc : scratch_) {
     sc.g_row.resize(m);
     sc.dg_row.resize(m);
-    sc.a_mat.resize(4 * m);
-    sc.g_a.resize(4 * m);
-    if (opts_.cache_rows) sc.row_cache.resize(static_cast<std::size_t>(cfg.nm()) * 2 * m);
+    sc.fit.prepare(cfg.ntypes, m);
+    if (opts_.cache_rows)
+      sc.row_cache.resize(static_cast<std::size_t>(cfg.ntypes) * nn::kFitBlock *
+                          static_cast<std::size_t>(cfg.nm()) * 2 * m);
   }
 }
 
@@ -267,6 +267,7 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
   prepare(n);
 
   std::size_t slots_processed = 0;
+  std::size_t fit_blocks = 0;
   double energy_total = 0.0;
 
   {
@@ -280,33 +281,75 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
     // as prod_force): every thread runs the same kernel instance.
     const SlotGradientFn slot_gradient = pick_slot_gradient(simd::active());
     const Rank1Fn rank1_update = pick_rank1(simd::active());
+    const std::size_t cache_per_atom = static_cast<std::size_t>(nm) * 2 * m;
     BuildTeam& team = BuildTeam::team();
     auto body = [&](int tid, int T) {
       // Per-thread scratch: one embedding row + its derivative (the
-      // "registers" of the CUDA kernel), the A accumulator, and the fitting
-      // workspace — persistent members, nothing allocated per call.
+      // "registers" of the CUDA kernel) and the pending fitting blocks —
+      // persistent members, nothing allocated per call.
       ThreadScratch& sc = scratch_[static_cast<std::size_t>(tid)];
       sc.slots_partial = 0;
       sc.energy_partial = 0.0;
       const std::size_t i_begin = chunk_bound(n, tid, T);
       const std::size_t i_end = chunk_bound(n, tid + 1, T);
-      for (std::size_t i = i_begin; i < i_end; ++i) {
-        std::memset(sc.a_mat.data(), 0, 4 * m * sizeof(double));
+      const auto limit_of = [&](std::size_t i, int ty) {
+        return (env_.compact() || opts_.skip_padding) ? env_.count(i, ty)
+                                                      : cfg.sel[static_cast<std::size_t>(ty)];
+      };
+      // With cache_rows the staged rows of every atom waiting in a fitting
+      // block stay live until its pass 2: one cache slot per (type, slot).
+      const auto atom_cache = [&](int ct, std::size_t slot) {
+        return sc.row_cache.data() +
+               (static_cast<std::size_t>(ct) * nn::kFitBlock + slot) * cache_per_atom;
+      };
 
-        // ---- Pass 1: fused tabulate + rank-1 contraction ----------------
+      // ---- Pass 2: re-walk slots, fuse dE/dR~ and dE/ds ------------------
+      const auto pass2 = [&](std::size_t i, std::size_t slot, const double* g_a) {
         for (int ty = 0; ty < cfg.ntypes; ++ty) {
           const TabulatedEmbedding& table = tab_.table_pair(atoms.type[i], ty);
           const std::size_t base = env_.block_begin(i, ty);
           const int off = cfg.type_offset(ty);
-          const int limit = (env_.compact() || opts_.skip_padding)
-                                ? env_.count(i, ty)
-                                : cfg.sel[static_cast<std::size_t>(ty)];
+          const int limit = limit_of(i, ty);
+          for (int k = 0; k < limit; ++k) {
+            const std::size_t s = base + static_cast<std::size_t>(k);
+            const double* rrow = env_.rmat_at(s);
+            const double* row = sc.g_row.data();
+            const double* drow = sc.dg_row.data();
+            if (opts_.cache_rows) {
+              const double* cache =
+                  atom_cache(atoms.type[i], slot) + static_cast<std::size_t>(off + k) * 2 * m;
+              row = cache;
+              drow = cache + m;
+            } else if (opts_.blocked_table) {
+              table.eval_with_deriv_blocked(rrow[0], sc.g_row.data(), sc.dg_row.data());
+            } else {
+              table.eval_with_deriv(rrow[0], sc.g_row.data(), sc.dg_row.data());
+            }
+            slot_gradient(rrow, row, drow, g_a, m, g_rmat_.data() + s * 4);
+          }
+        }
+        // Dense layout without skip_padding walked the padded tails above;
+        // their g_rmat rows were written too (and are never read by the
+        // scatter, which walks counts only).
+      };
+
+      for (std::size_t i = i_begin; i < i_end; ++i) {
+        const int ct = atoms.type[i];
+        const std::size_t slot = sc.fit.push(ct, i);
+        double* a_mat = sc.fit.a_mat(ct, slot);
+
+        // ---- Pass 1: fused tabulate + rank-1 contraction ----------------
+        for (int ty = 0; ty < cfg.ntypes; ++ty) {
+          const TabulatedEmbedding& table = tab_.table_pair(ct, ty);
+          const std::size_t base = env_.block_begin(i, ty);
+          const int off = cfg.type_offset(ty);
+          const int limit = limit_of(i, ty);
           if (opts_.cache_rows && opts_.blocked_table && limit > 0) {
             // Batched staging: the s values sit in the first column of the
             // contiguous env-matrix rows (stride 4), the cache rows are
             // value/derivative pairs (stride 2M) — one SIMD dispatch for
             // the whole slot run instead of one per slot.
-            double* cache0 = sc.row_cache.data() + static_cast<std::size_t>(off) * 2 * m;
+            double* cache0 = atom_cache(ct, slot) + static_cast<std::size_t>(off) * 2 * m;
             table.eval_with_deriv_blocked_batch(env_.rmat_at(base), 4,
                                                 static_cast<std::size_t>(limit), cache0,
                                                 cache0 + m, 2 * m);
@@ -317,7 +360,7 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
             if (opts_.cache_rows) {
               // Single table walk: value + derivative staged for pass 2.
               // (Cache indexed by the dense in-atom offset in both layouts.)
-              double* cache = sc.row_cache.data() + static_cast<std::size_t>(off + k) * 2 * m;
+              double* cache = atom_cache(ct, slot) + static_cast<std::size_t>(off + k) * 2 * m;
               if (!opts_.blocked_table)  // blocked rows staged by the batch above
                 table.eval_with_deriv(rrow[0], cache, cache + m);
               row = cache;
@@ -327,55 +370,29 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
               table.eval(rrow[0], sc.g_row.data());
             }
             // outer-product update: A_c += rrow[c] * row (Fig 4 (c))
-            rank1_update(rrow, row, m, sc.a_mat.data());
+            rank1_update(rrow, row, m, a_mat);
             ++sc.slots_partial;
           }
         }
-        for (double& v : sc.a_mat) v *= scale;
+        for (std::size_t k = 0; k < 4 * m; ++k) a_mat[k] *= scale;
 
-        const double e_i = core::descriptor_fit_atom(model.fitting(atoms.type[i]),
-                                                     sc.a_mat.data(), m, m_sub, scale,
-                                                     sc.scratch, sc.g_a.data());
-        atom_energy_[i] = e_i;
-        sc.energy_partial += e_i;
-
-        // ---- Pass 2: re-walk slots, fuse dE/dR~ and dE/ds ----------------
-        for (int ty = 0; ty < cfg.ntypes; ++ty) {
-          const TabulatedEmbedding& table = tab_.table_pair(atoms.type[i], ty);
-          const std::size_t base = env_.block_begin(i, ty);
-          const int off = cfg.type_offset(ty);
-          const int limit = (env_.compact() || opts_.skip_padding)
-                                ? env_.count(i, ty)
-                                : cfg.sel[static_cast<std::size_t>(ty)];
-          for (int k = 0; k < limit; ++k) {
-            const std::size_t s = base + static_cast<std::size_t>(k);
-            const double* rrow = env_.rmat_at(s);
-            const double* row = sc.g_row.data();
-            const double* drow = sc.dg_row.data();
-            if (opts_.cache_rows) {
-              const double* cache =
-                  sc.row_cache.data() + static_cast<std::size_t>(off + k) * 2 * m;
-              row = cache;
-              drow = cache + m;
-            } else if (opts_.blocked_table) {
-              table.eval_with_deriv_blocked(rrow[0], sc.g_row.data(), sc.dg_row.data());
-            } else {
-              table.eval_with_deriv(rrow[0], sc.g_row.data(), sc.dg_row.data());
-            }
-            slot_gradient(rrow, row, drow, sc.g_a.data(), m, g_rmat_.data() + s * 4);
-          }
-        }
-        // Dense layout without skip_padding walked the padded tails above;
-        // their g_rmat rows were written too (and are never read by the
-        // scatter, which walks counts only).
+        // ---- Descriptor + fitting net, one batched call per full block ---
+        if (sc.fit.full(ct))
+          sc.fit.flush(ct, model.fitting(ct), m_sub, scale, atom_energy_.data(), pass2);
       }
+      for (int t = 0; t < cfg.ntypes; ++t)
+        sc.fit.flush(t, model.fitting(t), m_sub, scale, atom_energy_.data(), pass2);
+      // Energies in ascending atom order, as the one-atom loop summed them.
+      for (std::size_t i = i_begin; i < i_end; ++i) sc.energy_partial += atom_energy_[i];
     };
     team.run(team_size, BodyRef(body));
     for (const ThreadScratch& sc : scratch_) {
       slots_processed += sc.slots_partial;
+      fit_blocks += sc.fit.blocks();
       energy_total += sc.energy_partial;
     }
   }
+  core::record_fit_block_cost(model.fitting(0), n, fit_blocks);
 
   slots_processed_ = slots_processed;
   slots_total_ = n * static_cast<std::size_t>(nm);

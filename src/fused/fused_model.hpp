@@ -31,8 +31,9 @@ struct FusedOptions {
   core::EnvMatKernel env_kernel = core::EnvMatKernel::Optimized;  ///< ProdEnvMatA variant
   /// Cache each atom's embedding rows (value + derivative) in a per-thread
   /// buffer during pass 1 so pass 2 reads instead of re-walking the table —
-  /// one table evaluation per slot instead of two, at O(N_m x M) per-thread
-  /// scratch (the analog of the CUDA kernel's shared-memory staging).
+  /// one table evaluation per slot instead of two, at O(N_m x M) scratch per
+  /// atom of a pending fitting block (the analog of the CUDA kernel's
+  /// shared-memory staging).
   bool cache_rows = false;
 };
 
@@ -61,16 +62,15 @@ class FusedDP final : public md::ForceField {
   /// Per-thread scratch, sized once by prepare() and indexed by
   /// omp_get_thread_num() inside the parallel region.
   struct ThreadScratch {
-    AlignedVector<double> g_row, dg_row, a_mat, g_a, row_cache;
-    core::AtomKernelScratch scratch;
+    AlignedVector<double> g_row, dg_row, row_cache;
+    core::FitBlocks fit;  ///< pending fitting blocks, one per center type
     // Per-thread reduction partials, folded by the master in ascending
     // thread order after the team joins (no shared reduction frame).
     std::size_t slots_partial = 0;
     double energy_partial = 0.0;
     std::size_t bytes() const {
-      return (g_row.capacity() + dg_row.capacity() + a_mat.capacity() + g_a.capacity() +
-              row_cache.capacity()) *
-             sizeof(double);
+      return (g_row.capacity() + dg_row.capacity() + row_cache.capacity()) * sizeof(double) +
+             fit.bytes();
     }
   };
   void prepare(std::size_t n);

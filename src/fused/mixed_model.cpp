@@ -14,7 +14,6 @@
 
 namespace dp::fused {
 
-using core::AtomKernelScratch;
 using core::ModelConfig;
 
 namespace {
@@ -241,8 +240,7 @@ void MixedFusedDP::prepare(std::size_t n) {
     sc.row_cache.resize(nm * 2 * m);
     sc.a_sp.resize(4 * m);
     sc.ga_sp.resize(4 * m);
-    sc.a_mat.resize(4 * m);
-    sc.g_a.resize(4 * m);
+    sc.fit.prepare(cfg.ntypes, m);
   }
 }
 
@@ -262,6 +260,7 @@ md::ForceResult MixedFusedDP::compute(const md::Box& box, md::Atoms& atoms,
   prepare(n);
 
   double energy_total = 0.0;
+  std::size_t fit_blocks = 0;
 
   // BuildTeam, not `#pragma omp parallel` — zero-suppression TSan floor
   // (common/team.hpp); per-thread energy partials fold on the master.
@@ -276,52 +275,35 @@ md::ForceResult MixedFusedDP::compute(const md::Box& box, md::Atoms& atoms,
     sc.energy_partial = 0.0;
     const std::size_t i_begin = chunk_bound(n, tid, T);
     const std::size_t i_end = chunk_bound(n, tid + 1, T);
-    for (std::size_t i = i_begin; i < i_end; ++i) {
-      std::memset(sc.a_sp.data(), 0, 4 * m * sizeof(float));
 
-      // ---- Pass 1 in single precision: one batched blocked table walk per
-      // slot run (value + derivative rows cached for pass 2), then the
-      // rank-1 contraction over the cached value rows. -------------------
-      for (int ty = 0; ty < cfg.ntypes; ++ty) {
-        const std::size_t table = model.pair_index(atoms.type[i], ty);
-        const std::size_t base = env_.block_begin(i, ty);
-        const int off = cfg.type_offset(ty);
-        const int limit = env_.count(i, ty);
-        if (limit > 0) {
-          // Stage the float s column (the env rows are contiguous stride-4
-          // doubles; the cast is the seed path's cast, slot for slot).
-          const double* rbase = env_.rmat_at(base);
-          for (int k = 0; k < limit; ++k)
-            sc.s_col[static_cast<std::size_t>(k)] = static_cast<float>(rbase[4 * k]);
-          float* cache0 = sc.row_cache.data() + static_cast<std::size_t>(off) * 2 * m;
-          eval_table_batch(table, sc.s_col.data(), static_cast<std::size_t>(limit), cache0,
-                           cache0 + m, 2 * m);
-        }
-        for (int k = 0; k < limit; ++k) {
-          const double* rrow = env_.rmat_at(base + static_cast<std::size_t>(k));
-          const float r[4] = {static_cast<float>(rrow[0]), static_cast<float>(rrow[1]),
-                              static_cast<float>(rrow[2]), static_cast<float>(rrow[3])};
-          const float* row =
-              sc.row_cache.data() + static_cast<std::size_t>(off + k) * 2 * m;
-          rank1_update(r, row, m, sc.a_sp.data());
-        }
+    // One batched blocked table walk of atom i's type-ty slot run (value +
+    // derivative rows, stride 2M) into the one-atom row cache; returns the
+    // run length. Pass 1 and pass 2 each walk, so the cache never spans a
+    // fitting block; the walk is deterministic, so both see the same rows.
+    const auto walk = [&](std::size_t i, int ty) {
+      const int limit = env_.count(i, ty);
+      if (limit > 0) {
+        // Stage the float s column (the env rows are contiguous stride-4
+        // doubles; the cast is the seed path's cast, slot for slot).
+        const double* rbase = env_.rmat_at(env_.block_begin(i, ty));
+        for (int k = 0; k < limit; ++k)
+          sc.s_col[static_cast<std::size_t>(k)] = static_cast<float>(rbase[4 * k]);
+        float* cache0 =
+            sc.row_cache.data() + static_cast<std::size_t>(cfg.type_offset(ty)) * 2 * m;
+        eval_table_batch(model.pair_index(atoms.type[i], ty), sc.s_col.data(),
+                         static_cast<std::size_t>(limit), cache0, cache0 + m, 2 * m);
       }
-      // ---- Descriptor + fitting in double -------------------------------
-      for (std::size_t k = 0; k < 4 * m; ++k)
-        sc.a_mat[k] = static_cast<double>(sc.a_sp[k]) * scale;
-      const double e_i =
-          core::descriptor_fit_atom(model.fitting(atoms.type[i]), sc.a_mat.data(), m, m_sub,
-                                    scale, sc.scratch, sc.g_a.data());
-      atom_energy_[i] = e_i;
-      sc.energy_partial += e_i;
+      return limit;
+    };
 
-      // ---- Pass 2 in single precision, accumulated into double: reuse the
-      // cached value/derivative rows — no second table walk. --------------
-      for (std::size_t k = 0; k < 4 * m; ++k) sc.ga_sp[k] = static_cast<float>(sc.g_a[k]);
+    // ---- Pass 2 in single precision, accumulated into double: re-walk the
+    // atom's tables into the row cache, then the per-slot gradient dots. ---
+    const auto pass2 = [&](std::size_t i, std::size_t, const double* g_a) {
+      for (std::size_t k = 0; k < 4 * m; ++k) sc.ga_sp[k] = static_cast<float>(g_a[k]);
       for (int ty = 0; ty < cfg.ntypes; ++ty) {
+        const int limit = walk(i, ty);
         const std::size_t base = env_.block_begin(i, ty);
         const int off = cfg.type_offset(ty);
-        const int limit = env_.count(i, ty);
         for (int k = 0; k < limit; ++k) {
           const std::size_t s = base + static_cast<std::size_t>(k);
           const double* rrow = env_.rmat_at(s);
@@ -368,10 +350,45 @@ md::ForceResult MixedFusedDP::compute(const md::Box& box, md::Atoms& atoms,
           }
         }
       }
+    };
+
+    for (std::size_t i = i_begin; i < i_end; ++i) {
+      std::memset(sc.a_sp.data(), 0, 4 * m * sizeof(float));
+
+      // ---- Pass 1 in single precision: the batched table walk per slot
+      // run, then the rank-1 contraction over the cached value rows. -------
+      for (int ty = 0; ty < cfg.ntypes; ++ty) {
+        const int limit = walk(i, ty);
+        const std::size_t base = env_.block_begin(i, ty);
+        const int off = cfg.type_offset(ty);
+        for (int k = 0; k < limit; ++k) {
+          const double* rrow = env_.rmat_at(base + static_cast<std::size_t>(k));
+          const float r[4] = {static_cast<float>(rrow[0]), static_cast<float>(rrow[1]),
+                              static_cast<float>(rrow[2]), static_cast<float>(rrow[3])};
+          const float* row =
+              sc.row_cache.data() + static_cast<std::size_t>(off + k) * 2 * m;
+          rank1_update(r, row, m, sc.a_sp.data());
+        }
+      }
+      // ---- Descriptor + fitting in double, one batched call per block ---
+      const int ct = atoms.type[i];
+      double* a_mat = sc.fit.a_mat(ct, sc.fit.push(ct, i));
+      for (std::size_t k = 0; k < 4 * m; ++k)
+        a_mat[k] = static_cast<double>(sc.a_sp[k]) * scale;
+      if (sc.fit.full(ct))
+        sc.fit.flush(ct, model.fitting(ct), m_sub, scale, atom_energy_.data(), pass2);
     }
+    for (int t = 0; t < cfg.ntypes; ++t)
+      sc.fit.flush(t, model.fitting(t), m_sub, scale, atom_energy_.data(), pass2);
+    // Energies in ascending atom order, as the one-atom loop summed them.
+    for (std::size_t i = i_begin; i < i_end; ++i) sc.energy_partial += atom_energy_[i];
   };
   team.run(team_size, BodyRef(body));
-  for (const ThreadScratch& sc : scratch_) energy_total += sc.energy_partial;
+  for (const ThreadScratch& sc : scratch_) {
+    energy_total += sc.energy_partial;
+    fit_blocks += sc.fit.blocks();
+  }
+  core::record_fit_block_cost(model.fitting(0), n, fit_blocks);
 
   md::ForceResult out;
   out.energy = energy_total;

@@ -12,10 +12,10 @@
 //
 // The float stage rides the runtime SIMD dispatcher at twice the lane width
 // of the double path (8 floats AVX2 / 16 floats AVX-512): one batched
-// blocked table walk per slot run stages value+derivative row pairs, pass 1
-// contracts them rank-1 into A_sp, pass 2 reuses the cached rows for the
-// gradient dots. DP_SIMD=scalar keeps the seed float expressions bit for
-// bit.
+// blocked table walk per slot run stages value+derivative row pairs into a
+// one-atom cache, pass 1 contracts them rank-1 into A_sp, and pass 2 — run
+// once the atom's fitting block is evaluated — re-walks the same rows for
+// the gradient dots.
 #pragma once
 
 #include <vector>
@@ -67,10 +67,9 @@ class MixedFusedDP final : public md::ForceField {
 
   struct ThreadScratch {
     AlignedVector<float> s_col;       ///< staged float s values, one per slot
-    AlignedVector<float> row_cache;   ///< value/deriv row pairs, stride 2M
+    AlignedVector<float> row_cache;   ///< one atom's value/deriv row pairs, stride 2M
     AlignedVector<float> a_sp, ga_sp;
-    AlignedVector<double> a_mat, g_a;
-    core::AtomKernelScratch scratch;
+    core::FitBlocks fit;              ///< pending fitting blocks, one per center type
     double energy_partial = 0.0;  ///< folded by the master, ascending thread order
   };
 

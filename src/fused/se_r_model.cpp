@@ -124,6 +124,8 @@ md::ForceResult SeRFusedDP::compute(const md::Box& box, md::Atoms& atoms,
   };
   team.run(team_size, BodyRef(body));
   for (const ThreadScratch& sc : scratch_) energy_total += sc.energy_partial;
+  // se_r evaluates its (M-input) fitting net one row at a time.
+  core::record_fit_block_cost(model.fitting(0), n, n);
 
   md::ForceResult out;
   out.energy = energy_total;

@@ -1,6 +1,7 @@
 #include "nn/dense_layer.hpp"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "nn/gemm.hpp"
@@ -38,14 +39,18 @@ double DenseLayer::activate_deriv_from_value(double a) const {
   return act_ == Activation::Linear ? 1.0 : 1.0 - a * a;
 }
 
-void DenseLayer::forward_batch(const Matrix& x, Matrix& y) const {
-  DP_CHECK(x.cols() == in_);
-  y.resize(x.rows(), out_);
-  gemm(x.data(), w_.data(), y.data(), x.rows(), in_, out_);
-  for (std::size_t r = 0; r < y.rows(); ++r) {
-    double* yr = y.row(r);
-    const double* xr = x.row(r);
-    for (std::size_t j = 0; j < out_; ++j) yr[j] = activate(yr[j] + b_[j]);
+void DenseLayer::forward_rows(const double* x, std::size_t rows, double* y,
+                              double* act_save) const {
+  // u = b + x W: every u element is one fma chain from its bias (gemm_acc's
+  // contract), so a row's output does not depend on its block-mates.
+  for (std::size_t r = 0; r < rows; ++r)
+    std::memcpy(y + r * out_, b_.data(), out_ * sizeof(double));
+  gemm_acc(x, w_.data(), y, rows, in_, out_);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* xr = x + r * in_;
+    double* yr = y + r * out_;
+    for (std::size_t j = 0; j < out_; ++j) yr[j] = activate(yr[j]);
+    if (act_save != nullptr) std::memcpy(act_save + r * out_, yr, out_ * sizeof(double));
     switch (shortcut_) {
       case Shortcut::None:
         break;
@@ -59,129 +64,69 @@ void DenseLayer::forward_batch(const Matrix& x, Matrix& y) const {
   }
 }
 
-void DenseLayer::forward_row(const double* x, double* y, double* act_save) const {
-  affine(x, w_.data(), b_.data(), y, in_, out_);
-  for (std::size_t j = 0; j < out_; ++j) y[j] = activate(y[j]);
-  if (act_save != nullptr)
-    for (std::size_t j = 0; j < out_; ++j) act_save[j] = y[j];
-  switch (shortcut_) {
-    case Shortcut::None:
-      break;
-    case Shortcut::Identity:
-      for (std::size_t j = 0; j < out_; ++j) y[j] += x[j];
-      break;
-    case Shortcut::Concat:
-      for (std::size_t j = 0; j < out_; ++j) y[j] += x[j % in_];
-      break;
+void DenseLayer::backward_rows(const double* g_out, const double* act_saved, std::size_t rows,
+                               double* g_in, double* g_u, const double* x,
+                               Grads* grads) const {
+  // g_u = g_out .* act'(u), from the saved activation values.
+  for (std::size_t k = 0; k < rows * out_; ++k)
+    g_u[k] = g_out[k] * activate_deriv_from_value(act_saved[k]);
+  gemm_nt(g_u, w_.data(), g_in, rows, out_, in_);
+  if (grads != nullptr) {
+    DP_CHECK_MSG(x != nullptr, "weight gradients need the forward input rows");
+    // dE/dW += x^T g_u (in x out), dE/db += column sums of g_u.
+    gemm_tn_acc(x, g_u, grads->w.data(), in_, rows, out_);
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t j = 0; j < out_; ++j) grads->b[j] += g_u[r * out_ + j];
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* go = g_out + r * out_;
+    double* gi = g_in + r * in_;
+    switch (shortcut_) {
+      case Shortcut::None:
+        break;
+      case Shortcut::Identity:
+        for (std::size_t j = 0; j < in_; ++j) gi[j] += go[j];
+        break;
+      case Shortcut::Concat:
+        for (std::size_t j = 0; j < out_; ++j) gi[j % in_] += go[j];
+        break;
+    }
   }
 }
 
-void DenseLayer::backward_row(const double* g_out, const double* act_saved, double* g_in,
-                              const double* x, Grads* grads) const {
-  // g_u[j] = g_out[j] * act'(u_j); stack buffer sized for the widest layer
-  // would be fragile, so use a small local vector (layers are <= a few
-  // hundred wide; this path is per-atom, not per-neighbor).
-  AlignedVector<double> g_u(out_);
-  for (std::size_t j = 0; j < out_; ++j)
-    g_u[j] = g_out[j] * activate_deriv_from_value(act_saved[j]);
-  gemv_t(g_u.data(), w_.data(), g_in, in_, out_);
-  if (grads != nullptr) {
-    DP_CHECK_MSG(x != nullptr, "weight gradients need the forward input");
-    // dE/dW = x (x) g_u, dE/db = g_u.
-    for (std::size_t p = 0; p < in_; ++p) {
-      const double xv = x[p];
-      double* wrow = grads->w.row(p);
-#pragma omp simd
-      for (std::size_t j = 0; j < out_; ++j) wrow[j] += xv * g_u[j];
-    }
-    for (std::size_t j = 0; j < out_; ++j) grads->b[j] += g_u[j];
-  }
-  switch (shortcut_) {
-    case Shortcut::None:
-      break;
-    case Shortcut::Identity:
-      for (std::size_t j = 0; j < in_; ++j) g_in[j] += g_out[j];
-      break;
-    case Shortcut::Concat:
-      for (std::size_t j = 0; j < out_; ++j) g_in[j % in_] += g_out[j];
-      break;
-  }
+void DenseLayer::forward_batch(const Matrix& x, Matrix& y) const {
+  DP_CHECK(x.cols() == in_);
+  y.resize(x.rows(), out_);
+  forward_rows(x.data(), x.rows(), y.data(), nullptr);
 }
 
 void DenseLayer::forward_batch_ws(const Matrix& x, Matrix& y, Matrix& act_save) const {
   DP_CHECK(x.cols() == in_);
-  const std::size_t n = x.rows();
-  act_save.resize(n, out_);
-  gemm(x.data(), w_.data(), act_save.data(), n, in_, out_);
-  for (std::size_t r = 0; r < n; ++r) {
-    double* ar = act_save.row(r);
-    for (std::size_t j = 0; j < out_; ++j) ar[j] = activate(ar[j] + b_[j]);
-  }
-  y.resize(n, out_);
-  for (std::size_t r = 0; r < n; ++r) {
-    double* yr = y.row(r);
-    const double* ar = act_save.row(r);
-    const double* xr = x.row(r);
-    switch (shortcut_) {
-      case Shortcut::None:
-        for (std::size_t j = 0; j < out_; ++j) yr[j] = ar[j];
-        break;
-      case Shortcut::Identity:
-        for (std::size_t j = 0; j < out_; ++j) yr[j] = ar[j] + xr[j];
-        break;
-      case Shortcut::Concat:
-        for (std::size_t j = 0; j < out_; ++j) yr[j] = ar[j] + xr[j % in_];
-        break;
-    }
-  }
+  y.resize(x.rows(), out_);
+  act_save.resize(x.rows(), out_);
+  forward_rows(x.data(), x.rows(), y.data(), act_save.data());
 }
 
 void DenseLayer::backward_batch(const Matrix& g_out, const Matrix& act_saved, Matrix& g_in,
-                                const Matrix* x, Grads* grads) const {
+                                Matrix& g_u, const Matrix* x, Grads* grads) const {
   DP_CHECK(g_out.cols() == out_ && same_shape(g_out, act_saved));
   const std::size_t n = g_out.rows();
-  // g_u = g_out .* act'(u), computed from the saved activation values.
-  Matrix g_u(n, out_);
-  for (std::size_t r = 0; r < n; ++r) {
-    const double* go = g_out.row(r);
-    const double* ar = act_saved.row(r);
-    double* gu = g_u.row(r);
-    for (std::size_t j = 0; j < out_; ++j)
-      gu[j] = go[j] * activate_deriv_from_value(ar[j]);
-  }
-  g_in.resize(n, in_);
-  gemm_nt(g_u.data(), w_.data(), g_in.data(), n, out_, in_);
-  if (grads != nullptr) {
+  if (grads != nullptr)
     DP_CHECK_MSG(x != nullptr && x->rows() == n && x->cols() == in_,
                  "weight gradients need the forward input batch");
-    // dE/dW += x^T g_u  (in x out), dE/db += column sums of g_u.
-    gemm_tn_acc(x->data(), g_u.data(), grads->w.data(), in_, n, out_);
-    for (std::size_t r = 0; r < n; ++r) {
-      const double* gu = g_u.row(r);
-      for (std::size_t j = 0; j < out_; ++j) grads->b[j] += gu[j];
-    }
-  }
-  switch (shortcut_) {
-    case Shortcut::None:
-      break;
-    case Shortcut::Identity:
-      for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t j = 0; j < in_; ++j) g_in(r, j) += g_out(r, j);
-      break;
-    case Shortcut::Concat:
-      for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t j = 0; j < out_; ++j) g_in(r, j % in_) += g_out(r, j);
-      break;
-  }
+  g_in.resize(n, in_);
+  g_u.resize(n, out_);
+  backward_rows(g_out.data(), act_saved.data(), n, g_in.data(), g_u.data(),
+                x != nullptr ? x->data() : nullptr, grads);
 }
 
 void DenseLayer::forward_jet(const double* x, const double* dx, const double* d2x,
                              double* y, double* dy, double* d2y) const {
   // u = x W + b and its two input-derivatives (linear, so they share W).
-  AlignedVector<double> u(out_), du(out_, 0.0), d2u(out_, 0.0);
-  affine(x, w_.data(), b_.data(), u.data(), in_, out_);
-  gemv_acc(dx, w_.data(), du.data(), in_, out_);
-  gemv_acc(d2x, w_.data(), d2u.data(), in_, out_);
+  AlignedVector<double> u = b_, du(out_, 0.0), d2u(out_, 0.0);
+  gemm_acc(x, w_.data(), u.data(), 1, in_, out_);
+  gemm_acc(dx, w_.data(), du.data(), 1, in_, out_);
+  gemm_acc(d2x, w_.data(), d2u.data(), 1, in_, out_);
   for (std::size_t j = 0; j < out_; ++j) {
     double a, da, d2a;
     if (act_ == Activation::Linear) {

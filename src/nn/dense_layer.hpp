@@ -4,11 +4,15 @@
 //   Identity: y = x + act(x W + b)                    (fitting-net hidden)
 //   Concat:   y = (x, x) + act(x W + b), out = 2 in   (embedding-net growth)
 //
-// Inference needs three evaluation modes:
-//   * batched forward over many rows (baseline embedding path, GEMM-shaped),
-//   * forward "jet" propagation of (value, d/ds, d2/ds2) for the scalar-input
-//     embedding net (forces + tabulation need exact input derivatives),
-//   * reverse-mode for a single row (fitting net produces dE/dD).
+// Every evaluation mode runs on one pair of row-block kernels: forward_rows
+// (u = b + x W over a block of rows, one gemm_acc) and backward_rows (dE/dx
+// = (dE/dy .* act') W^T over the same rows, one gemm_nt). Each output
+// element's arithmetic is independent of the block it is computed in
+// (nn/gemm.hpp), so a row gives the same bits alone or batched. The Matrix
+// wrappers (the baseline embedding GEMM pipeline), the one-row forward_row
+// and the fitting net's block evaluator all call them; the forward "jet"
+// (value, d/ds, d2/ds2) serves the scalar-input embedding net, whose forces
+// and tabulation need exact input derivatives.
 #pragma once
 
 #include <cstddef>
@@ -44,12 +48,18 @@ class DenseLayer {
   AlignedVector<double>& bias() { return b_; }
   const AlignedVector<double>& bias() const { return b_; }
 
+  /// Forward over `rows` rows: y (rows x out) from x (rows x in). `act_save`
+  /// (rows x out, may be nullptr) receives the pure activation act(xW+b)
+  /// that backward_rows needs.
+  void forward_rows(const double* x, std::size_t rows, double* y, double* act_save) const;
+
+  /// Single-row forward: forward_rows with rows = 1.
+  void forward_row(const double* x, double* y, double* act_save = nullptr) const {
+    forward_rows(x, 1, y, act_save);
+  }
+
   /// Batched forward: y (n x out) from x (n x in).
   void forward_batch(const Matrix& x, Matrix& y) const;
-
-  /// Single-row forward. `act_save` (length out, may be nullptr) receives the
-  /// pure activation value act(xW+b) needed by backward_row.
-  void forward_row(const double* x, double* y, double* act_save = nullptr) const;
 
   /// Parameter gradients accumulated by the training backward passes.
   struct Grads {
@@ -65,22 +75,23 @@ class DenseLayer {
     }
   };
 
-  /// Reverse mode for one row: g_in = dE/dx given g_out = dE/dy and the saved
-  /// activation values from forward_row. g_in must not alias g_out.
-  /// When `grads` is non-null, dE/dW and dE/db are accumulated into it
-  /// (requires the forward input row x).
-  void backward_row(const double* g_out, const double* act_saved, double* g_in,
-                    const double* x = nullptr, Grads* grads = nullptr) const;
+  /// Reverse mode over `rows` rows: g_in (rows x in) = dE/dx from g_out
+  /// (rows x out) = dE/dy and the saved activations; g_u (rows x out) is the
+  /// caller's scratch for dE/du. g_in must not alias g_out. When `grads` is
+  /// non-null, dE/dW and dE/db are accumulated row by row in order (needs
+  /// the forward input rows x).
+  void backward_rows(const double* g_out, const double* act_saved, std::size_t rows,
+                     double* g_in, double* g_u, const double* x = nullptr,
+                     Grads* grads = nullptr) const;
 
   /// Batched forward that also retains the pure activation values needed by
   /// backward_batch (one row per sample).
   void forward_batch_ws(const Matrix& x, Matrix& y, Matrix& act_save) const;
 
-  /// Batched reverse mode: g_in (n x in) from g_out (n x out) and the saved
-  /// activations. This is what TensorFlow does for the embedding net when
-  /// forces are requested (baseline path). When `grads` is non-null, weight
-  /// and bias gradients are accumulated (requires the forward inputs x).
-  void backward_batch(const Matrix& g_out, const Matrix& act_saved, Matrix& g_in,
+  /// Matrix form of backward_rows (g_u is the caller's scratch). This is
+  /// what TensorFlow does for the embedding net when forces are requested
+  /// (baseline path).
+  void backward_batch(const Matrix& g_out, const Matrix& act_saved, Matrix& g_in, Matrix& g_u,
                       const Matrix* x = nullptr, Grads* grads = nullptr) const;
 
   /// Forward-mode propagation of value + first + second derivative with

@@ -39,6 +39,7 @@ class EmbeddingNet {
   struct BatchWorkspace {
     std::vector<Matrix> inputs;  // inputs[l]: input matrix of layer l
     std::vector<Matrix> acts;    // acts[l]: act(u) of layer l
+    Matrix grad_a, grad_b, grad_u;  // backward_batch scratch, reused across calls
   };
 
   /// Batched forward retaining activations; G (n x M).
@@ -47,7 +48,7 @@ class EmbeddingNet {
   /// Batched reverse-mode: g_s[i] = sum_j gG(i, j) * dG(i, j)/ds_i.
   /// g_s may be null (training only needs parameter gradients); `grads`
   /// (one per layer) accumulates dLoss/dW when non-null.
-  void backward_batch(const BatchWorkspace& ws, const Matrix& g_g, double* g_s,
+  void backward_batch(BatchWorkspace& ws, const Matrix& g_g, double* g_s,
                       std::vector<DenseLayer::Grads>* grads = nullptr) const;
 
   /// Single-scalar evaluation, g has length M.

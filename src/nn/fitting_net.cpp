@@ -28,40 +28,64 @@ void FittingNet::set_activation(Activation a) {
   for (std::size_t l = 0; l + 1 < layers_.size(); ++l) layers_[l].set_activation(a);
 }
 
-double FittingNet::forward(const double* d, Workspace& ws) const {
+void FittingNet::ensure_workspace(Workspace& ws, std::size_t rows) const {
+  auto grow = [](AlignedVector<double>& v, std::size_t n) {
+    if (v.size() < n) v.resize(n);
+  };
   const std::size_t L = layers_.size();
-  ws.inputs.resize(L);
-  ws.acts.resize(L);
-  ws.inputs[0].assign(d, d + in_dim_);
+  if (ws.outs.size() < L) ws.outs.resize(L);
+  if (ws.acts.size() < L) ws.acts.resize(L);
+  // Gradient rows are at most one layer output wide: the layer-0 input
+  // gradient goes straight to the caller's g_d.
+  std::size_t widest = 0;
   for (std::size_t l = 0; l < L; ++l) {
-    const auto& layer = layers_[l];
-    ws.acts[l].resize(layer.out_dim());
-    AlignedVector<double> out(layer.out_dim());
-    layer.forward_row(ws.inputs[l].data(), out.data(), ws.acts[l].data());
-    if (l + 1 < L)
-      ws.inputs[l + 1] = std::move(out);
-    else
-      return out[0];
+    const std::size_t w = layers_[l].out_dim();
+    grow(ws.outs[l], rows * w);
+    grow(ws.acts[l], rows * w);
+    widest = std::max(widest, w);
   }
-  return 0.0;  // unreachable: constructor guarantees at least one layer
+  grow(ws.grad_a, rows * widest);
+  grow(ws.grad_b, rows * widest);
+  grow(ws.grad_u, rows * widest);
+}
+
+double FittingNet::forward(const double* d, Workspace& ws) const {
+  double energy = 0.0;
+  forward_block(d, 1, ws, &energy);
+  return energy;
+}
+
+void FittingNet::forward_block(const double* d, std::size_t rows, Workspace& ws,
+                               double* energy) const {
+  DP_CHECK(rows > 0);
+  ensure_workspace(ws, rows);
+  ws.input = d;
+  ws.rows = rows;
+  const double* x = d;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    layers_[l].forward_rows(x, rows, ws.outs[l].data(), ws.acts[l].data());
+    x = ws.outs[l].data();
+  }
+  // The read-out layer is one wide: its output rows are the energies.
+  std::copy(x, x + rows, energy);
 }
 
 void FittingNet::backward(const Workspace& ws, double* g_d,
                           std::vector<DenseLayer::Grads>* grads, double seed) const {
   const std::size_t L = layers_.size();
-  DP_CHECK_MSG(ws.inputs.size() == L, "backward() without a preceding forward()");
+  DP_CHECK_MSG(ws.rows > 0 && ws.acts.size() >= L, "backward() without a preceding forward()");
   if (grads != nullptr) DP_CHECK(grads->size() == L);
-  auto& g_out = const_cast<Workspace&>(ws).grad_a;
-  auto& g_in = const_cast<Workspace&>(ws).grad_b;
-  g_out.assign(1, seed);  // dLoss/dE
+  const std::size_t rows = ws.rows;
+  double* g_out = ws.grad_a.data();
+  double* g_in = ws.grad_b.data();
+  std::fill(g_out, g_out + rows, seed);  // dLoss/dE per row
   for (std::size_t l = L; l-- > 0;) {
-    g_in.assign(layers_[l].in_dim(), 0.0);
-    layers_[l].backward_row(g_out.data(), ws.acts[l].data(), g_in.data(),
-                            ws.inputs[l].data(),
-                            grads != nullptr ? &(*grads)[l] : nullptr);
+    double* dst = l == 0 ? g_d : g_in;
+    const double* x = l == 0 ? ws.input : ws.outs[l - 1].data();
+    layers_[l].backward_rows(g_out, ws.acts[l].data(), rows, dst, ws.grad_u.data(), x,
+                             grads != nullptr ? &(*grads)[l] : nullptr);
     std::swap(g_out, g_in);
   }
-  std::copy(g_out.begin(), g_out.end(), g_d);
 }
 
 double FittingNet::flops_per_eval() const {
@@ -69,6 +93,13 @@ double FittingNet::flops_per_eval() const {
   for (const auto& layer : layers_)
     flops += static_cast<double>(layer.in_dim()) * static_cast<double>(layer.out_dim());
   return flops;
+}
+
+double FittingNet::weight_bytes() const {
+  double bytes = 0.0;
+  for (const auto& layer : layers_)
+    bytes += static_cast<double>((layer.in_dim() + 1) * layer.out_dim()) * sizeof(double);
+  return bytes;
 }
 
 }  // namespace dp::nn

@@ -4,6 +4,14 @@
 // Hidden layers share one width and use identity shortcuts; the output layer
 // is linear to a single scalar. Reverse-mode through the net yields dE/dD,
 // the seed of the force back-propagation.
+//
+// Evaluation is batched over a block of rows (atoms of one center type):
+// each layer is one forward GEMM and one backward GEMM for the whole block,
+// so the weights stream from memory once per block instead of once per
+// atom — the per-type MatMul of the paper's TensorFlow graph, cut to a
+// cache-sized block. The single-row forward() is the rows = 1 case of the
+// same code, and every row's outputs are bitwise independent of the block
+// it is evaluated in (DESIGN.md §11).
 #pragma once
 
 #include <cstddef>
@@ -12,6 +20,11 @@
 #include "nn/dense_layer.hpp"
 
 namespace dp::nn {
+
+/// Atoms per fitting block in the inference paths: one thread's block
+/// scratch (A matrices, descriptor rows and their gradients, layer
+/// activations) stays near 1 MB on the paper's copper model.
+inline constexpr std::size_t kFitBlock = 16;
 
 class FittingNet {
  public:
@@ -27,27 +40,40 @@ class FittingNet {
   const std::vector<DenseLayer>& layers() const { return layers_; }
   void set_activation(Activation a);
 
-  /// Per-thread forward/backward state: inputs to and activations of every
-  /// layer, retained for the backward pass.
+  /// Per-thread forward/backward state, grow-only: sized by the first block
+  /// of each size, reused without allocating afterwards.
   struct Workspace {
-    std::vector<AlignedVector<double>> inputs;  // inputs[l]: input row of layer l
-    std::vector<AlignedVector<double>> acts;    // acts[l]: act(u) of layer l
-    AlignedVector<double> grad_a, grad_b;       // ping-pong gradient buffers
+    const double* input = nullptr;             // layer-0 input rows (caller-owned)
+    std::size_t rows = 0;                      // rows of the last forward
+    std::vector<AlignedVector<double>> outs;   // outs[l]: output rows of layer l
+    std::vector<AlignedVector<double>> acts;   // acts[l]: act(u) rows of layer l
+    mutable AlignedVector<double> grad_a, grad_b, grad_u;  // backward scratch
   };
 
-  /// E = N(d); records everything backward() needs into ws.
+  /// E = N(d) for one row; records everything backward() needs into ws. The
+  /// input is not copied: d must stay valid until backward().
   double forward(const double* d, Workspace& ws) const;
 
-  /// g_d[j] = seed * dE/dD_j given the workspace of the preceding forward().
-  /// When `grads` is non-null (one entry per layer, pre-init'ed), parameter
-  /// gradients are accumulated — the training path.
+  /// energy[r] = N(d_r) for `rows` rows of d (row stride input_dim()), same
+  /// bookkeeping as forward().
+  void forward_block(const double* d, std::size_t rows, Workspace& ws, double* energy) const;
+
+  /// g_d[r][j] = seed * dE_r/dD_rj for the ws.rows rows of the preceding
+  /// forward()/forward_block(). When `grads` is non-null (one entry per
+  /// layer, pre-init'ed), parameter gradients are accumulated — the training
+  /// path.
   void backward(const Workspace& ws, double* g_d,
                 std::vector<DenseLayer::Grads>* grads = nullptr, double seed = 1.0) const;
 
   /// Multiply-add count of one forward evaluation.
   double flops_per_eval() const;
+  /// Bytes of all weights and biases: what one block streams per pass.
+  double weight_bytes() const;
 
  private:
+  /// Grow-only sizing of ws for `rows` rows — the only place it allocates.
+  void ensure_workspace(Workspace& ws, std::size_t rows) const;
+
   std::size_t in_dim_ = 0;
   std::vector<DenseLayer> layers_;
 };

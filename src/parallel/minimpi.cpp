@@ -1,8 +1,10 @@
 #include "parallel/minimpi.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <thread>
+#include <type_traits>
 
 #include "common/thread_annotations.hpp"
 
@@ -38,9 +40,10 @@ struct Message {
 //    on "generation changed", which is immune to spurious wakeups and to a
 //    rank re-entering the next barrier before stragglers observed this one.
 //
-//  * Reductions: see allreduce() — every access to the shared accumulator is
-//    under reduce_mu_, and the barriers between the three phases order
-//    "last contribution" before "first copy-out" before "reset for reuse".
+//  * Reductions: see shared_reduce() — every access to the shared
+//    accumulators is under reduce_mu_, and the barriers between the three
+//    phases order "last contribution" before "first copy-out" before
+//    "reset for reuse".
 //
 //  * Stats counters live in the Transport base as relaxed atomics: they are
 //    monotonic telemetry read after run_parallel() joins (the join supplies
@@ -144,26 +147,38 @@ class World final : public Transport {
   /// and the third barrier make the buffer reusable before anyone returns.
   std::vector<double> allreduce(int me, const std::vector<double>& x,
                                 bool take_max) override {
+    return shared_reduce(me, x, [take_max](double a, double b) {
+      return take_max ? std::max(a, b) : a + b;
+    });
+  }
+
+  /// Integer sums are associative and commutative, so the arrival-order
+  /// fold gives exactly the rank-order result — and never passes through a
+  /// double.
+  std::vector<std::uint64_t> allreduce_u64(int me,
+                                           const std::vector<std::uint64_t>& x) override {
+    return shared_reduce(me, x, [](std::uint64_t a, std::uint64_t b) { return a + b; });
+  }
+
+ private:
+  template <class T, class Fold>
+  std::vector<T> shared_reduce(int me, const std::vector<T>& x, Fold fold) {
     {
       MutexLock lock(reduce_mu_);
+      std::vector<T>& buf = reduce_buffer<T>();
       if (reduce_pending_ == 0) {
-        reduce_buf_ = x;
+        buf = x;
       } else {
-        DP_CHECK_MSG(reduce_buf_.size() == x.size(), "allreduce size mismatch across ranks");
-        for (std::size_t i = 0; i < x.size(); ++i) {
-          if (take_max)
-            reduce_buf_[i] = std::max(reduce_buf_[i], x[i]);
-          else
-            reduce_buf_[i] += x[i];
-        }
+        DP_CHECK_MSG(buf.size() == x.size(), "allreduce size mismatch across ranks");
+        for (std::size_t i = 0; i < x.size(); ++i) buf[i] = fold(buf[i], x[i]);
       }
       ++reduce_pending_;
     }
     barrier(me);  // all contributions in
-    std::vector<double> out;
+    std::vector<T> out;
     {
       MutexLock lock(reduce_mu_);
-      out = reduce_buf_;
+      out = reduce_buffer<T>();
     }
     barrier(me);  // all copies out before the buffer is reused
     {
@@ -177,7 +192,15 @@ class World final : public Transport {
     return out;
   }
 
- private:
+  /// The shared accumulator of element type T (callers hold reduce_mu_).
+  template <class T>
+  std::vector<T>& reduce_buffer() DP_REQUIRES(reduce_mu_) {
+    if constexpr (std::is_same_v<T, double>)
+      return reduce_buf_;
+    else
+      return reduce_buf_u64_;
+  }
+
   struct Mailbox {
     Mutex mu;
     CondVar cv;
@@ -194,6 +217,7 @@ class World final : public Transport {
 
   Mutex reduce_mu_;
   std::vector<double> reduce_buf_ DP_GUARDED_BY(reduce_mu_);
+  std::vector<std::uint64_t> reduce_buf_u64_ DP_GUARDED_BY(reduce_mu_);
   int reduce_pending_ DP_GUARDED_BY(reduce_mu_) = 0;
 };
 
@@ -296,8 +320,7 @@ std::vector<double> Communicator::allreduce_sum(const std::vector<double>& x) {
 }
 
 std::uint64_t Communicator::allreduce_sum(std::uint64_t x) {
-  return static_cast<std::uint64_t>(
-      transport_->allreduce(rank_, {static_cast<double>(x)}, /*take_max=*/false)[0]);
+  return transport_->allreduce_u64(rank_, {x})[0];
 }
 
 double Communicator::allreduce_max(double x) {

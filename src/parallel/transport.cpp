@@ -1,5 +1,6 @@
 #include "parallel/transport.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -34,38 +35,50 @@ void Transport::barrier(int me) {
   n_barriers_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::vector<double> Transport::allreduce(int me, const std::vector<double>& x,
-                                         bool take_max) {
-  constexpr int kContrib = kCollectiveTag + 2;
-  constexpr int kResult = kCollectiveTag + 3;
-  const int n = size();
-  std::vector<double> out;
+namespace {
+
+/// Gather to rank 0 on `tag`, fold in rank order, broadcast on `tag + 1`.
+template <class T, class Fold>
+std::vector<T> rank_order_reduce(Transport& t, int me, const std::vector<T>& x, int tag,
+                                 Fold fold) {
+  const int n = t.size();
+  const std::size_t bytes = x.size() * sizeof(T);
+  std::vector<T> out;
   if (me == 0) {
     out = x;
+    std::vector<T> part(x.size());
     for (int r = 1; r < n; ++r) {
-      const auto bytes = recv(0, r, kContrib);
-      DP_CHECK_MSG(bytes.size() == x.size() * sizeof(double),
-                   "allreduce size mismatch across ranks");
-      std::vector<double> part(x.size());
-      if (!bytes.empty()) std::memcpy(part.data(), bytes.data(), bytes.size());
+      const auto got = t.recv(0, r, tag);
+      DP_CHECK_MSG(got.size() == bytes, "allreduce size mismatch across ranks");
+      if (!got.empty()) std::memcpy(part.data(), got.data(), got.size());
       // Rank-order fold: deterministic regardless of message arrival order.
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        if (take_max)
-          out[i] = std::max(out[i], part[i]);
-        else
-          out[i] += part[i];
-      }
+      for (std::size_t i = 0; i < out.size(); ++i) out[i] = fold(out[i], part[i]);
     }
-    for (int r = 1; r < n; ++r)
-      send(0, r, kResult, out.data(), out.size() * sizeof(double));
+    for (int r = 1; r < n; ++r) t.send(0, r, tag + 1, out.data(), bytes);
   } else {
-    send(me, 0, kContrib, x.data(), x.size() * sizeof(double));
-    const auto bytes = recv(me, 0, kResult);
-    DP_CHECK_MSG(bytes.size() == x.size() * sizeof(double),
-                 "allreduce result size mismatch");
+    t.send(me, 0, tag, x.data(), bytes);
+    const auto got = t.recv(me, 0, tag + 1);
+    DP_CHECK_MSG(got.size() == bytes, "allreduce result size mismatch");
     out.resize(x.size());
-    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
+    if (!got.empty()) std::memcpy(out.data(), got.data(), got.size());
   }
+  return out;
+}
+
+}  // namespace
+
+std::vector<double> Transport::allreduce(int me, const std::vector<double>& x,
+                                         bool take_max) {
+  auto out = rank_order_reduce(*this, me, x, kCollectiveTag + 2, [take_max](double a, double b) {
+    return take_max ? std::max(a, b) : a + b;
+  });
+  n_reductions_.fetch_add(1, std::memory_order_relaxed);
+  return out;
+}
+
+std::vector<std::uint64_t> Transport::allreduce_u64(int me, const std::vector<std::uint64_t>& x) {
+  auto out = rank_order_reduce(*this, me, x, kCollectiveTag + 4,
+                               [](std::uint64_t a, std::uint64_t b) { return a + b; });
   n_reductions_.fetch_add(1, std::memory_order_relaxed);
   return out;
 }

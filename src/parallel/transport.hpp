@@ -80,12 +80,16 @@ class Transport {
   /// rank 0 in rank order, then broadcast) over tags >= kCollectiveTag, so
   /// any backend that moves bytes gets deterministic collectives for free:
   /// the reduction folds in *rank* order at rank 0, independent of arrival
-  /// order. (The threads backend overrides both with its shared-memory
+  /// order. (The threads backend overrides them with its shared-memory
   /// versions, which fold in arrival order — order-sensitive reductions are
-  /// only used for telemetry, never for forces; see DESIGN.md.)
+  /// only used for telemetry, never for forces, and the integer sum is
+  /// order-free; see DESIGN.md.)
   virtual void barrier(int me);
   virtual std::vector<double> allreduce(int me, const std::vector<double>& x,
                                         bool take_max);
+  /// Integer sum, folded in rank order like allreduce() but never through a
+  /// double, so it is exact over the whole uint64_t range (modulo 2^64).
+  virtual std::vector<std::uint64_t> allreduce_u64(int me, const std::vector<std::uint64_t>& x);
 
   /// Tags at or above this value are reserved for the transport layer's own
   /// collective plumbing; Communicator-level code must stay below it.

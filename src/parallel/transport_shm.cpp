@@ -27,9 +27,10 @@
 //
 // Bootstrap: rank 0 creates the segment (O_EXCL after unlinking any stale
 // one), zero-fills it via ftruncate, writes the geometry and publishes with
-// a release store of the magic; peers poll shm_open + an acquire load of
-// the magic, then everyone spins on the `attached` counter as a join
-// barrier. Rank 0 unlinks once all ranks are mapped, so the name is gone
+// a release store of the magic; peers poll shm_open, then fstat until the
+// object is big enough to map (a peer can open it between rank 0's create
+// and its ftruncate), then an acquire load of the magic, then everyone
+// spins on the `attached` counter as a join barrier. Rank 0 unlinks once all ranks are mapped, so the name is gone
 // even if a later crash skips destructors (the mapping itself lives until
 // the last munmap).
 //
@@ -233,6 +234,10 @@ class ShmTransport final : public Transport {
     }
     // Map the header page first to learn the geometry (rank 0 may have
     // configured a non-default ring size), then remap the full segment.
+    // Rank 0 creates the object before it ftruncates it, and touching a
+    // mapping past the object's size is SIGBUS, so each map waits until
+    // the size covers it.
+    wait_for_size(align_up(sizeof(SegmentHeader)), deadline);
     void* probe = ::mmap(nullptr, align_up(sizeof(SegmentHeader)),
                          PROT_READ | PROT_WRITE, MAP_SHARED, fd_, 0);
     DP_CHECK_MSG(probe != MAP_FAILED, "mmap(header) failed: " << std::strerror(errno));
@@ -249,8 +254,23 @@ class ShmTransport final : public Transport {
     ::munmap(probe, align_up(sizeof(SegmentHeader)));
     ring_stride_ = align_up(align_up(sizeof(RingHeader)) + ring_bytes_);
     map_bytes_ = segment_bytes();
+    wait_for_size(map_bytes_, deadline);
     base_ = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE, MAP_SHARED, fd_, 0);
     DP_CHECK_MSG(base_ != MAP_FAILED, "mmap failed: " << std::strerror(errno));
+  }
+
+  /// Polls the segment's size until it covers `bytes` (bootstrap timeout
+  /// applies).
+  void wait_for_size(std::size_t bytes, const WallTimer& deadline) const {
+    for (;;) {
+      struct stat st {};
+      DP_CHECK_MSG(::fstat(fd_, &st) == 0, "fstat(" << name_ << ") failed: " << std::strerror(errno));
+      if (st.st_size >= 0 && static_cast<std::size_t>(st.st_size) >= bytes) return;
+      DP_CHECK_MSG(deadline.seconds() < timeout_,
+                   "shm bootstrap timeout waiting for segment " << name_ << " to reach "
+                                                                << bytes << " bytes");
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
   }
 
   /// Producer side of the (me_ -> dest) ring: appends `bytes` to the byte

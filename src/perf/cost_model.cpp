@@ -3,6 +3,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "nn/fitting_net.hpp"
+
 namespace dp::perf {
 
 namespace {
@@ -20,6 +22,17 @@ double fit_flops(const dp::core::ModelConfig& c) {
     in = w;
   }
   return f + static_cast<double>(in);  // final linear read-out
+}
+
+/// Bytes of one center type's fitting weights and biases.
+double fit_weight_bytes(const dp::core::ModelConfig& c) {
+  double w = 0.0;
+  std::size_t in = c.descriptor_dim();
+  for (std::size_t width : c.fit_widths) {
+    w += static_cast<double>((in + 1) * width);
+    in = width;
+  }
+  return (w + static_cast<double>(in + 1)) * kB;  // + the read-out layer
 }
 
 double embed_flops_per_scalar(const dp::core::ModelConfig& c) {
@@ -109,12 +122,15 @@ PathCosts per_atom_costs(const WorkloadSpec& w, Path path) {
 
   // --- descriptor + fitting net (same for every path) ---------------------
   // D = A<^T A forward + adjoint (2 x 4 M< M MACs each); fitting net forward
-  // plus ~2x backward.
+  // plus ~2x backward. The fitting weights stream once per block of
+  // nn::kFitBlock atoms (the batched fitting net), so each atom pays a
+  // 1/kFitBlock share of them.
   out.descriptor_fit.flops = 4.0 * 4.0 * ms * m + 3.0 * fit_flops(c);
   double act_bytes = 0.0;
   for (std::size_t width : c.fit_widths) act_bytes += static_cast<double>(width) * kB;
   out.descriptor_fit.bytes_written = 2.0 * act_bytes + ms * m * kB;
-  out.descriptor_fit.bytes_read = 2.0 * act_bytes + 2.0 * ms * m * kB;
+  out.descriptor_fit.bytes_read = 2.0 * act_bytes + 2.0 * ms * m * kB +
+                                  fit_weight_bytes(c) / static_cast<double>(nn::kFitBlock);
 
   // --- force / virial scatter ---------------------------------------------
   out.prod_force.flops = nr * 50.0;

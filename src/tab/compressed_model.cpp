@@ -1,7 +1,6 @@
 #include "tab/compressed_model.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/cost.hpp"
 #include "common/timer.hpp"
@@ -38,8 +37,7 @@ void CompressedDP::prepare(std::size_t n) {
     dg_by_type_[t].resize(run, m);
     max_sel = std::max(max_sel, cfg.sel[t]);
   }
-  a_mat_.resize(4 * m);
-  g_a_.resize(4 * m);
+  fit_.prepare(cfg.ntypes, m);
   g_g_.resize(static_cast<std::size_t>(max_sel) * m);
 }
 
@@ -111,35 +109,23 @@ md::ForceResult CompressedDP::compute(const md::Box& box, md::Atoms& atoms,
     rows_metric.inc(rows_tabulated);
   }
 
-  // ---- Per-atom descriptor + fit + backward (same dataflow as baseline) --
+  // ---- Per atom: A contraction (pass 1); one batched descriptor + fit +
+  // backward per block of same-type atoms; dE/dG and dE/dR~ (pass 2) — the
+  // baseline's dataflow ----------------------------------------------------
   md::ForceResult out;
   {
     ScopedTimer t("compressed.descriptor_fit", "kernel");
-    for (std::size_t i = 0; i < n; ++i) {
-      std::memset(a_mat_.data(), 0, 4 * m * sizeof(double));
-      for (int ty = 0; ty < cfg.ntypes; ++ty) {
-        const std::size_t krows = static_cast<std::size_t>(rows_of(i, ty));
-        if (krows == 0) continue;
-        nn::gemm_tn_acc(env_.rmat_at(env_.block_begin(i, ty)),
-                        g_by_type_[static_cast<std::size_t>(ty)].row(row_of(ty, i)),
-                        a_mat_.data(), 4, krows, m);
-      }
-      for (double& v : a_mat_) v *= scale;
-
-      atom_energy_[i] = core::descriptor_fit_atom(model.fitting(atoms.type[i]), a_mat_.data(),
-                                                  m, m_sub, scale, scratch_, g_a_.data());
-      out.energy += atom_energy_[i];
-
+    const auto pass2 = [&](std::size_t i, std::size_t, const double* g_a) {
       for (int ty = 0; ty < cfg.ntypes; ++ty) {
         const std::size_t krows = static_cast<std::size_t>(rows_of(i, ty));
         if (krows == 0) continue;
         const std::size_t base = env_.block_begin(i, ty);
         const std::size_t r0 = row_of(ty, i);
         // g_rmat_block (rows x 4) = G_block * g_a^T
-        nn::gemm_nt(g_by_type_[static_cast<std::size_t>(ty)].row(r0), g_a_.data(),
+        nn::gemm_nt(g_by_type_[static_cast<std::size_t>(ty)].row(r0), g_a,
                     g_rmat_.data() + base * 4, krows, m, 4);
         // dE/dG_block = R~_block * g_a, then dE/ds = <dE/dG, dG/ds> per row.
-        nn::gemm(env_.rmat_at(base), g_a_.data(), g_g_.data(), krows, 4, m);
+        nn::gemm(env_.rmat_at(base), g_a, g_g_.data(), krows, 4, m);
         for (std::size_t k = 0; k < krows; ++k) {
           const double* gg = g_g_.data() + k * m;
           const double* dg = dg_by_type_[static_cast<std::size_t>(ty)].row(r0 + k);
@@ -149,8 +135,26 @@ md::ForceResult CompressedDP::compute(const md::Box& box, md::Atoms& atoms,
           g_rmat_[(base + k) * 4] += acc;
         }
       }
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      const int ct = atoms.type[i];
+      double* a_mat = fit_.a_mat(ct, fit_.push(ct, i));
+      for (int ty = 0; ty < cfg.ntypes; ++ty) {
+        const std::size_t krows = static_cast<std::size_t>(rows_of(i, ty));
+        if (krows == 0) continue;
+        nn::gemm_tn_acc(env_.rmat_at(env_.block_begin(i, ty)),
+                        g_by_type_[static_cast<std::size_t>(ty)].row(row_of(ty, i)), a_mat,
+                        4, krows, m);
+      }
+      for (std::size_t k = 0; k < 4 * m; ++k) a_mat[k] *= scale;
+      if (fit_.full(ct))
+        fit_.flush(ct, model.fitting(ct), m_sub, scale, atom_energy_.data(), pass2);
     }
+    for (int t = 0; t < cfg.ntypes; ++t)
+      fit_.flush(t, model.fitting(t), m_sub, scale, atom_energy_.data(), pass2);
+    for (std::size_t i = 0; i < n; ++i) out.energy += atom_energy_[i];
   }
+  core::record_fit_block_cost(model.fitting(0), n, fit_.blocks());
 
   {
     ScopedTimer t("compressed.prod_force", "kernel");

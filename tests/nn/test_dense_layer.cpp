@@ -63,7 +63,7 @@ TEST(DenseLayer, BatchMatchesRowByRow) {
   }
 }
 
-// Finite-difference check of backward_row for all shortcut types.
+// Finite-difference check of the one-row backward_rows for all shortcut types.
 void check_backward(Shortcut sc, std::size_t in, std::size_t out) {
   auto layer = make_layer(in, out, Activation::Tanh, sc, 5);
   Rng rng(7);
@@ -71,9 +71,9 @@ void check_backward(Shortcut sc, std::size_t in, std::size_t out) {
   for (auto& v : x) v = rng.uniform(-1, 1);
   for (auto& v : g_out) v = rng.uniform(-1, 1);
 
-  std::vector<double> y(out), act(out), g_in(in);
+  std::vector<double> y(out), act(out), g_in(in), g_u(out);
   layer.forward_row(x.data(), y.data(), act.data());
-  layer.backward_row(g_out.data(), act.data(), g_in.data());
+  layer.backward_rows(g_out.data(), act.data(), 1, g_in.data(), g_u.data());
 
   // scalar objective J = g_out . y(x); dJ/dx should equal g_in.
   const double h = 1e-6;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 
 namespace dp::nn {
 namespace {
@@ -96,13 +100,14 @@ TEST(Affine, NullBiasMeansZero) {
 }
 
 TEST(GemvT, IsTransposeOfAffine) {
-  // gemv_t computes g W^T; check <affine(x), g> == <x, gemv_t(g)> (adjoint).
+  // The one-row gemm_nt computes g W^T; check <affine(x), g> == <x, g W^T>
+  // (the adjoint the dense layers' reverse mode relies on).
   const std::size_t k = 8, n = 6;
   auto x = random_vec(k, 14), w = random_vec(k * n, 15), g = random_vec(n, 16);
   std::vector<double> y(n);
   affine(x.data(), w.data(), nullptr, y.data(), k, n);
   std::vector<double> gt(k);
-  gemv_t(g.data(), w.data(), gt.data(), k, n);
+  gemm_nt(g.data(), w.data(), gt.data(), 1, n, k);
   double lhs = 0, rhs = 0;
   for (std::size_t j = 0; j < n; ++j) lhs += y[j] * g[j];
   for (std::size_t p = 0; p < k; ++p) rhs += x[p] * gt[p];
@@ -114,6 +119,92 @@ TEST(Gemm, DegenerateSizes) {
   double a = 2.0, b = 3.0, c = 0.0;
   gemm(&a, &b, &c, 1, 1, 1);
   EXPECT_DOUBLE_EQ(c, 6.0);
+}
+
+// ---- Per-level contract of the dispatched tiles (gemm_kernels.inc) --------
+
+class LevelGuard {
+ public:
+  explicit LevelGuard(simd::Level lvl) : prev_(simd::active()) { simd::force(lvl); }
+  ~LevelGuard() { simd::force(prev_); }
+
+ private:
+  simd::Level prev_;
+};
+
+std::vector<simd::Level> supported_levels() {
+  std::vector<simd::Level> v{simd::Level::Scalar};
+  const int cap = static_cast<int>(simd::max_supported());
+  if (cap >= static_cast<int>(simd::Level::AVX2)) v.push_back(simd::Level::AVX2);
+  if (cap >= static_cast<int>(simd::Level::AVX512)) v.push_back(simd::Level::AVX512);
+  return v;
+}
+
+struct Shape {
+  std::size_t m, k, n;
+};
+// Row counts around the 4-row tile and the 64-row chunk, widths off every
+// lane grid (scalar column tails) and on it, and an empty reduction.
+constexpr Shape kShapes[] = {{1, 1, 1},     {3, 7, 5},   {9, 37, 29}, {17, 240, 240},
+                             {70, 12, 64},  {5, 0, 9},   {6, 19, 33}, {2, 128, 4}};
+
+TEST(GemmLevels, AccBitwiseAcrossLevelsAndRowBlockings) {
+  // Every C element is one fma chain in ascending k: the same bits at every
+  // level, and the same bits whether its row is multiplied alone or in a
+  // block.
+  for (const Shape s : kShapes) {
+    const auto a = random_vec(s.m * s.k + 1, 21), b = random_vec(s.k * s.n + 1, 22);
+    const auto c0 = random_vec(s.m * s.n, 23);
+    std::vector<double> ref = c0;
+    {
+      LevelGuard guard(simd::Level::Scalar);
+      gemm_acc(a.data(), b.data(), ref.data(), s.m, s.k, s.n);
+    }
+    for (const simd::Level lvl : supported_levels()) {
+      LevelGuard guard(lvl);
+      std::vector<double> full = c0, rows = c0;
+      gemm_acc(a.data(), b.data(), full.data(), s.m, s.k, s.n);
+      for (std::size_t i = 0; i < s.m; ++i)
+        gemm_acc(a.data() + i * s.k, b.data(), rows.data() + i * s.n, 1, s.k, s.n);
+      EXPECT_EQ(0, std::memcmp(full.data(), ref.data(), ref.size() * sizeof(double)))
+          << simd::name(lvl) << " m=" << s.m << " k=" << s.k << " n=" << s.n;
+      EXPECT_EQ(0, std::memcmp(rows.data(), ref.data(), ref.size() * sizeof(double)))
+          << simd::name(lvl) << " m=" << s.m << " k=" << s.k << " n=" << s.n;
+    }
+  }
+}
+
+TEST(GemmLevels, NtReproducibleAndWithinBoundOfScalar) {
+  // Dot products: bitwise independent of the row blocking at a fixed level;
+  // across levels they differ only by the lane reassociation, bounded by
+  // |c_level - c_scalar| <= 2 k eps sum_p |a_p b_p| (two k-term dot-product
+  // error bounds).
+  for (const Shape s : kShapes) {
+    const auto a = random_vec(s.m * s.k + 1, 24), b = random_vec(s.n * s.k + 1, 25);
+    std::vector<double> ref(s.m * s.n);
+    {
+      LevelGuard guard(simd::Level::Scalar);
+      gemm_nt(a.data(), b.data(), ref.data(), s.m, s.k, s.n);
+    }
+    for (const simd::Level lvl : supported_levels()) {
+      LevelGuard guard(lvl);
+      std::vector<double> full(s.m * s.n), rows(s.m * s.n);
+      gemm_nt(a.data(), b.data(), full.data(), s.m, s.k, s.n);
+      for (std::size_t i = 0; i < s.m; ++i)
+        gemm_nt(a.data() + i * s.k, b.data(), rows.data() + i * s.n, 1, s.k, s.n);
+      EXPECT_EQ(0, std::memcmp(rows.data(), full.data(), full.size() * sizeof(double)))
+          << simd::name(lvl) << " m=" << s.m << " k=" << s.k << " n=" << s.n;
+      for (std::size_t i = 0; i < s.m; ++i) {
+        for (std::size_t j = 0; j < s.n; ++j) {
+          double mag = 0.0;
+          for (std::size_t p = 0; p < s.k; ++p) mag += std::abs(a[i * s.k + p] * b[j * s.k + p]);
+          const double bound = 2.0 * static_cast<double>(s.k) * DBL_EPSILON * mag;
+          EXPECT_LE(std::abs(full[i * s.n + j] - ref[i * s.n + j]), bound)
+              << simd::name(lvl) << " (" << i << "," << j << ") k=" << s.k;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

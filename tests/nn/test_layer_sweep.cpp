@@ -33,9 +33,9 @@ class LayerSweep : public ::testing::TestWithParam<LayerParam> {
 
 TEST_P(LayerSweep, BackwardMatchesFiniteDifference) {
   const std::size_t in = layer_->in_dim(), out = layer_->out_dim();
-  std::vector<double> y(out), act(out), g_in(in);
+  std::vector<double> y(out), act(out), g_in(in), g_u(out);
   layer_->forward_row(x_.data(), y.data(), act.data());
-  layer_->backward_row(g_out_.data(), act.data(), g_in.data());
+  layer_->backward_rows(g_out_.data(), act.data(), 1, g_in.data(), g_u.data());
 
   const double h = 1e-6;
   const double fd_tol = layer_->activation() == Activation::TanhTabulated ? 1e-4 : 1e-7;
@@ -76,15 +76,16 @@ TEST_P(LayerSweep, BatchBackwardMatchesRowBackward) {
   for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = rng.uniform(-1, 1);
   layer_->forward_batch_ws(x, y, acts);
 
-  Matrix g_out(4, out), g_in;
+  Matrix g_out(4, out), g_in, g_u;
   for (std::size_t i = 0; i < g_out.size(); ++i) g_out.data()[i] = rng.uniform(-1, 1);
-  layer_->backward_batch(g_out, acts, g_in);
+  layer_->backward_batch(g_out, acts, g_in, g_u);
 
-  std::vector<double> row_y(out), row_act(out), row_gin(in);
+  // Block invariance: one row at a time reproduces the batch bit for bit.
+  std::vector<double> row_y(out), row_act(out), row_gin(in), row_gu(out);
   for (std::size_t r = 0; r < 4; ++r) {
     layer_->forward_row(x.row(r), row_y.data(), row_act.data());
-    layer_->backward_row(g_out.row(r), row_act.data(), row_gin.data());
-    for (std::size_t p = 0; p < in; ++p) EXPECT_NEAR(g_in(r, p), row_gin[p], 1e-12);
+    layer_->backward_rows(g_out.row(r), row_act.data(), 1, row_gin.data(), row_gu.data());
+    for (std::size_t p = 0; p < in; ++p) EXPECT_EQ(g_in(r, p), row_gin[p]);
   }
 }
 

@@ -70,6 +70,18 @@ TEST(MiniMpi, AllreduceSumVector) {
   });
 }
 
+TEST(MiniMpi, AllreduceU64ExactAbove2Pow53) {
+  // 2^53 + 1 is not a double: an integer sum that travelled as one would
+  // lose the low bits.
+  run_parallel(4, [](Communicator& comm) {
+    const std::uint64_t big = (std::uint64_t{1} << 53) + 1;
+    const auto r = static_cast<std::uint64_t>(comm.rank());
+    EXPECT_EQ(comm.allreduce_sum(big + 2 * r), 4 * big + 12);
+    // 4 x 2^62 wraps to 0: the sum is exact modulo 2^64.
+    EXPECT_EQ(comm.allreduce_sum((std::uint64_t{1} << 62) + r), std::uint64_t{6});
+  });
+}
+
 TEST(MiniMpi, AllreduceMax) {
   run_parallel(4, [](Communicator& comm) {
     EXPECT_DOUBLE_EQ(comm.allreduce_max(static_cast<double>(comm.rank())), 3.0);

@@ -150,6 +150,25 @@ TEST(Transport, TcpPointToPointAndCollectives) {
   backend_smoke(backend_config(TransportKind::Tcp, 4, "smoke4"));
 }
 
+/// Operands above 2^53 have low bits a double cannot hold: the integer
+/// allreduce must return the exact sum on every rank.
+void u64_allreduce_exact(const TransportConfig& base) {
+  run_world(base, [&](Communicator& comm) {
+    const std::uint64_t big = (std::uint64_t{1} << 53) + 1;
+    const auto r = static_cast<std::uint64_t>(comm.rank());
+    const auto n = static_cast<std::uint64_t>(comm.size());
+    EXPECT_EQ(comm.allreduce_sum(big + 2 * r), n * big + n * (n - 1));
+    // Exact modulo 2^64: n x 2^62 wraps for n = 4.
+    EXPECT_EQ(comm.allreduce_sum((std::uint64_t{1} << 62) + r),
+              n * (std::uint64_t{1} << 62) + n * (n - 1) / 2);
+  });
+}
+
+TEST(Transport, U64AllreduceExactAbove2Pow53) {
+  u64_allreduce_exact(backend_config(TransportKind::Shm, 4, "u64"));
+  u64_allreduce_exact(backend_config(TransportKind::Tcp, 4, "u64"));
+}
+
 /// The tentpole acceptance check, in-binary: an MD run over a cross-process
 /// backend must produce forces bitwise identical to the in-process threads
 /// world, because every rank executes the same code over the same bytes —

@@ -15,6 +15,8 @@ transport, and checks the three promises the transport layer makes:
   --mode blackbox  a crash in a multi-process world leaves one flight dump
                    per process in the shared run dir, and dpblackbox merges
                    the directory and accepts the set (rank skew <= 1).
+  --mode bootstrap the shm bootstrap survives its create/size race: ~200
+                   back-to-back 4-rank shm worlds (--steps 0) all exit 0.
 
 Sanitizer interplay: same as tests/obs/crash_test.py — the product's signal
 handlers are the thing under test, so the children run with handle_segv=0.
@@ -172,6 +174,27 @@ def mode_fault(dpmd, tmp, env):
     print("fault ok: survivor died via DP_CHECK with a flight dump")
 
 
+def mode_bootstrap(dpmd, tmp, env, launches):
+    """Back-to-back 4-rank shm worlds that only join and leave. Every launch
+    races the peers' shm_open against rank 0's create -> ftruncate window;
+    a peer that mapped the segment before it had a size died of SIGBUS."""
+    proc = run([dpmd, "init", "--system", "copper", "--demo",
+                "--out", "copper.dpm"], tmp, env)
+    assert proc.returncode == 0, "dpmd init failed"
+    base = ["--model", "copper.dpm", "--system", "copper", "--cells", "1",
+            "--steps", "0", "--timeout", "30"]
+    failures = []
+    for k in range(launches):
+        procs = spawn_world(dpmd, "shm", 4, base, tmp, env, f"boot{k}")
+        outs = wait_world(procs, timeout=120)
+        for rank, (p, out) in enumerate(zip(procs, outs)):
+            if p.returncode != 0:
+                failures.append(f"launch {k} rank {rank} exited {p.returncode}:\n{out}")
+    assert not failures, (f"{len(failures)} failed ranks over {launches} launches:\n"
+                          + "\n".join(failures[:4]))
+    print(f"bootstrap ok: {launches} back-to-back 4-rank shm launches, zero failures")
+
+
 def mode_blackbox(dpmd, blackbox, tmp, env):
     proc = run([dpmd, "init", "--system", "water", "--demo",
                 "--out", "water.dpm"], tmp, env)
@@ -203,7 +226,10 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--dpmd", required=True)
     ap.add_argument("--blackbox", help="path to tools/dpblackbox (blackbox mode)")
-    ap.add_argument("--mode", choices=["parity", "fault", "blackbox"], required=True)
+    ap.add_argument("--mode", choices=["parity", "fault", "blackbox", "bootstrap"],
+                    required=True)
+    ap.add_argument("--launches", type=int, default=200,
+                    help="bootstrap mode: number of back-to-back worlds")
     args = ap.parse_args()
 
     env = child_env()
@@ -212,6 +238,8 @@ def main():
             mode_parity(args.dpmd, tmp, env)
         elif args.mode == "fault":
             mode_fault(args.dpmd, tmp, env)
+        elif args.mode == "bootstrap":
+            mode_bootstrap(args.dpmd, tmp, env, args.launches)
         else:
             assert args.blackbox, "--blackbox required for blackbox mode"
             mode_blackbox(args.dpmd, args.blackbox, tmp, env)

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "nn/fitting_net.hpp"
+#include "perf/cost_model.hpp"
 #include "perf/scaling_model.hpp"
 
 namespace dp::perf {
@@ -157,6 +159,29 @@ TEST(ScalingModel, SingleDeviceTtsOrderingMatchesTable2) {
   const double pow_v = tts_v100 * Machine::v100().power_watts;
   const double pow_a = tts_a64fx * Machine::a64fx().power_watts;
   EXPECT_LT(pow_a, pow_v);  // normalized by power: A64FX wins
+}
+
+TEST(CostModel, FitWeightsStreamOncePerBlock) {
+  // descriptor_fit.bytes_read carries the fitting weights once per block of
+  // nn::kFitBlock atoms, on every path (the fitting net is path-invariant).
+  for (const WorkloadSpec& w : {WorkloadSpec::water(), WorkloadSpec::copper()}) {
+    const auto& c = w.config;
+    double weights = 0.0;
+    std::size_t in = c.descriptor_dim();
+    for (std::size_t width : c.fit_widths) {
+      weights += static_cast<double>((in + 1) * width) * 8.0;
+      in = width;
+    }
+    weights += static_cast<double>(in + 1) * 8.0;
+    double act_bytes = 0.0;
+    for (std::size_t width : c.fit_widths) act_bytes += static_cast<double>(width) * 8.0;
+    const double ms = static_cast<double>(c.axis_neuron), m = static_cast<double>(c.m());
+    const double expect =
+        2.0 * act_bytes + 2.0 * ms * m * 8.0 + weights / static_cast<double>(nn::kFitBlock);
+    for (const Path p : {Path::Baseline, Path::Tabulated, Path::Fused})
+      EXPECT_NEAR(per_atom_costs(w, p).descriptor_fit.bytes_read, expect, 1e-9 * expect)
+          << w.name;
+  }
 }
 
 TEST(CalibrationGuard, Table2ModelValuesPinned) {

@@ -192,6 +192,31 @@ class RuleTest(unittest.TestCase):
                          rules("src/md/lattice.cpp",
                                "void compute() { std::vector<int> v(n); }\n"))
 
+    def test_env_hot_alloc_fitting_net(self):
+        # The fitting net's block bodies run per block of atoms every step.
+        bad_resize = ("void FittingNet::forward_block(const double* d, std::size_t rows,\n"
+                      "                               Workspace& ws, double* e) const {\n"
+                      "  ws.outs[0].resize(rows);\n"
+                      "}\n")
+        self.assertIn("env-hot-alloc", rules("src/nn/fitting_net.cpp", bad_resize))
+        bad_backward = ("void FittingNet::backward(const Workspace& ws, double* g) const {\n"
+                        "  ws.grad_a.assign(ws.rows, 1.0);\n"
+                        "}\n")
+        self.assertIn("env-hot-alloc", rules("src/nn/fitting_net.cpp", bad_backward))
+        bad_vec = ("void DenseLayer::backward_rows(const double* g_out) const {\n"
+                   "  AlignedVector<double> g_u(out_);\n"
+                   "}\n")
+        self.assertIn("env-hot-alloc", rules("src/nn/dense_layer.cpp", bad_vec))
+        # Sizing in the workspace helper, and the non-hot jet, stay free.
+        ok_ensure = ("void FittingNet::ensure_workspace(Workspace& ws, std::size_t n) const {\n"
+                     "  ws.grad_a.resize(n);\n"
+                     "}\n")
+        self.assertNotIn("env-hot-alloc", rules("src/nn/fitting_net.cpp", ok_ensure))
+        ok_jet = ("void DenseLayer::forward_jet(const double* x) const {\n"
+                  "  AlignedVector<double> u(out_);\n"
+                  "}\n")
+        self.assertNotIn("env-hot-alloc", rules("src/nn/dense_layer.cpp", ok_jet))
+
     def test_raw_intrinsics(self):
         # Calls, types and the intrinsic headers all fire outside the wrapper.
         self.assertIn("raw-intrinsics",
@@ -244,8 +269,15 @@ class RuleTest(unittest.TestCase):
                "  for (std::size_t b = 0; b < m; ++b) a[b] += r[0];\n"
                "}\n")
         for rel in ("src/fused/fused_model.cpp", "src/fused/mixed_model.cpp",
-                    "src/dp/descriptor.cpp", "src/dp/prod_force.cpp"):
+                    "src/dp/descriptor.cpp", "src/dp/prod_force.cpp", "src/nn/gemm.cpp"):
             self.assertIn("hot-pragma-simd", rules(rel, bad), msg=rel)
+        # The GEMM kernels dispatch through gemm_kernels.inc: a pragma'd
+        # loop back in gemm.cpp is a kernel slipping off the dispatcher.
+        gemm_loop = ("void gemm_tn_acc(const double* a, double* c, std::size_t n) {\n"
+                     "#pragma omp simd\n"
+                     "  for (std::size_t j = 0; j < n; ++j) c[j] += a[j];\n"
+                     "}\n")
+        self.assertIn("hot-pragma-simd", rules("src/nn/gemm.cpp", gemm_loop))
         # Inside a *_scalar seed body the pragma is the preserved contract.
         ok = ("void rank1_update_scalar(const double* r, double* a, std::size_t m) {\n"
               "#pragma omp simd reduction(+ : acc)\n"
