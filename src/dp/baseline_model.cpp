@@ -40,7 +40,7 @@ void BaselineDP::prepare(std::size_t n) {
 std::size_t BaselineDP::workspace_bytes() const {
   std::size_t b = env_.storage_bytes() + env_ws_.bytes() + prod_ws_.bytes() +
                   g_rmat_.capacity() * sizeof(double) + s_buf_.capacity() * sizeof(double) +
-                  g_s_.capacity() * sizeof(double) + fit_.bytes() +
+                  g_s_.capacity() * sizeof(double) + fit_.bytes() + bwd_scratch_.bytes() +
                   row_off_.capacity() * sizeof(std::size_t) +
                   atom_energy_.capacity() * sizeof(double);
   for (const auto& g : g_by_type_) b += g.size() * sizeof(double);
@@ -135,7 +135,7 @@ md::ForceResult BaselineDP::compute(const md::Box& box, md::Atoms& atoms,
     ScopedTimer t("baseline.embedding_bwd", "kernel");
     for (int t = 0; t < cfg.ntypes; ++t) {
       const std::size_t rows = row_of(t, n);
-      model_.embedding(t).backward_batch(ws_by_type_[t], g_g_by_type_[t], g_s_.data());
+      model_.embedding(t).backward_batch(ws_by_type_[t], g_g_by_type_[t], g_s_.data(), bwd_scratch_);
       for (std::size_t i = 0; i < n; ++i) {
         const std::size_t base = env_.block_begin(i, t);
         const std::size_t r0 = row_of(t, i);

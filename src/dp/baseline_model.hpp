@@ -71,6 +71,7 @@ class BaselineDP final : public md::ForceField {
   AlignedVector<double> g_rmat_;  ///< dE/dR~ per stored slot (4 per slot)
   std::vector<nn::Matrix> g_by_type_;
   std::vector<nn::EmbeddingNet::BatchWorkspace> ws_by_type_;
+  nn::EmbeddingNet::BackwardScratch bwd_scratch_;  ///< shared by every type's backward
   std::vector<nn::Matrix> g_g_by_type_;
   AlignedVector<double> s_buf_, g_s_;
   FitBlocks fit_;

@@ -249,9 +249,9 @@ std::size_t FitBlocks::push(int t, std::size_t i) {
 }
 
 std::size_t FitBlocks::bytes() const {
-  std::size_t b = g_a_.capacity() + kernel_.d_flat.capacity();
+  std::size_t b = g_a_.capacity() + kernel_.d_flat.capacity() + kernel_.g_d.capacity();
   for (const auto& a : a_) b += a.capacity();
-  return b * sizeof(double);
+  return b * sizeof(double) + kernel_.fit_ws.bytes();
 }
 
 void record_fit_block_cost(const nn::FittingNet& fit, std::size_t atoms, std::size_t blocks) {

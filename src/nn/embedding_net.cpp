@@ -47,7 +47,8 @@ void EmbeddingNet::forward_batch_ws(const double* s, std::size_t n, Matrix& g,
   }
 }
 
-void EmbeddingNet::backward_batch(BatchWorkspace& ws, const Matrix& g_g, double* g_s,
+void EmbeddingNet::backward_batch(const BatchWorkspace& ws, const Matrix& g_g, double* g_s,
+                                  BackwardScratch& scratch,
                                   std::vector<DenseLayer::Grads>* grads) const {
   const std::size_t L = layers_.size();
   DP_CHECK_MSG(ws.inputs.size() == L, "backward_batch without forward_batch_ws");
@@ -56,8 +57,8 @@ void EmbeddingNet::backward_batch(BatchWorkspace& ws, const Matrix& g_g, double*
   // gradient never aliases the output gradient it reads.
   const Matrix* g_out = &g_g;
   for (std::size_t l = L; l-- > 0;) {
-    Matrix& g_in = (l % 2 == 0) ? ws.grad_a : ws.grad_b;
-    layers_[l].backward_batch(*g_out, ws.acts[l], g_in, ws.grad_u, &ws.inputs[l],
+    Matrix& g_in = (l % 2 == 0) ? scratch.grad_a : scratch.grad_b;
+    layers_[l].backward_batch(*g_out, ws.acts[l], g_in, scratch.grad_u, &ws.inputs[l],
                               grads != nullptr ? &(*grads)[l] : nullptr);
     g_out = &g_in;
   }

@@ -39,7 +39,15 @@ class EmbeddingNet {
   struct BatchWorkspace {
     std::vector<Matrix> inputs;  // inputs[l]: input matrix of layer l
     std::vector<Matrix> acts;    // acts[l]: act(u) of layer l
-    Matrix grad_a, grad_b, grad_u;  // backward_batch scratch, reused across calls
+  };
+
+  /// backward_batch's gradient scratch, grow-only. Nothing in it outlives a
+  /// call, so one instance serves every net a caller runs backward in turn.
+  struct BackwardScratch {
+    Matrix grad_a, grad_b, grad_u;
+    std::size_t bytes() const {
+      return (grad_a.capacity() + grad_b.capacity() + grad_u.capacity()) * sizeof(double);
+    }
   };
 
   /// Batched forward retaining activations; G (n x M).
@@ -48,7 +56,8 @@ class EmbeddingNet {
   /// Batched reverse-mode: g_s[i] = sum_j gG(i, j) * dG(i, j)/ds_i.
   /// g_s may be null (training only needs parameter gradients); `grads`
   /// (one per layer) accumulates dLoss/dW when non-null.
-  void backward_batch(BatchWorkspace& ws, const Matrix& g_g, double* g_s,
+  void backward_batch(const BatchWorkspace& ws, const Matrix& g_g, double* g_s,
+                      BackwardScratch& scratch,
                       std::vector<DenseLayer::Grads>* grads = nullptr) const;
 
   /// Single-scalar evaluation, g has length M.

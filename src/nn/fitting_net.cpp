@@ -49,6 +49,13 @@ void FittingNet::ensure_workspace(Workspace& ws, std::size_t rows) const {
   grow(ws.grad_u, rows * widest);
 }
 
+std::size_t FittingNet::Workspace::bytes() const {
+  std::size_t b = grad_a.capacity() + grad_b.capacity() + grad_u.capacity();
+  for (const auto& v : outs) b += v.capacity();
+  for (const auto& v : acts) b += v.capacity();
+  return b * sizeof(double);
+}
+
 double FittingNet::forward(const double* d, Workspace& ws) const {
   double energy = 0.0;
   forward_block(d, 1, ws, &energy);

@@ -48,6 +48,8 @@ class FittingNet {
     std::vector<AlignedVector<double>> outs;   // outs[l]: output rows of layer l
     std::vector<AlignedVector<double>> acts;   // acts[l]: act(u) rows of layer l
     mutable AlignedVector<double> grad_a, grad_b, grad_u;  // backward scratch
+    /// Capacity-based bytes of the buffers above.
+    std::size_t bytes() const;
   };
 
   /// E = N(d) for one row; records everything backward() needs into ws. The

@@ -25,6 +25,7 @@ class Matrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t size() const { return rows_ * cols_; }
+  std::size_t capacity() const { return data_.capacity(); }
   bool empty() const { return size() == 0; }
 
   double& operator()(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }

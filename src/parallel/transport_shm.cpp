@@ -30,9 +30,9 @@
 // a release store of the magic; peers poll shm_open, then fstat until the
 // object is big enough to map (a peer can open it between rank 0's create
 // and its ftruncate), then an acquire load of the magic, then everyone
-// spins on the `attached` counter as a join barrier. Rank 0 unlinks once all ranks are mapped, so the name is gone
-// even if a later crash skips destructors (the mapping itself lives until
-// the last munmap).
+// spins on the `attached` counter as a join barrier. Rank 0 unlinks once
+// all ranks are mapped, so the name is gone even if a later crash skips
+// destructors (the mapping itself lives until the last munmap).
 //
 // One Transport instance serves exactly one rank; the in-process threads
 // backend (minimpi.cpp) is what serves a whole world from one object.

@@ -213,8 +213,9 @@ double energy_with_gradients(const core::DPModel& model, const md::Box& box,
   }
 
   if (grads != nullptr) {
+    nn::EmbeddingNet::BackwardScratch bwd;
     for (int t = 0; t < cfg.ntypes; ++t)
-      model.embedding(t).backward_batch(ws_by_type[t], g_g_by_type[t], nullptr,
+      model.embedding(t).backward_batch(ws_by_type[t], g_g_by_type[t], nullptr, bwd,
                                         &grads->embed[static_cast<std::size_t>(t)]);
   }
   return energy;

@@ -174,7 +174,10 @@ def mode_fault(dpmd, tmp, env):
     print("fault ok: survivor died via DP_CHECK with a flight dump")
 
 
-def mode_bootstrap(dpmd, tmp, env, launches):
+BOOTSTRAP_LAUNCHES = 200  # back-to-back worlds of the bootstrap mode
+
+
+def mode_bootstrap(dpmd, tmp, env):
     """Back-to-back 4-rank shm worlds that only join and leave. Every launch
     races the peers' shm_open against rank 0's create -> ftruncate window;
     a peer that mapped the segment before it had a size died of SIGBUS."""
@@ -184,15 +187,15 @@ def mode_bootstrap(dpmd, tmp, env, launches):
     base = ["--model", "copper.dpm", "--system", "copper", "--cells", "1",
             "--steps", "0", "--timeout", "30"]
     failures = []
-    for k in range(launches):
+    for k in range(BOOTSTRAP_LAUNCHES):
         procs = spawn_world(dpmd, "shm", 4, base, tmp, env, f"boot{k}")
         outs = wait_world(procs, timeout=120)
         for rank, (p, out) in enumerate(zip(procs, outs)):
             if p.returncode != 0:
                 failures.append(f"launch {k} rank {rank} exited {p.returncode}:\n{out}")
-    assert not failures, (f"{len(failures)} failed ranks over {launches} launches:\n"
+    assert not failures, (f"{len(failures)} failed ranks over {BOOTSTRAP_LAUNCHES} launches:\n"
                           + "\n".join(failures[:4]))
-    print(f"bootstrap ok: {launches} back-to-back 4-rank shm launches, zero failures")
+    print(f"bootstrap ok: {BOOTSTRAP_LAUNCHES} back-to-back 4-rank shm launches, zero failures")
 
 
 def mode_blackbox(dpmd, blackbox, tmp, env):
@@ -228,8 +231,6 @@ def main():
     ap.add_argument("--blackbox", help="path to tools/dpblackbox (blackbox mode)")
     ap.add_argument("--mode", choices=["parity", "fault", "blackbox", "bootstrap"],
                     required=True)
-    ap.add_argument("--launches", type=int, default=200,
-                    help="bootstrap mode: number of back-to-back worlds")
     args = ap.parse_args()
 
     env = child_env()
@@ -239,7 +240,7 @@ def main():
         elif args.mode == "fault":
             mode_fault(args.dpmd, tmp, env)
         elif args.mode == "bootstrap":
-            mode_bootstrap(args.dpmd, tmp, env, args.launches)
+            mode_bootstrap(args.dpmd, tmp, env)
         else:
             assert args.blackbox, "--blackbox required for blackbox mode"
             mode_blackbox(args.dpmd, args.blackbox, tmp, env)
