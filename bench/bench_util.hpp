@@ -1,6 +1,7 @@
 // Shared workload builders for the figure/table harnesses.
 //
-// Machine note: the harness host is a single CPU core, so the paper's atom
+// Machine note: the harness host is one 4-core CPU (`nproc`, and the `host`
+// block of bench/e2e/BENCH_e2e.json), so the paper's atom
 // counts (12,880 / 6,912 / millions) are scaled down while every model
 // parameter that shapes the result (cutoffs, N_m slot reserves, net widths)
 // is kept. All timings are reported per step per atom, which is scale-free

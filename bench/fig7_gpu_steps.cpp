@@ -1,6 +1,6 @@
 // Fig 7: step-by-step speedup of the optimized inference over the Ref [20]
 // baseline (paper: water 2.3 -> 3.1 -> 3.4 -> 3.7x; copper 3.7 -> 5.9 ->
-// 8.4 -> 9.7x on one V100). Reproduced on one CPU core with paper-shaped
+// 8.4 -> 9.7x on one V100). Reproduced on one 4-core CPU with paper-shaped
 // models; system sizes scaled down (see bench_util.hpp).
 #include <cstdio>
 #include <string>
@@ -37,7 +37,7 @@ void run_system(const char* label, Workload& w, dp::obs::MetricsRegistry& reg) {
     steps.push_back({"baseline (Ref [20])", time_force_eval(ff, w), ff.embedding_bytes()});
   }
   {
-    dp::tab::CompressedDP ff(w.tabulated, false, dp::core::EnvMatKernel::Baseline);
+    dp::tab::CompressedDP ff(w.tabulated, dp::core::EnvMatKernel::Baseline);
     steps.push_back({"+ tabulation of embedding net", time_force_eval(ff, w),
                      ff.embedding_bytes()});
   }
@@ -93,7 +93,7 @@ void run_system(const char* label, Workload& w, dp::obs::MetricsRegistry& reg) {
 
 int main() {
   std::printf("Fig 7 reproduction — step-by-step optimization on one device\n");
-  std::printf("(paper: single V100; here: single CPU core, paper-shaped models)\n");
+  std::printf("(paper: single V100; here: one 4-core CPU, paper-shaped models)\n");
 
   // Local registry (not the process-wide instance): the emitted file holds
   // only this figure's rows.

@@ -1,11 +1,12 @@
 // Fig 8: step-by-step optimization on the A64FX (paper: water 7.2 -> 14 ->
 // 20.5x; copper 10.3 -> 31.5 -> 42.5x over the flat-MPI baseline), plus the
-// MPI+OpenMP configuration sweep (48x1 / 16x3 / 4x12).
+// MPI+OpenMP configuration sweep (48x1 / 16x3 / 4x12). Reproduced on one
+// 4-core x86 CPU; system sizes scaled down (see bench_util.hpp).
 //
-// CPU-specific steps reproduced here: the SVE-style blocked table layout
-// (Sec 3.5.1), fusion + redundancy removal (3.5.2), and the tabulated tanh
-// in the remaining (fitting) network (3.5.3). The hybrid sweep is in
-// fig6_hybrid_schemes (same experiment).
+// CPU-specific steps reproduced here: tabulation (every table walks the
+// SVE-style blocked layout of Sec 3.5.1), fusion + redundancy removal
+// (3.5.2), and the tabulated tanh in the remaining (fitting) network
+// (3.5.3). The hybrid sweep is in fig6_hybrid_schemes (same experiment).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -33,14 +34,12 @@ void run_system(const char* label, Workload& w) {
   }
   {
     // Tabulation with the SVE-friendly blocked coefficient layout.
-    dp::tab::CompressedDP ff(w.tabulated, /*use_blocked_layout=*/true,
-                             dp::core::EnvMatKernel::Baseline);
+    dp::tab::CompressedDP ff(w.tabulated, dp::core::EnvMatKernel::Baseline);
     steps.push_back({"+ tabulation (blocked layout)", time_force_eval(ff, w)});
   }
   {
     dp::fused::FusedDP ff(w.tabulated,
                           {.skip_padding = true,
-                           .blocked_table = true,
                            .env_kernel = dp::core::EnvMatKernel::Baseline});
     steps.push_back({"+ fusion + redundancy removal", time_force_eval(ff, w)});
   }
@@ -50,7 +49,6 @@ void run_system(const char* label, Workload& w) {
     w.model.set_activation(dp::nn::Activation::TanhTabulated);
     dp::fused::FusedDP ff(w.tabulated,
                           {.skip_padding = true,
-                           .blocked_table = true,
                            .env_kernel = dp::core::EnvMatKernel::Optimized});
     steps.push_back({"+ vectorized ops + tanh table", time_force_eval(ff, w)});
     w.model.set_activation(dp::nn::Activation::Tanh);
@@ -69,7 +67,7 @@ void run_system(const char* label, Workload& w) {
 
 int main() {
   std::printf("Fig 8 reproduction — step-by-step optimization on a many-core CPU\n");
-  std::printf("(paper: single A64FX node; here: single x86 core)\n");
+  std::printf("(paper: single A64FX node; here: one 4-core x86 CPU)\n");
 
   auto water = water_workload();
   run_system("water", *water);

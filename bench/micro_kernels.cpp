@@ -1,6 +1,5 @@
 // Micro-benchmarks of the hot kernels: the small GEMM shapes of the DP
-// pipeline, quintic table evaluation in both layouts, and neighbor-list
-// construction.
+// pipeline, quintic table evaluation, and neighbor-list construction.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -44,7 +43,8 @@ void BM_Affine_FittingLayer(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * k * n));
 }
 
-void BM_Poly5TableAoS(benchmark::State& state) {
+// One 128-channel table walk (value + derivative) on the blocked layout.
+void BM_Poly5Table(benchmark::State& state) {
   dp::nn::EmbeddingNet net({32, 64, 128});
   dp::Rng rng(6);
   net.init_random(rng);
@@ -55,22 +55,6 @@ void BM_Poly5TableAoS(benchmark::State& state) {
     s += 0.001;
     if (s > 1.99) s = 0.001;
     table.eval_with_deriv(s, g.data(), dg.data());
-    benchmark::DoNotOptimize(g.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 128));
-}
-
-void BM_Poly5TableBlocked(benchmark::State& state) {
-  dp::nn::EmbeddingNet net({32, 64, 128});
-  dp::Rng rng(6);
-  net.init_random(rng);
-  dp::tab::TabulatedEmbedding table(net, {0.0, 2.0, 0.01});
-  std::vector<double> g(128), dg(128);
-  double s = 0.0;
-  for (auto _ : state) {
-    s += 0.001;
-    if (s > 1.99) s = 0.001;
-    table.eval_with_deriv_blocked(s, g.data(), dg.data());
     benchmark::DoNotOptimize(g.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 128));
@@ -108,8 +92,7 @@ void BM_NeighborListBuild(benchmark::State& state) {
 
 BENCHMARK(BM_GemmTn_EnvContraction)->Arg(138)->Arg(500);
 BENCHMARK(BM_Affine_FittingLayer);
-BENCHMARK(BM_Poly5TableAoS);
-BENCHMARK(BM_Poly5TableBlocked);
+BENCHMARK(BM_Poly5Table);
 BENCHMARK(BM_EmbeddingNetRow);
 BENCHMARK(BM_NeighborListBuild)->Arg(6)->Arg(10);
 

@@ -3,12 +3,10 @@
 // allocation check (the persistent workspace must stop growing after
 // warm-up, so rebuilds allocate nothing).
 //
-// Machine note: the harness host is a single CPU core, so thread counts
-// above 1 oversubscribe it and the speedup column reads ~1x or below; the
-// numbers are honest measurements of this host, not projections. On a real
-// multi-core node the same sweep is the acceptance check for the parallel
-// rebuild (the CSR output is byte-identical at every thread count, so only
-// the timing changes).
+// Machine note: the harness host has 4 cores, so the sweep's 8-thread row
+// oversubscribes it; the numbers are measurements of that host, not
+// projections. The CSR output is byte-identical at every thread count, so
+// only the timing changes.
 #include <omp.h>
 
 #include <cstdio>

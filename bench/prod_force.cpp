@@ -9,9 +9,9 @@
 // slots. Acceptance: compact/dense bytes <= 0.5 on the padded rows,
 // alloc-free = yes everywhere.
 //
-// Machine note: the harness host is a single CPU core, so thread counts
-// above 1 oversubscribe it and speedups read ~1x; the lane-deterministic
-// fold guarantees the FORCES are byte-identical at every row regardless.
+// Machine note: the harness host has 4 cores, so the 8-thread rows
+// oversubscribe it; the lane-deterministic fold guarantees the FORCES are
+// byte-identical at every row regardless.
 #include <omp.h>
 
 #include <cstdio>
@@ -81,10 +81,13 @@ struct TabPoint {
   double vector_seconds = 0.0;
 };
 
-/// Times the blocked-layout tabulation walk the compressed/fused models run
-/// per step — eval_with_deriv_blocked_batch over every filled slot run of
-/// the compact env matrix — at forced-scalar vs the dispatched SIMD level.
-/// Same slot walk, same table, same outputs; only the dispatch differs.
+/// Times the tabulation walk the compressed/fused models run per step —
+/// eval_with_deriv_batch over every filled slot run of the compact env
+/// matrix — at forced-scalar vs the dispatched SIMD level. Same slot walk,
+/// same table, same outputs; only the dispatch differs. The scalar leg
+/// (tab_scalar_seconds) times the kernel body at lane width 1 with std::fma:
+/// a libm call per fma under the generic CI build, hardware FMA under
+/// -march=native.
 TabPoint time_tabulation(const EnvMat& env, const dp::tab::TabulatedEmbedding& table) {
   const std::size_t m = table.output_dim();
   const std::size_t n = env.n_atoms;
@@ -97,9 +100,9 @@ TabPoint time_tabulation(const EnvMat& env, const dp::tab::TabulatedEmbedding& t
         const std::size_t base = env.block_begin(i, ty);
         const int cnt = env.count(i, ty);
         if (cnt <= 0) continue;
-        table.eval_with_deriv_blocked_batch(env.rmat_at(base), 4,
-                                            static_cast<std::size_t>(cnt), g.data() + row * m,
-                                            dg.data() + row * m, m, /*streaming=*/true);
+        table.eval_with_deriv_batch(env.rmat_at(base), 4, static_cast<std::size_t>(cnt),
+                                    g.data() + row * m, dg.data() + row * m, m,
+                                    /*streaming=*/true);
         row += static_cast<std::size_t>(cnt);
       }
     }
@@ -145,7 +148,8 @@ int main() {
     const TabPoint tab = time_tabulation(probe, tab_table);
     std::printf("\nsel = %d  (padding %.0f%%, filled slots %zu)\n", sel,
                 100.0 * probe.padding_fraction(), probe.filled_slots());
-    std::printf("  tabulation walk (M=%zu): scalar %.3f ms, %s %.3f ms  (%.2fx)\n",
+    std::printf("  tabulation walk (M=%zu): scalar (width-1 body) %.3f ms, %s %.3f ms  "
+                "(%.2fx)\n",
                 tab_table.output_dim(), 1e3 * tab.scalar_seconds,
                 dp::simd::name(dp::simd::active()), 1e3 * tab.vector_seconds,
                 tab.scalar_seconds / tab.vector_seconds);
@@ -174,6 +178,7 @@ int main() {
                         {"compact_bytes", static_cast<double>(compact.layout_bytes)},
                         {"bytes_ratio", ratio},
                         {"lanes", lanes},
+                        // Width-1 kernel body (std::fma) at Level::Scalar.
                         {"tab_scalar_seconds", tab.scalar_seconds},
                         {"tab_vector_seconds", tab.vector_seconds},
                         {"steady_state_alloc_free",

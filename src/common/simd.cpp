@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/soa.hpp"
+
 namespace dp::simd {
 
 namespace {
@@ -17,9 +19,11 @@ namespace {
 int hardware_level() {
 #if DP_SIMD_X86
   // FMA is part of the numerical contract (std::fma tails must be cheap),
-  // so AVX2 without FMA dispatches scalar. The AVX-512 kernels use DQ for
-  // the double-precision bitwise ops.
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+  // so AVX2 without FMA dispatches scalar; so does AVX2 without F16C, which
+  // the half-precision table walk widens with. The AVX-512 kernels use DQ
+  // for the double-precision bitwise ops.
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+      __builtin_cpu_supports("f16c")) {
     if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq"))
       return static_cast<int>(Level::AVX512);
     return static_cast<int>(Level::AVX2);
@@ -56,6 +60,12 @@ int resolve_default() {
 // value on every thread; force() is a single-threaded test/bench hook.
 std::atomic<int> g_active{-1};
 
+/// The value of `lvl` among one value per level.
+template <class T>
+T per_level(Level lvl, T scalar, T avx2, T avx512) {
+  return lvl == Level::AVX512 ? avx512 : lvl == Level::AVX2 ? avx2 : scalar;
+}
+
 }  // namespace
 
 Level max_supported() {
@@ -79,50 +89,84 @@ void force(Level lvl) {
   g_active.store(clamp_to_supported(static_cast<int>(lvl)), std::memory_order_relaxed);
 }
 
-const char* name(Level lvl) {
-  switch (lvl) {
-    case Level::AVX512:
-      return "avx512";
-    case Level::AVX2:
-      return "avx2";
-    default:
-      return "scalar";
-  }
-}
+const char* name(Level lvl) { return per_level<const char*>(lvl, "scalar", "avx2", "avx512"); }
 
-std::size_t lanes(Level lvl) {
-  switch (lvl) {
-    case Level::AVX512:
-      return 8;
-    case Level::AVX2:
-      return 4;
-    default:
-      return 1;
-  }
-}
+std::size_t lanes(Level lvl) { return per_level<std::size_t>(lvl, 1, 4, 8); }
 
 std::size_t lanes() { return lanes(active()); }
 
-std::size_t lanes_sp(Level lvl) {
-  switch (lvl) {
-    case Level::AVX512:
-      return 16;
-    case Level::AVX2:
-      return 8;
-    default:
-      return 1;
-  }
-}
+std::size_t lanes_sp(Level lvl) { return per_level<std::size_t>(lvl, 1, 8, 16); }
 
 std::size_t lanes_sp() { return lanes_sp(active()); }
 
-bool has_f16c() {
+// The kernels of simd_kernels.inc, compiled once per level: the level's
+// namespace names its lane traits Lanes<T> and its target attribute.
+namespace scalar_level {
+template <class T>
+using Lanes = Scalar1<T>;
+#define DP_KERNEL_TARGET
+#include "common/simd_kernels.inc"
+#undef DP_KERNEL_TARGET
+}  // namespace scalar_level
+
 #if DP_SIMD_X86
-  static const bool v = __builtin_cpu_supports("f16c");
-  return v;
+namespace avx2_level {
+template <class T>
+using Lanes = std::conditional_t<std::is_same_v<T, float>, AVX2LanesF, AVX2Lanes>;
+#define DP_KERNEL_TARGET DP_TARGET_AVX2
+#include "common/simd_kernels.inc"
+#undef DP_KERNEL_TARGET
+}  // namespace avx2_level
+
+namespace avx512_level {
+template <class T>
+using Lanes = std::conditional_t<std::is_same_v<T, float>, AVX512LanesF, AVX512Lanes>;
+#define DP_KERNEL_TARGET DP_TARGET_AVX512
+#include "common/simd_kernels.inc"
+#undef DP_KERNEL_TARGET
+}  // namespace avx512_level
 #else
-  return false;
+namespace avx2_level = scalar_level;
+namespace avx512_level = scalar_level;
 #endif
+
+// One kernel instance per level; __VA_ARGS__ keeps template argument commas.
+#define DP_PICK(lvl, ...)                                              \
+  per_level((lvl), scalar_level::__VA_ARGS__, avx2_level::__VA_ARGS__, \
+            avx512_level::__VA_ARGS__)
+
+template <class C>
+TableWalkFn<C> pick_table_walk(Level lvl, bool deriv, bool stream) {
+  if (!deriv) return DP_PICK(lvl, table_walk<C, false, false>);
+  if (stream) return DP_PICK(lvl, table_walk<C, true, true>);
+  return DP_PICK(lvl, table_walk<C, true, false>);
 }
+template TableWalkFn<double> pick_table_walk<double>(Level, bool, bool);
+template TableWalkFn<float> pick_table_walk<float>(Level, bool, bool);
+template TableWalkFn<_Float16> pick_table_walk<_Float16>(Level, bool, bool);
+
+template <class T>
+Rank1Fn<T> pick_rank1(Level lvl) {
+  return DP_PICK(lvl, rank1_update<T>);
+}
+template Rank1Fn<double> pick_rank1<double>(Level);
+template Rank1Fn<float> pick_rank1<float>(Level);
+
+template <class T>
+SlotGradientFn<T> pick_slot_gradient(Level lvl) {
+  return DP_PICK(lvl, slot_gradient<T>);
+}
+template SlotGradientFn<double> pick_slot_gradient<double>(Level);
+template SlotGradientFn<float> pick_slot_gradient<float>(Level);
+
+DescriptorForwardFn pick_descriptor_forward(Level lvl) {
+  return DP_PICK(lvl, descriptor_forward);
+}
+DescriptorBackwardFn pick_descriptor_backward(Level lvl) {
+  return DP_PICK(lvl, descriptor_backward);
+}
+PairGradientsFn pick_pair_gradients(Level lvl) { return DP_PICK(lvl, pair_gradients); }
+
+#undef DP_PICK
 
 }  // namespace dp::simd

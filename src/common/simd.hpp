@@ -1,7 +1,7 @@
-// Runtime-dispatched SIMD layer for the tabulated hot loops (paper Sec
-// 3.5.3 / Fig 5: the A64FX port hand-vectorizes the quintic table walk and
-// the tanh table with 512-bit SVE; on x86 the same kernels map onto AVX2 and
-// AVX-512).
+// Runtime-dispatched SIMD layer for the hot loops of the DP inference path
+// (paper Sec 3.5.3 / Fig 5: the A64FX port hand-vectorizes the quintic table
+// walk and the tanh table with 512-bit SVE; on x86 the same kernels map onto
+// AVX2 and AVX-512).
 //
 // Design:
 //   * The instruction-set level is picked ONCE at startup: CPUID caps the
@@ -9,41 +9,44 @@
 //     caps it at configure time, and the env var DP_SIMD=scalar|avx2|avx512
 //     lowers it per run (testing / benchmarking). `active()` returns the
 //     resolved level, `lanes()` its vector width in doubles.
-//   * Kernels live next to their tables (tanh_table.cpp, table.cpp, ...) as
-//     ordinary functions annotated DP_TARGET_AVX2 / DP_TARGET_AVX512, so the
-//     whole tree still compiles with the generic (-DDP_ENABLE_NATIVE=OFF)
-//     flags and the AVX paths are only ever *executed* after the CPUID
-//     check. Vector values never cross a non-annotated ABI boundary (that
-//     would be a -Wpsabi hazard): dispatchers pass scalars and pointers.
+//   * A kernel is written once, as a template over a lane-traits type
+//     (ScalarLanes / AVX2Lanes / AVX512Lanes and their float twins below),
+//     and compiled once per level inside a function carrying that level's
+//     target attribute (common/simd_kernels.inc, nn/gemm_kernels.inc). The
+//     whole tree still compiles with generic (-DDP_ENABLE_NATIVE=OFF) flags
+//     and the AVX paths are only ever *executed* after the CPUID check.
+//     Vector values never cross a non-annotated ABI boundary (a -Wpsabi
+//     hazard): dispatchers hand out function pointers taking scalars and
+//     pointers.
 //   * All raw intrinsics are confined to this header (dplint rule
-//     raw-intrinsics); kernels use the dp::simd wrapper ops below, which are
-//     always_inline and carry the same target attribute as their callers.
+//     raw-intrinsics); kernels use the always_inline lane ops below, which
+//     carry the same target attribute as their callers.
 //
-// Numerical contract (what the parity suite pins down): at a given level the
-// AoS and blocked table walks use the *same* elementwise operation sequence
-// — vector lanes use hardware FMA and scalar tails use std::fma (which the
-// annotated functions compile to the scalar FMA instruction) — so the two
-// layouts stay bitwise identical at every level. Level::Scalar keeps the
-// exact pre-SIMD expressions; AVX levels may differ from it by an ulp.
+// Numerical contract (what the parity suites pin down): vector lanes use the
+// hardware FMA and Level::Scalar is the same kernel body at lane width 1 with
+// std::fma — one rounding per fma either way. So every elementwise kernel
+// (table walk, rank-1 update, descriptor forward, prod-force pair gradients)
+// is bitwise identical across levels. Reductions fold the lanes through the
+// level's fixed reduce_add tree: bitwise reproducible at a fixed level, and
+// levels differ only by that reassociation.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <type_traits>
 
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
 #include <immintrin.h>
 #define DP_SIMD_X86 1
-#define DP_TARGET_AVX2 __attribute__((target("avx2,fma")))
-// f16c (the vcvtph2ps half->float widener) is NOT implied by the avx2 target
-// attribute, so the half-precision table kernels carry their own superset
-// attribute and dispatchers additionally gate on has_f16c(). AVX-512 needs no
-// extra feature: _mm512_cvtph_ps is plain AVX512F.
-#define DP_TARGET_AVX2_F16C __attribute__((target("avx2,fma,f16c")))
-#define DP_TARGET_AVX512 __attribute__((target("avx2,fma,avx512f,avx512dq")))
+// F16C (vcvtph2ps, the half -> float widener of the half-precision table
+// walk) is part of the AVX2 level: every AVX2 CPU has it, and hardware_level()
+// checks it with the others. AVX-512 needs nothing extra: _mm512_cvtph_ps is
+// plain AVX512F.
+#define DP_TARGET_AVX2 __attribute__((target("avx2,fma,f16c")))
+#define DP_TARGET_AVX512 __attribute__((target("avx2,fma,f16c,avx512f,avx512dq")))
 #else
 #define DP_SIMD_X86 0
 #define DP_TARGET_AVX2
-#define DP_TARGET_AVX2_F16C
 #define DP_TARGET_AVX512
 #endif
 
@@ -78,50 +81,44 @@ std::size_t lanes_sp(Level lvl);
 /// Vector width in floats at active().
 std::size_t lanes_sp();
 
-/// CPUID: vcvtph2ps available? Gates the AVX2 half-precision table kernels
-/// (see DP_TARGET_AVX2_F16C above). Always true on AVX-512 hardware.
-bool has_f16c();
-
 #define DP_SIMD_OP inline __attribute__((always_inline))
 
-/// Lane traits: one level's double-precision wrapper ops behind one spelling,
-/// so a kernel body is written once as a template over L and instantiated
-/// per target attribute (nn/gemm.cpp). kRegisters is the architectural
-/// vector register count, which sizes register-blocked tiles.
-/// Scalar lanes: width 1, std::fma — the same single-rounding op the vector
-/// lanes use, so elementwise fma chains agree bitwise across levels.
-struct ScalarLanes {
-  using V = double;
+/// Lane traits: one level's wrapper ops for element type E behind one
+/// spelling, so a kernel body is written once as a template over L.
+/// kRegisters is the architectural vector register count, which sizes
+/// register-blocked tiles. Width-1 lanes: std::fma — the same single-rounding
+/// op the vector lanes use. load_h widens IEEE binary16 coefficients exactly.
+template <class T>
+struct Scalar1 {
+  using E = T;
+  using V = T;
   static constexpr std::size_t kWidth = 1;
   static constexpr std::size_t kRegisters = 16;
-  static DP_SIMD_OP V zero() { return 0.0; }
-  static DP_SIMD_OP V set1(double a) { return a; }
-  static DP_SIMD_OP V loadu(const double* p) { return *p; }
-  static DP_SIMD_OP void storeu(double* p, V a) { *p = a; }
+  static DP_SIMD_OP V zero() { return T(0); }
+  static DP_SIMD_OP V set1(T a) { return a; }
+  static DP_SIMD_OP V loadu(const T* p) { return *p; }
+  static DP_SIMD_OP V load_h(const _Float16* p) { return static_cast<T>(*p); }
+  static DP_SIMD_OP void storeu(T* p, V a) { *p = a; }
+  static DP_SIMD_OP void stream(T* p, V a) { *p = a; }
+  static DP_SIMD_OP V mul(V a, V b) { return a * b; }
   static DP_SIMD_OP V fmadd(V a, V b, V c) { return std::fma(a, b, c); }
-  static DP_SIMD_OP double reduce_add(V a) { return a; }
+  static DP_SIMD_OP T reduce_add(V a) { return a; }
 };
+using ScalarLanes = Scalar1<double>;
 
 #if DP_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// AVX2: 4 doubles per vector, 4 x i32 indices. Callers must be annotated
-// DP_TARGET_AVX2 (or a superset) — always_inline enforces this at compile
-// time.
+// Free wrapper ops of the tanh-table gather kernels. Callers must carry the
+// matching target attribute (or a superset) — always_inline enforces this at
+// compile time.
 // ---------------------------------------------------------------------------
 using v4d = __m256d;
 using v4i = __m128i;
 
 DP_TARGET_AVX2 DP_SIMD_OP v4d v4_set1(double a) { return _mm256_set1_pd(a); }
-DP_TARGET_AVX2 DP_SIMD_OP v4d v4_load(const double* p) { return _mm256_load_pd(p); }
 DP_TARGET_AVX2 DP_SIMD_OP v4d v4_loadu(const double* p) { return _mm256_loadu_pd(p); }
 DP_TARGET_AVX2 DP_SIMD_OP void v4_storeu(double* p, v4d a) { _mm256_storeu_pd(p, a); }
-/// Non-temporal store: bypasses the cache hierarchy, for output runs far
-/// larger than the LLC where a regular store's read-for-ownership doubles
-/// the memory traffic. Requires a 32-byte-aligned p; stored bits are
-/// identical to v4_storeu. Callers must end the run with store_fence().
-DP_TARGET_AVX2 DP_SIMD_OP void v4_stream(double* p, v4d a) { _mm256_stream_pd(p, a); }
-DP_TARGET_AVX2 DP_SIMD_OP v4d v4_add(v4d a, v4d b) { return _mm256_add_pd(a, b); }
 DP_TARGET_AVX2 DP_SIMD_OP v4d v4_sub(v4d a, v4d b) { return _mm256_sub_pd(a, b); }
 DP_TARGET_AVX2 DP_SIMD_OP v4d v4_mul(v4d a, v4d b) { return _mm256_mul_pd(a, b); }
 /// a * b + c, single rounding.
@@ -154,68 +151,14 @@ DP_TARGET_AVX2 DP_SIMD_OP v4i i4_set1(int a) { return _mm_set1_epi32(a); }
 DP_TARGET_AVX2 DP_SIMD_OP v4i i4_add(v4i a, v4i b) { return _mm_add_epi32(a, b); }
 DP_TARGET_AVX2 DP_SIMD_OP v4i i4_min(v4i a, v4i b) { return _mm_min_epi32(a, b); }
 DP_TARGET_AVX2 DP_SIMD_OP v4i i4_max(v4i a, v4i b) { return _mm_max_epi32(a, b); }
-DP_TARGET_AVX2 DP_SIMD_OP v4d v4_zero() { return _mm256_setzero_pd(); }
-/// Horizontal sum, fixed lane order: (l0+l2) + (l1+l3). One compiled
-/// sequence per level so dot-product reductions are bitwise reproducible.
-DP_TARGET_AVX2 DP_SIMD_OP double v4_reduce_add(v4d a) {
-  __m128d lo = _mm256_castpd256_pd128(a);
-  __m128d hi = _mm256_extractf128_pd(a, 1);
-  __m128d s = _mm_add_pd(lo, hi);                    // {l0+l2, l1+l3}
-  return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
-}
 
-// ---------------------------------------------------------------------------
-// AVX2 float lane: 8 floats per vector — the mixed-precision table walk and
-// the float contraction kernels move twice the channels per instruction.
-// Same discipline as the double ops: callers are DP_TARGET_AVX2 (or the
-// F16C/AVX-512 supersets), values never cross a non-annotated ABI boundary.
-// ---------------------------------------------------------------------------
-using v8f = __m256;
-
-DP_TARGET_AVX2 DP_SIMD_OP v8f f8_set1(float a) { return _mm256_set1_ps(a); }
-DP_TARGET_AVX2 DP_SIMD_OP v8f f8_zero() { return _mm256_setzero_ps(); }
-DP_TARGET_AVX2 DP_SIMD_OP v8f f8_load(const float* p) { return _mm256_load_ps(p); }
-DP_TARGET_AVX2 DP_SIMD_OP v8f f8_loadu(const float* p) { return _mm256_loadu_ps(p); }
-DP_TARGET_AVX2 DP_SIMD_OP void f8_storeu(float* p, v8f a) { _mm256_storeu_ps(p, a); }
-/// Non-temporal store (see v4_stream); requires a 32-byte-aligned p.
-DP_TARGET_AVX2 DP_SIMD_OP void f8_stream(float* p, v8f a) { _mm256_stream_ps(p, a); }
-DP_TARGET_AVX2 DP_SIMD_OP v8f f8_add(v8f a, v8f b) { return _mm256_add_ps(a, b); }
-DP_TARGET_AVX2 DP_SIMD_OP v8f f8_sub(v8f a, v8f b) { return _mm256_sub_ps(a, b); }
-DP_TARGET_AVX2 DP_SIMD_OP v8f f8_mul(v8f a, v8f b) { return _mm256_mul_ps(a, b); }
-/// a * b + c, single rounding.
-DP_TARGET_AVX2 DP_SIMD_OP v8f f8_fmadd(v8f a, v8f b, v8f c) { return _mm256_fmadd_ps(a, b, c); }
-/// Horizontal sum, fixed lane order: pairwise 128-bit fold then the same
-/// shuffle tree every time — reproducible, like v4_reduce_add.
-DP_TARGET_AVX2 DP_SIMD_OP float f8_reduce_add(v8f a) {
-  __m128 lo = _mm256_castps256_ps128(a);
-  __m128 hi = _mm256_extractf128_ps(a, 1);
-  __m128 s = _mm_add_ps(lo, hi);                     // {l0+l4, l1+l5, l2+l6, l3+l7}
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));            // {+l2+l6, +l3+l7, ...}
-  return _mm_cvtss_f32(_mm_add_ss(s, _mm_movehdup_ps(s)));
-}
-/// Widen 8 IEEE binary16 values (stored contiguously) to 8 floats. The
-/// conversion is exact — every half is representable as a float — so the
-/// half table walk matches the scalar static_cast widening bit for bit.
-DP_TARGET_AVX2_F16C DP_SIMD_OP v8f f8_load_h(const void* p) {
-  return _mm256_cvtph_ps(_mm_loadu_si128(static_cast<const __m128i*>(p)));
-}
-
-// ---------------------------------------------------------------------------
-// AVX-512: 8 doubles per vector, 8 x i32 indices, predicate masks. Callers
-// must be annotated DP_TARGET_AVX512.
-// ---------------------------------------------------------------------------
 using v8d = __m512d;
 using v8i = __m256i;
 using m8 = __mmask8;
-using m16 = __mmask16;
 
 DP_TARGET_AVX512 DP_SIMD_OP v8d v8_set1(double a) { return _mm512_set1_pd(a); }
-DP_TARGET_AVX512 DP_SIMD_OP v8d v8_load(const double* p) { return _mm512_load_pd(p); }
 DP_TARGET_AVX512 DP_SIMD_OP v8d v8_loadu(const double* p) { return _mm512_loadu_pd(p); }
 DP_TARGET_AVX512 DP_SIMD_OP void v8_storeu(double* p, v8d a) { _mm512_storeu_pd(p, a); }
-/// Non-temporal store (see v4_stream); requires a 64-byte-aligned p.
-DP_TARGET_AVX512 DP_SIMD_OP void v8_stream(double* p, v8d a) { _mm512_stream_pd(p, a); }
-DP_TARGET_AVX512 DP_SIMD_OP v8d v8_add(v8d a, v8d b) { return _mm512_add_pd(a, b); }
 DP_TARGET_AVX512 DP_SIMD_OP v8d v8_sub(v8d a, v8d b) { return _mm512_sub_pd(a, b); }
 DP_TARGET_AVX512 DP_SIMD_OP v8d v8_mul(v8d a, v8d b) { return _mm512_mul_pd(a, b); }
 DP_TARGET_AVX512 DP_SIMD_OP v8d v8_fmadd(v8d a, v8d b, v8d c) {
@@ -247,107 +190,182 @@ DP_TARGET_AVX512 DP_SIMD_OP v8d v8_cvt_f64(v8i a) {
   return _mm512_mask_cvtepi32_pd(_mm512_setzero_pd(), static_cast<m8>(0xff), a);
 }
 DP_TARGET_AVX512 DP_SIMD_OP v8d v8_gather(const double* p, v8i idx) {
-  // Masked form with a zero source for the same -Wmaybe-uninitialized
-  // reason as v4_gather; mask 0xff gathers every lane.
   return _mm512_mask_i32gather_pd(_mm512_setzero_pd(), static_cast<m8>(0xff), idx, p, 8);
 }
 DP_TARGET_AVX512 DP_SIMD_OP v8i i8_set1(int a) { return _mm256_set1_epi32(a); }
 DP_TARGET_AVX512 DP_SIMD_OP v8i i8_add(v8i a, v8i b) { return _mm256_add_epi32(a, b); }
 DP_TARGET_AVX512 DP_SIMD_OP v8i i8_min(v8i a, v8i b) { return _mm256_min_epi32(a, b); }
 DP_TARGET_AVX512 DP_SIMD_OP v8i i8_max(v8i a, v8i b) { return _mm256_max_epi32(a, b); }
-DP_TARGET_AVX512 DP_SIMD_OP v8d v8_zero() { return _mm512_setzero_pd(); }
-/// Horizontal sum, fixed lane order: 256-bit halves fold first, then the
-/// v4_reduce_add tree. Hand-written (not _mm512_reduce_add_pd) because the
-/// compiler expansion routes through _mm512_extractf64x4_pd's undefined merge
-/// operand, which trips -Werror=maybe-uninitialized on GCC 12; the maskz
-/// extract has a defined (zero) source and compiles to the same vextractf64x4.
-DP_TARGET_AVX512 DP_SIMD_OP double v8_reduce_add(v8d a) {
-  // Both halves via maskz extract: GCC 12 lowers _mm512_castpd512_pd256
-  // through the undefined-merge extract too, so the cast is no escape hatch.
-  __m256d lo = _mm512_maskz_extractf64x4_pd(static_cast<m8>(0xf), a, 0);
-  __m256d hi = _mm512_maskz_extractf64x4_pd(static_cast<m8>(0xf), a, 1);
-  __m256d s4 = _mm256_add_pd(lo, hi);                // {l0+l4, l1+l5, l2+l6, l3+l7}
-  __m128d lo2 = _mm256_castpd256_pd128(s4);
-  __m128d hi2 = _mm256_extractf128_pd(s4, 1);
-  __m128d s = _mm_add_pd(lo2, hi2);
-  return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
-}
 
-// ---------------------------------------------------------------------------
-// AVX-512 float lane: 16 floats per vector — one vector covers a whole
-// 16-channel table block.
-// ---------------------------------------------------------------------------
-using v16f = __m512;
-
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_set1(float a) { return _mm512_set1_ps(a); }
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_zero() { return _mm512_setzero_ps(); }
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_load(const float* p) { return _mm512_load_ps(p); }
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_loadu(const float* p) { return _mm512_loadu_ps(p); }
-DP_TARGET_AVX512 DP_SIMD_OP void f16_storeu(float* p, v16f a) { _mm512_storeu_ps(p, a); }
-/// Non-temporal store (see v4_stream); requires a 64-byte-aligned p.
-DP_TARGET_AVX512 DP_SIMD_OP void f16_stream(float* p, v16f a) { _mm512_stream_ps(p, a); }
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_add(v16f a, v16f b) { return _mm512_add_ps(a, b); }
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_sub(v16f a, v16f b) { return _mm512_sub_ps(a, b); }
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_mul(v16f a, v16f b) { return _mm512_mul_ps(a, b); }
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_fmadd(v16f a, v16f b, v16f c) {
-  return _mm512_fmadd_ps(a, b, c);
-}
-/// Horizontal sum, fixed lane order: 256-bit halves fold first, then the
-/// f8_reduce_add tree. Hand-written for the same -Werror=maybe-uninitialized
-/// reason as v8_reduce_add (maskz extract instead of the undefined-merge
-/// compiler expansion; extractf32x8 is AVX512DQ, which the target includes).
-DP_TARGET_AVX512 DP_SIMD_OP float f16_reduce_add(v16f a) {
-  __m256 lo = _mm512_maskz_extractf32x8_ps(static_cast<m8>(0xff), a, 0);
-  __m256 hi = _mm512_maskz_extractf32x8_ps(static_cast<m8>(0xff), a, 1);
-  __m256 s8 = _mm256_add_ps(lo, hi);                 // {l0+l8, l1+l9, ..., l7+l15}
-  __m128 lo2 = _mm256_castps256_ps128(s8);
-  __m128 hi2 = _mm256_extractf128_ps(s8, 1);
-  __m128 s = _mm_add_ps(lo2, hi2);
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  return _mm_cvtss_f32(_mm_add_ss(s, _mm_movehdup_ps(s)));
-}
-/// Widen 16 contiguous IEEE binary16 values to 16 floats (exact; AVX512F).
-/// Maskz form with an all-ones mask: the plain _mm512_cvtph_ps expansion
-/// carries an undefined merge operand that trips -Werror=maybe-uninitialized
-/// on GCC 12 (same story as v8_reduce_add); vcvtph2ps emitted either way.
-DP_TARGET_AVX512 DP_SIMD_OP v16f f16_load_h(const void* p) {
-  return _mm512_maskz_cvtph_ps(static_cast<m16>(0xffff),
-                               _mm256_loadu_si256(static_cast<const __m256i*>(p)));
-}
-
-/// Drains the write-combining buffers after a run of v4_stream/v8_stream
+/// Drains the write-combining buffers after a run of non-temporal `stream`
 /// stores, so later reads (possibly from another thread, after a barrier)
 /// observe them. sfence is baseline x86-64 — no target attribute needed.
 inline __attribute__((always_inline)) void store_fence() { _mm_sfence(); }
 
-/// AVX2 lanes (4 doubles); callers must be DP_TARGET_AVX2 or a superset.
+// ---------------------------------------------------------------------------
+// Vector lane traits. `stream` is a non-temporal store: it bypasses the cache
+// hierarchy, for output runs far larger than the LLC where a regular store's
+// read-for-ownership doubles the memory traffic. It needs a vector-aligned p
+// and stores the same bits as storeu; end the run with store_fence().
+// reduce_add folds in a fixed lane order — one compiled sequence per level,
+// so dot-product reductions are bitwise reproducible. The 512-bit folds use
+// the maskz extract: GCC 12 lowers the plain extract and the 512->256 cast
+// through an undefined merge operand, which trips
+// -Werror=maybe-uninitialized; the maskz form emits the same instruction.
+// ---------------------------------------------------------------------------
+
+/// AVX2, 4 doubles; callers must be DP_TARGET_AVX2 or a superset.
 struct AVX2Lanes {
-  using V = v4d;
+  using E = double;
+  using V = __m256d;
   static constexpr std::size_t kWidth = 4;
   static constexpr std::size_t kRegisters = 16;
-  DP_TARGET_AVX2 static DP_SIMD_OP V zero() { return v4_zero(); }
-  DP_TARGET_AVX2 static DP_SIMD_OP V set1(double a) { return v4_set1(a); }
-  DP_TARGET_AVX2 static DP_SIMD_OP V loadu(const double* p) { return v4_loadu(p); }
-  DP_TARGET_AVX2 static DP_SIMD_OP void storeu(double* p, V a) { v4_storeu(p, a); }
-  DP_TARGET_AVX2 static DP_SIMD_OP V fmadd(V a, V b, V c) { return v4_fmadd(a, b, c); }
-  DP_TARGET_AVX2 static DP_SIMD_OP double reduce_add(V a) { return v4_reduce_add(a); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V zero() { return _mm256_setzero_pd(); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V set1(double a) { return _mm256_set1_pd(a); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V loadu(const double* p) { return _mm256_loadu_pd(p); }
+  DP_TARGET_AVX2 static DP_SIMD_OP void storeu(double* p, V a) { _mm256_storeu_pd(p, a); }
+  DP_TARGET_AVX2 static DP_SIMD_OP void stream(double* p, V a) { _mm256_stream_pd(p, a); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V fmadd(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
+  /// (l0+l2) + (l1+l3).
+  DP_TARGET_AVX2 static DP_SIMD_OP double reduce_add(V a) {
+    const __m128d s = _mm_add_pd(_mm256_castpd256_pd128(a), _mm256_extractf128_pd(a, 1));
+    return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
+  }
 };
 
-/// AVX-512 lanes (8 doubles); callers must be DP_TARGET_AVX512.
+/// AVX2, 8 floats; callers must be DP_TARGET_AVX2 or a superset.
+struct AVX2LanesF {
+  using E = float;
+  using V = __m256;
+  static constexpr std::size_t kWidth = 8;
+  static constexpr std::size_t kRegisters = 16;
+  DP_TARGET_AVX2 static DP_SIMD_OP V zero() { return _mm256_setzero_ps(); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V set1(float a) { return _mm256_set1_ps(a); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V loadu(const float* p) { return _mm256_loadu_ps(p); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V load_h(const _Float16* p) {
+    return _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  }
+  DP_TARGET_AVX2 static DP_SIMD_OP void storeu(float* p, V a) { _mm256_storeu_ps(p, a); }
+  DP_TARGET_AVX2 static DP_SIMD_OP void stream(float* p, V a) { _mm256_stream_ps(p, a); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V fmadd(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
+  /// 128-bit halves first, then the same shuffle tree every time.
+  DP_TARGET_AVX2 static DP_SIMD_OP float reduce_add(V a) {
+    __m128 s = _mm_add_ps(_mm256_castps256_ps128(a), _mm256_extractf128_ps(a, 1));
+    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+    return _mm_cvtss_f32(_mm_add_ss(s, _mm_movehdup_ps(s)));
+  }
+};
+
+/// AVX-512, 8 doubles; callers must be DP_TARGET_AVX512.
 struct AVX512Lanes {
-  using V = v8d;
+  using E = double;
+  using V = __m512d;
   static constexpr std::size_t kWidth = 8;
   static constexpr std::size_t kRegisters = 32;
-  DP_TARGET_AVX512 static DP_SIMD_OP V zero() { return v8_zero(); }
-  DP_TARGET_AVX512 static DP_SIMD_OP V set1(double a) { return v8_set1(a); }
-  DP_TARGET_AVX512 static DP_SIMD_OP V loadu(const double* p) { return v8_loadu(p); }
-  DP_TARGET_AVX512 static DP_SIMD_OP void storeu(double* p, V a) { v8_storeu(p, a); }
-  DP_TARGET_AVX512 static DP_SIMD_OP V fmadd(V a, V b, V c) { return v8_fmadd(a, b, c); }
-  DP_TARGET_AVX512 static DP_SIMD_OP double reduce_add(V a) { return v8_reduce_add(a); }
+  DP_TARGET_AVX512 static DP_SIMD_OP V zero() { return _mm512_setzero_pd(); }
+  DP_TARGET_AVX512 static DP_SIMD_OP V set1(double a) { return _mm512_set1_pd(a); }
+  DP_TARGET_AVX512 static DP_SIMD_OP V loadu(const double* p) { return _mm512_loadu_pd(p); }
+  DP_TARGET_AVX512 static DP_SIMD_OP void storeu(double* p, V a) { _mm512_storeu_pd(p, a); }
+  DP_TARGET_AVX512 static DP_SIMD_OP void stream(double* p, V a) { _mm512_stream_pd(p, a); }
+  DP_TARGET_AVX512 static DP_SIMD_OP V mul(V a, V b) { return _mm512_mul_pd(a, b); }
+  DP_TARGET_AVX512 static DP_SIMD_OP V fmadd(V a, V b, V c) { return _mm512_fmadd_pd(a, b, c); }
+  /// 256-bit halves first, then the AVX2Lanes tree.
+  DP_TARGET_AVX512 static DP_SIMD_OP double reduce_add(V a) {
+    return AVX2Lanes::reduce_add(_mm256_add_pd(_mm512_maskz_extractf64x4_pd(0xf, a, 0),
+                                               _mm512_maskz_extractf64x4_pd(0xf, a, 1)));
+  }
 };
 
+/// AVX-512, 16 floats — one vector covers a whole 16-channel table block.
+struct AVX512LanesF {
+  using E = float;
+  using V = __m512;
+  static constexpr std::size_t kWidth = 16;
+  static constexpr std::size_t kRegisters = 32;
+  DP_TARGET_AVX512 static DP_SIMD_OP V zero() { return _mm512_setzero_ps(); }
+  DP_TARGET_AVX512 static DP_SIMD_OP V set1(float a) { return _mm512_set1_ps(a); }
+  DP_TARGET_AVX512 static DP_SIMD_OP V loadu(const float* p) { return _mm512_loadu_ps(p); }
+  /// Maskz form: the plain _mm512_cvtph_ps carries the undefined merge too.
+  DP_TARGET_AVX512 static DP_SIMD_OP V load_h(const _Float16* p) {
+    return _mm512_maskz_cvtph_ps(0xffff,
+                                 _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+  }
+  DP_TARGET_AVX512 static DP_SIMD_OP void storeu(float* p, V a) { _mm512_storeu_ps(p, a); }
+  DP_TARGET_AVX512 static DP_SIMD_OP void stream(float* p, V a) { _mm512_stream_ps(p, a); }
+  DP_TARGET_AVX512 static DP_SIMD_OP V mul(V a, V b) { return _mm512_mul_ps(a, b); }
+  DP_TARGET_AVX512 static DP_SIMD_OP V fmadd(V a, V b, V c) { return _mm512_fmadd_ps(a, b, c); }
+  /// 256-bit halves first (extractf32x8 is AVX512DQ), then the AVX2LanesF tree.
+  DP_TARGET_AVX512 static DP_SIMD_OP float reduce_add(V a) {
+    return AVX2LanesF::reduce_add(_mm256_add_ps(_mm512_maskz_extractf32x8_ps(0xff, a, 0),
+                                                _mm512_maskz_extractf32x8_ps(0xff, a, 1)));
+  }
+};
+
+#else
+inline void store_fence() {}
 #endif  // DP_SIMD_X86
 
 #undef DP_SIMD_OP
+
+// ---------------------------------------------------------------------------
+// The dispatched kernels of the DP inference path (common/simd_kernels.inc).
+// Each pick_* returns the kernel compiled for `lvl`; callers resolve it once
+// per call or per compute(), outside any thread team, so every thread runs
+// the same instance.
+// ---------------------------------------------------------------------------
+
+/// Arithmetic type of a table whose coefficients are stored as C: double
+/// tables evaluate in double, float and _Float16 tables in float.
+template <class C>
+using TableReal = std::conditional_t<std::is_same_v<C, double>, double, float>;
+
+/// Channels per block of the blocked table layout: 16, as the paper chose
+/// for the dual FP pipelines of A64FX (two 512-bit vectors of doubles).
+inline constexpr std::size_t kTableLane = 16;
+
+/// Quintic table walk of one interval: `coef` holds its blocks of six
+/// coefficient streams of kTableLane channels ([block][k][lane]); writes
+/// g[0..m) and, for a derivative walk, dg[0..m) at local coordinate t.
+template <class C>
+using TableWalkFn = void (*)(const C* coef, TableReal<C> t, std::size_t m, TableReal<C>* g,
+                             TableReal<C>* dg);
+/// `deriv` selects the value + derivative walk (dg written; else dg unused),
+/// `stream` non-temporal vector stores (every g/dg row vector-aligned).
+template <class C>
+TableWalkFn<C> pick_table_walk(Level lvl, bool deriv, bool stream);
+
+/// Pass-1 rank-1 update of the fused kernels: a[c][b] += r[c] * row[b] for
+/// the four env columns c (a is 4 x m, row-major).
+template <class T>
+using Rank1Fn = void (*)(const T* r, const T* row, std::size_t m, T* a);
+template <class T>
+Rank1Fn<T> pick_rank1(Level lvl);
+
+/// Pass-2 per-slot contraction: grow[c] = <g_a[c], row>, plus the dE/ds
+/// table term <sum_c r[c] g_a[c], drow> folded into column 0; accumulated in
+/// T and widened to double.
+template <class T>
+using SlotGradientFn = void (*)(const T* r, const T* row, const T* drow, const T* g_a,
+                                std::size_t m, double* grow);
+template <class T>
+SlotGradientFn<T> pick_slot_gradient(Level lvl);
+
+/// D = A<^T A and its adjoint (dp/descriptor.hpp has the algebra).
+using DescriptorForwardFn = void (*)(const double* a_mat, std::size_t m, std::size_t m_sub,
+                                     double* d_flat);
+DescriptorForwardFn pick_descriptor_forward(Level lvl);
+using DescriptorBackwardFn = void (*)(const double* a_mat, const double* g_d, std::size_t m,
+                                      std::size_t m_sub, double* g_a);
+DescriptorBackwardFn pick_descriptor_backward(Level lvl);
+
+/// Most slots per pair_gradients call (its SoA staging lives on the stack).
+inline constexpr int kPairChunk = 64;
+/// f[3k + l] = sum_c g_rows[4k + c] * d_rows[12k + 3c + l] for k < cnt <=
+/// kPairChunk: the prod-force pair gradient dE/d(r_j - r_i) of each slot.
+using PairGradientsFn = void (*)(const double* g_rows, const double* d_rows, int cnt,
+                                 double* f);
+PairGradientsFn pick_pair_gradients(Level lvl);
 
 }  // namespace dp::simd

@@ -3,164 +3,14 @@
 #include <omp.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "common/simd.hpp"
-#include "common/soa.hpp"
 #include "common/team.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
 
 namespace dp::core {
-
-namespace {
-/// f_l = sum_c g_rmat[c] * deriv[c][l] — the pair gradient dE/d(r_j - r_i).
-inline Vec3 slot_pair_gradient(const double* g_row, const double* d_row) {
-  Vec3 f{};
-  for (int c = 0; c < 4; ++c) {
-    const double g = g_row[c];
-    f.x += g * d_row[3 * c + 0];
-    f.y += g * d_row[3 * c + 1];
-    f.z += g * d_row[3 * c + 2];
-  }
-  return f;
-}
-
-/// Slots walked per batched pair-gradient call; the f buffer lives on the
-/// stack so the scatter loop stays allocation-free.
-constexpr int kSlotChunk = 64;
-
-#if DP_SIMD_X86
-/// Batched form of slot_pair_gradient over a run of contiguous slots, with
-/// explicit AoS->SoA staging (paper Fig 5): the stride-12 deriv rows and the
-/// stride-4 g_rmat rows are transposed into 12 + 4 contiguous lane streams
-/// on the stack, the 4x3 dots run as vertical vector FMAs over the slot
-/// lanes, and the force triples interleave back at the end. The rounding
-/// sequence per slot (mul then three FMAs per component) is exactly the old
-/// per-slot std::fma chain, so the vector levels keep their bits. Results
-/// are per-slot independent — the deterministic lane fold is unaffected.
-DP_TARGET_AVX2 void slot_pair_gradients_avx2(const double* g_rows, const double* d_rows,
-                                             int cnt, double* f) {
-  using namespace simd;
-  alignas(64) double ds[kDerivWidth * kSlotChunk];
-  alignas(64) double gs[4 * kSlotChunk];
-  alignas(64) double fxs[kSlotChunk], fys[kSlotChunk], fzs[kSlotChunk];
-  const std::size_t n = static_cast<std::size_t>(cnt);
-  aos_to_soa_deriv(d_rows, ds, n);
-  aos_to_soa_reference(g_rows, gs, n, 4);
-  int k = 0;
-  for (; k + 4 <= cnt; k += 4) {
-    const v4d g0 = v4_loadu(gs + 0 * n + k), g1 = v4_loadu(gs + 1 * n + k),
-              g2 = v4_loadu(gs + 2 * n + k), g3 = v4_loadu(gs + 3 * n + k);
-    v4d fx = v4_mul(g0, v4_loadu(ds + 0 * n + k));
-    fx = v4_fmadd(g1, v4_loadu(ds + 3 * n + k), fx);
-    fx = v4_fmadd(g2, v4_loadu(ds + 6 * n + k), fx);
-    fx = v4_fmadd(g3, v4_loadu(ds + 9 * n + k), fx);
-    v4d fy = v4_mul(g0, v4_loadu(ds + 1 * n + k));
-    fy = v4_fmadd(g1, v4_loadu(ds + 4 * n + k), fy);
-    fy = v4_fmadd(g2, v4_loadu(ds + 7 * n + k), fy);
-    fy = v4_fmadd(g3, v4_loadu(ds + 10 * n + k), fy);
-    v4d fz = v4_mul(g0, v4_loadu(ds + 2 * n + k));
-    fz = v4_fmadd(g1, v4_loadu(ds + 5 * n + k), fz);
-    fz = v4_fmadd(g2, v4_loadu(ds + 8 * n + k), fz);
-    fz = v4_fmadd(g3, v4_loadu(ds + 11 * n + k), fz);
-    v4_storeu(fxs + k, fx);
-    v4_storeu(fys + k, fy);
-    v4_storeu(fzs + k, fz);
-  }
-  for (; k < cnt; ++k) {
-    double fx = gs[0 * n + k] * ds[0 * n + k];
-    fx = std::fma(gs[1 * n + k], ds[3 * n + k], fx);
-    fx = std::fma(gs[2 * n + k], ds[6 * n + k], fx);
-    fx = std::fma(gs[3 * n + k], ds[9 * n + k], fx);
-    double fy = gs[0 * n + k] * ds[1 * n + k];
-    fy = std::fma(gs[1 * n + k], ds[4 * n + k], fy);
-    fy = std::fma(gs[2 * n + k], ds[7 * n + k], fy);
-    fy = std::fma(gs[3 * n + k], ds[10 * n + k], fy);
-    double fz = gs[0 * n + k] * ds[2 * n + k];
-    fz = std::fma(gs[1 * n + k], ds[5 * n + k], fz);
-    fz = std::fma(gs[2 * n + k], ds[8 * n + k], fz);
-    fz = std::fma(gs[3 * n + k], ds[11 * n + k], fz);
-    fxs[k] = fx;
-    fys[k] = fy;
-    fzs[k] = fz;
-  }
-  for (k = 0; k < cnt; ++k) {
-    f[3 * k + 0] = fxs[k];
-    f[3 * k + 1] = fys[k];
-    f[3 * k + 2] = fzs[k];
-  }
-}
-
-DP_TARGET_AVX512 void slot_pair_gradients_avx512(const double* g_rows, const double* d_rows,
-                                                 int cnt, double* f) {
-  using namespace simd;
-  alignas(64) double ds[kDerivWidth * kSlotChunk];
-  alignas(64) double gs[4 * kSlotChunk];
-  alignas(64) double fxs[kSlotChunk], fys[kSlotChunk], fzs[kSlotChunk];
-  const std::size_t n = static_cast<std::size_t>(cnt);
-  aos_to_soa_deriv(d_rows, ds, n);
-  aos_to_soa_reference(g_rows, gs, n, 4);
-  int k = 0;
-  for (; k + 8 <= cnt; k += 8) {
-    const v8d g0 = v8_loadu(gs + 0 * n + k), g1 = v8_loadu(gs + 1 * n + k),
-              g2 = v8_loadu(gs + 2 * n + k), g3 = v8_loadu(gs + 3 * n + k);
-    v8d fx = v8_mul(g0, v8_loadu(ds + 0 * n + k));
-    fx = v8_fmadd(g1, v8_loadu(ds + 3 * n + k), fx);
-    fx = v8_fmadd(g2, v8_loadu(ds + 6 * n + k), fx);
-    fx = v8_fmadd(g3, v8_loadu(ds + 9 * n + k), fx);
-    v8d fy = v8_mul(g0, v8_loadu(ds + 1 * n + k));
-    fy = v8_fmadd(g1, v8_loadu(ds + 4 * n + k), fy);
-    fy = v8_fmadd(g2, v8_loadu(ds + 7 * n + k), fy);
-    fy = v8_fmadd(g3, v8_loadu(ds + 10 * n + k), fy);
-    v8d fz = v8_mul(g0, v8_loadu(ds + 2 * n + k));
-    fz = v8_fmadd(g1, v8_loadu(ds + 5 * n + k), fz);
-    fz = v8_fmadd(g2, v8_loadu(ds + 8 * n + k), fz);
-    fz = v8_fmadd(g3, v8_loadu(ds + 11 * n + k), fz);
-    v8_storeu(fxs + k, fx);
-    v8_storeu(fys + k, fy);
-    v8_storeu(fzs + k, fz);
-  }
-  for (; k < cnt; ++k) {
-    double fx = gs[0 * n + k] * ds[0 * n + k];
-    fx = std::fma(gs[1 * n + k], ds[3 * n + k], fx);
-    fx = std::fma(gs[2 * n + k], ds[6 * n + k], fx);
-    fx = std::fma(gs[3 * n + k], ds[9 * n + k], fx);
-    double fy = gs[0 * n + k] * ds[1 * n + k];
-    fy = std::fma(gs[1 * n + k], ds[4 * n + k], fy);
-    fy = std::fma(gs[2 * n + k], ds[7 * n + k], fy);
-    fy = std::fma(gs[3 * n + k], ds[10 * n + k], fy);
-    double fz = gs[0 * n + k] * ds[2 * n + k];
-    fz = std::fma(gs[1 * n + k], ds[5 * n + k], fz);
-    fz = std::fma(gs[2 * n + k], ds[8 * n + k], fz);
-    fz = std::fma(gs[3 * n + k], ds[11 * n + k], fz);
-    fxs[k] = fx;
-    fys[k] = fy;
-    fzs[k] = fz;
-  }
-  for (k = 0; k < cnt; ++k) {
-    f[3 * k + 0] = fxs[k];
-    f[3 * k + 1] = fys[k];
-    f[3 * k + 2] = fzs[k];
-  }
-}
-#endif
-
-using SlotBatchFn = void (*)(const double*, const double*, int, double*);
-
-/// nullptr at Level::Scalar — the caller keeps the seed per-slot loop.
-SlotBatchFn pick_slot_batch(simd::Level lvl) {
-#if DP_SIMD_X86
-  if (lvl == simd::Level::AVX512) return slot_pair_gradients_avx512;
-  if (lvl == simd::Level::AVX2) return slot_pair_gradients_avx2;
-#else
-  (void)lvl;
-#endif
-  return nullptr;
-}
-
-}  // namespace
 
 void prod_force_virial(const EnvMat& env, const double* g_rmat, const md::Box& box,
                        const md::Atoms& atoms, bool periodic, std::vector<Vec3>& forces,
@@ -173,7 +23,7 @@ void prod_force_virial(const EnvMat& env, const double* g_rmat, const md::Box& b
   const int team_size = std::max(1, omp_get_max_threads());
   // SIMD level resolved once per call, outside the team region: every lane
   // walks its slots with the same kernel regardless of thread count.
-  const SlotBatchFn slot_batch = pick_slot_batch(simd::active());
+  const simd::PairGradientsFn pair_gradients = simd::pick_pair_gradients(simd::active());
   BuildTeam& team = BuildTeam::team();
   auto body = [&](int t, int T) {
     // ---- Phase 1: each thread runs a contiguous range of LANES. A lane
@@ -195,21 +45,11 @@ void prod_force_virial(const EnvMat& env, const double* g_rmat, const md::Box& b
         for (int ty = 0; ty < env.ntypes; ++ty) {
           const std::size_t s0 = env.block_begin(i, ty);
           const int cnt = env.count(i, ty);
-          for (int k0 = 0; k0 < cnt; k0 += kSlotChunk) {
-            const int nk = std::min(kSlotChunk, cnt - k0);
+          for (int k0 = 0; k0 < cnt; k0 += simd::kPairChunk) {
+            const int nk = std::min(simd::kPairChunk, cnt - k0);
             const std::size_t sb = s0 + static_cast<std::size_t>(k0);
-            double fbuf[3 * kSlotChunk];
-            if (slot_batch != nullptr) {
-              slot_batch(g_rmat + sb * 4, env.deriv_at(sb), nk, fbuf);
-            } else {
-              for (int k = 0; k < nk; ++k) {
-                const std::size_t s = sb + static_cast<std::size_t>(k);
-                const Vec3 fk = slot_pair_gradient(g_rmat + s * 4, env.deriv_at(s));
-                fbuf[3 * k + 0] = fk.x;
-                fbuf[3 * k + 1] = fk.y;
-                fbuf[3 * k + 2] = fk.z;
-              }
-            }
+            double fbuf[3 * simd::kPairChunk];
+            pair_gradients(g_rmat + sb * 4, env.deriv_at(sb), nk, fbuf);
             for (int k = 0; k < nk; ++k) {
               const std::size_t s = sb + static_cast<std::size_t>(k);
               const std::size_t j = static_cast<std::size_t>(env.atom_of(s));

@@ -27,7 +27,6 @@ namespace dp::fused {
 
 struct FusedOptions {
   bool skip_padding = true;   ///< redundancy removal (Sec 3.4.2), dense layout only
-  bool blocked_table = false; ///< SVE-style table layout (Sec 3.5.1)
   core::EnvMatKernel env_kernel = core::EnvMatKernel::Optimized;  ///< ProdEnvMatA variant
   /// Cache each atom's embedding rows (value + derivative) in a per-thread
   /// buffer during pass 1 so pass 2 reads instead of re-walking the table —

@@ -24,7 +24,6 @@
 #include "dp/env_mat.hpp"
 #include "dp/prod_force.hpp"
 #include "md/force_field.hpp"
-#include "tab/table_sp.hpp"
 #include "tab/tabulated_model.hpp"
 
 namespace dp::fused {

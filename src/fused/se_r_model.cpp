@@ -20,14 +20,11 @@ SeRFusedDP::SeRFusedDP(const tab::TabulatedDP& tabulated) : tab_(tabulated) {
   DP_CHECK_MSG(cfg.descriptor == core::DescriptorKind::SeR,
                "SeRFusedDP needs a model configured with DescriptorKind::SeR");
   // Cache the padding row g(0) of every table.
-  const int nt = cfg.ntypes;
-  const std::size_t m = cfg.m();
-  for (int c = 0; c < (cfg.type_one_side ? 1 : nt); ++c)
-    for (int t = 0; t < nt; ++t) {
-      AlignedVector<double> g0(m);
-      tabulated.table_pair(c, t).eval(0.0, g0.data());
-      g_zero_.push_back(std::move(g0));
-    }
+  for (const TabulatedEmbedding& t : tabulated.tables()) {
+    AlignedVector<double> g0(cfg.m());
+    t.eval(0.0, g0.data());
+    g_zero_.push_back(std::move(g0));
+  }
 }
 
 void SeRFusedDP::prepare(std::size_t n) {
@@ -83,12 +80,7 @@ md::ForceResult SeRFusedDP::compute(const md::Box& box, md::Atoms& atoms,
         }
         const double n_padded =
             static_cast<double>(cfg.sel[static_cast<std::size_t>(ty)] - limit);
-        const auto& g0 =
-            g_zero_[cfg.type_one_side
-                        ? static_cast<std::size_t>(ty)
-                        : static_cast<std::size_t>(atoms.type[i]) *
-                                  static_cast<std::size_t>(cfg.ntypes) +
-                              static_cast<std::size_t>(ty)];
+        const auto& g0 = g_zero_[model.pair_index(atoms.type[i], ty)];
 #pragma omp simd
         for (std::size_t b = 0; b < m; ++b) sc.d_vec[b] += n_padded * g0[b];
       }

@@ -12,9 +12,8 @@ namespace dp::tab {
 using core::EnvMat;
 using core::ModelConfig;
 
-CompressedDP::CompressedDP(const TabulatedDP& tabulated, bool use_blocked_layout,
-                           core::EnvMatKernel env_kernel)
-    : tab_(tabulated), blocked_(use_blocked_layout), env_kernel_(env_kernel) {}
+CompressedDP::CompressedDP(const TabulatedDP& tabulated, core::EnvMatKernel env_kernel)
+    : tab_(tabulated), env_kernel_(env_kernel) {}
 
 void CompressedDP::prepare(std::size_t n) {
   const ModelConfig& cfg = tab_.model().config();
@@ -79,20 +78,11 @@ md::ForceResult CompressedDP::compute(const md::Box& box, md::Atoms& atoms,
         const std::size_t r0 = row_of(ty, i);
         const int cnt = rows_of(i, ty);
         if (cnt <= 0) continue;
-        if (blocked_) {
-          // Batched walk over the atom's whole slot run: s values stride 4
-          // through the env-matrix rows, output rows stride M through the
-          // G / dG matrices — one SIMD dispatch per (atom, type) block.
-          table.eval_with_deriv_blocked_batch(env_.rmat_at(base), 4,
-                                              static_cast<std::size_t>(cnt), g.row(r0),
-                                              dg.row(r0), m, streaming);
-        } else {
-          for (int k = 0; k < cnt; ++k) {
-            const double s = env_.rmat_at(base + static_cast<std::size_t>(k))[0];
-            const std::size_t row = r0 + static_cast<std::size_t>(k);
-            table.eval_with_deriv(s, g.row(row), dg.row(row));
-          }
-        }
+        // Batched walk over the atom's whole slot run: s values stride 4
+        // through the env-matrix rows, output rows stride M through the
+        // G / dG matrices — one SIMD dispatch per (atom, type) block.
+        table.eval_with_deriv_batch(env_.rmat_at(base), 4, static_cast<std::size_t>(cnt),
+                                    g.row(r0), dg.row(r0), m, streaming);
       }
       rows_tabulated += rows;
       embedding_bytes_ += (g.size() + dg.size()) * sizeof(double);

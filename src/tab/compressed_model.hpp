@@ -22,11 +22,9 @@ namespace dp::tab {
 
 class CompressedDP final : public md::ForceField {
  public:
-  /// `use_blocked_layout` selects the SVE-style transposed coefficient table
-  /// (Sec 3.5.1) instead of the AoS layout — results are identical.
   /// `env_kernel` picks the ProdEnvMatA implementation (the Fig 7/8 "other
   /// optimizations" step toggles it).
-  explicit CompressedDP(const TabulatedDP& tabulated, bool use_blocked_layout = false,
+  explicit CompressedDP(const TabulatedDP& tabulated,
                         core::EnvMatKernel env_kernel = core::EnvMatKernel::Optimized);
 
   md::ForceResult compute(const md::Box& box, md::Atoms& atoms, const md::NeighborList& nlist,
@@ -55,7 +53,6 @@ class CompressedDP final : public md::ForceField {
   }
 
   const TabulatedDP& tab_;
-  bool blocked_;
   core::EnvMatKernel env_kernel_;
   core::EnvMat env_;
   core::EnvMatWorkspace env_ws_;

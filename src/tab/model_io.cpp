@@ -34,13 +34,7 @@ void save_compressed_model(const std::string& path, const TabulatedDP& tabulated
   tabulated.model().save(os);
   const auto n_tables = static_cast<std::int32_t>(tabulated.model().n_embedding_nets());
   write_pod<std::int32_t>(os, n_tables);
-  const int nt = tabulated.model().config().ntypes;
-  if (tabulated.model().config().type_one_side) {
-    for (int t = 0; t < nt; ++t) tabulated.table(t).save(os);
-  } else {
-    for (int c = 0; c < nt; ++c)
-      for (int t = 0; t < nt; ++t) tabulated.table_pair(c, t).save(os);
-  }
+  for (const TabulatedEmbedding& t : tabulated.tables()) t.save(os);
 }
 
 CompressedModel CompressedModel::load(const std::string& path) {

@@ -4,302 +4,34 @@
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <utility>
 
 #include "common/error.hpp"
-#include "common/simd.hpp"
 #include "tab/poly5.hpp"
 
 namespace dp::tab {
 
-namespace {
-
-constexpr std::size_t kL = TabulatedEmbedding::kLane;
-
-// ---------------------------------------------------------------------------
-// Per-level kernels for one table walk (interval already located, local
-// coordinate t in hand). The Level::Scalar kernels keep the exact pre-SIMD
-// expressions; the AVX kernels share one elementwise FMA Horner sequence
-// between the AoS walk, the blocked walk and the scalar tails, so the two
-// layouts stay bitwise identical at any fixed level (the parity suite and
-// the Blocked*Identical seed tests both pin this down).
-// ---------------------------------------------------------------------------
-
-void blocked_value_scalar(const double* base, double t, std::size_t m, std::size_t nblk,
-                          double* g) {
-  for (std::size_t b = 0; b < nblk; ++b) {
-    const double* c = base + b * 6 * kL;
-    const std::size_t ch0 = b * kL;
-    const std::size_t lanes = (ch0 + kL <= m) ? kL : (m - ch0);
-#pragma omp simd
-    for (std::size_t l = 0; l < lanes; ++l) {
-      g[ch0 + l] =
-          c[0 * kL + l] +
-          t * (c[1 * kL + l] +
-               t * (c[2 * kL + l] +
-                    t * (c[3 * kL + l] + t * (c[4 * kL + l] + t * c[5 * kL + l]))));
-    }
-  }
+template <class C>
+void Table<C>::shape(std::size_t m, std::size_t n, Real lo, Real hi, Real h) {
+  m_ = m;
+  nblk_ = (m + simd::kTableLane - 1) / simd::kTableLane;
+  n_ = n;
+  lo_ = lo;
+  hi_ = hi;
+  h_ = h;
+  inv_h_ = Real(1) / h;
+  coef_.assign(n_ * nblk_ * 6 * simd::kTableLane, C(0));
 }
 
-void blocked_deriv_scalar(const double* base, double t, std::size_t m, std::size_t nblk,
-                          double* g, double* dg) {
-  for (std::size_t b = 0; b < nblk; ++b) {
-    const double* c = base + b * 6 * kL;
-    const std::size_t ch0 = b * kL;
-    const std::size_t lanes = (ch0 + kL <= m) ? kL : (m - ch0);
-#pragma omp simd
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const double c1 = c[1 * kL + l], c2 = c[2 * kL + l], c3 = c[3 * kL + l],
-                   c4 = c[4 * kL + l], c5 = c[5 * kL + l];
-      g[ch0 + l] = c[0 * kL + l] + t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * c5))));
-      dg[ch0 + l] = c1 + t * (2 * c2 + t * (3 * c3 + t * (4 * c4 + t * 5 * c5)));
-    }
-  }
-}
-
-#if DP_SIMD_X86
-
-// AoS walk at the AVX levels: scalar std::fma per channel, which the target
-// attribute compiles to the FMA instruction — the exact rounding sequence of
-// the vector lanes below, so AoS == blocked bitwise. One AVX2-annotated body
-// serves both AVX levels (the math is elementwise either way).
-DP_TARGET_AVX2 void aos_value_fma(const double* base, double t, std::size_t m, double* g) {
-  for (std::size_t ch = 0; ch < m; ++ch) {
-    const double* c = base + ch * 6;
-    g[ch] = std::fma(
-        t, std::fma(t, std::fma(t, std::fma(t, std::fma(t, c[5], c[4]), c[3]), c[2]), c[1]),
-        c[0]);
-  }
-}
-
-DP_TARGET_AVX2 void aos_deriv_fma(const double* base, double t, std::size_t m, double* g,
-                                  double* dg) {
-  for (std::size_t ch = 0; ch < m; ++ch) {
-    const double* c = base + ch * 6;
-    g[ch] = std::fma(
-        t, std::fma(t, std::fma(t, std::fma(t, std::fma(t, c[5], c[4]), c[3]), c[2]), c[1]),
-        c[0]);
-    dg[ch] = std::fma(
-        t, std::fma(t, std::fma(t, std::fma(t, 5.0 * c[5], 4.0 * c[4]), 3.0 * c[3]),
-                    2.0 * c[2]),
-        c[1]);
-  }
-}
-
-// Blocked walk, AVX2: four 4-lane vectors per 16-channel block; the six
-// coefficient streams are contiguous (and 32-byte aligned) in the blocked
-// layout, so every load is a plain vector load — the Fig 5 memory pattern.
-DP_TARGET_AVX2 void blocked_value_avx2(const double* base, double t, std::size_t m,
-                                       std::size_t nblk, double* g) {
-  using namespace simd;
-  const v4d vt = v4_set1(t);
-  for (std::size_t b = 0; b < nblk; ++b) {
-    const double* c = base + b * 6 * kL;
-    const std::size_t ch0 = b * kL;
-    if (ch0 + kL <= m) {
-      for (std::size_t q = 0; q < kL; q += 4) {
-        const double* cq = c + q;
-        v4d y = v4_fmadd(vt, v4_load(cq + 5 * kL), v4_load(cq + 4 * kL));
-        y = v4_fmadd(vt, y, v4_load(cq + 3 * kL));
-        y = v4_fmadd(vt, y, v4_load(cq + 2 * kL));
-        y = v4_fmadd(vt, y, v4_load(cq + 1 * kL));
-        y = v4_fmadd(vt, y, v4_load(cq + 0 * kL));
-        v4_storeu(g + ch0 + q, y);
-      }
-    } else {
-      for (std::size_t l = 0; l < m - ch0; ++l) {
-        const double* cl = c + l;
-        g[ch0 + l] = std::fma(
-            t,
-            std::fma(t,
-                     std::fma(t, std::fma(t, std::fma(t, cl[5 * kL], cl[4 * kL]), cl[3 * kL]),
-                              cl[2 * kL]),
-                     cl[1 * kL]),
-            cl[0 * kL]);
-      }
-    }
-  }
-}
-
-// NT=true swaps the vector stores for non-temporal ones (same bits, no
-// read-for-ownership) — picked by the batch entry point for output runs that
-// stream far past the cache; the caller fences after the run.
-template <bool NT>
-DP_TARGET_AVX2 void blocked_deriv_avx2(const double* base, double t, std::size_t m,
-                                       std::size_t nblk, double* g, double* dg) {
-  using namespace simd;
-  const v4d vt = v4_set1(t);
-  const v4d two = v4_set1(2.0), three = v4_set1(3.0), four = v4_set1(4.0),
-            five = v4_set1(5.0);
-  for (std::size_t b = 0; b < nblk; ++b) {
-    const double* c = base + b * 6 * kL;
-    const std::size_t ch0 = b * kL;
-    if (ch0 + kL <= m) {
-      for (std::size_t q = 0; q < kL; q += 4) {
-        const double* cq = c + q;
-        const v4d c1 = v4_load(cq + 1 * kL), c2 = v4_load(cq + 2 * kL),
-                  c3 = v4_load(cq + 3 * kL), c4 = v4_load(cq + 4 * kL),
-                  c5 = v4_load(cq + 5 * kL);
-        v4d y = v4_fmadd(vt, c5, c4);
-        y = v4_fmadd(vt, y, c3);
-        y = v4_fmadd(vt, y, c2);
-        y = v4_fmadd(vt, y, c1);
-        y = v4_fmadd(vt, y, v4_load(cq + 0 * kL));
-        v4d d = v4_fmadd(vt, v4_mul(five, c5), v4_mul(four, c4));
-        d = v4_fmadd(vt, d, v4_mul(three, c3));
-        d = v4_fmadd(vt, d, v4_mul(two, c2));
-        d = v4_fmadd(vt, d, c1);
-        if constexpr (NT) {
-          v4_stream(g + ch0 + q, y);
-          v4_stream(dg + ch0 + q, d);
-        } else {
-          v4_storeu(g + ch0 + q, y);
-          v4_storeu(dg + ch0 + q, d);
-        }
-      }
-    } else {
-      for (std::size_t l = 0; l < m - ch0; ++l) {
-        const double* cl = c + l;
-        const double c1 = cl[1 * kL], c2 = cl[2 * kL], c3 = cl[3 * kL], c4 = cl[4 * kL],
-                     c5 = cl[5 * kL];
-        g[ch0 + l] = std::fma(
-            t, std::fma(t, std::fma(t, std::fma(t, std::fma(t, c5, c4), c3), c2), c1),
-            cl[0 * kL]);
-        dg[ch0 + l] = std::fma(
-            t, std::fma(t, std::fma(t, std::fma(t, 5.0 * c5, 4.0 * c4), 3.0 * c3), 2.0 * c2),
-            c1);
-      }
-    }
-  }
-}
-
-// Blocked walk, AVX-512: one 16-channel block is exactly two 8-lane vectors
-// per coefficient stream — the paper's dual-SVE-pipeline shape.
-DP_TARGET_AVX512 void blocked_value_avx512(const double* base, double t, std::size_t m,
-                                           std::size_t nblk, double* g) {
-  using namespace simd;
-  const v8d vt = v8_set1(t);
-  for (std::size_t b = 0; b < nblk; ++b) {
-    const double* c = base + b * 6 * kL;
-    const std::size_t ch0 = b * kL;
-    if (ch0 + kL <= m) {
-      for (std::size_t q = 0; q < kL; q += 8) {
-        const double* cq = c + q;
-        v8d y = v8_fmadd(vt, v8_load(cq + 5 * kL), v8_load(cq + 4 * kL));
-        y = v8_fmadd(vt, y, v8_load(cq + 3 * kL));
-        y = v8_fmadd(vt, y, v8_load(cq + 2 * kL));
-        y = v8_fmadd(vt, y, v8_load(cq + 1 * kL));
-        y = v8_fmadd(vt, y, v8_load(cq + 0 * kL));
-        v8_storeu(g + ch0 + q, y);
-      }
-    } else {
-      for (std::size_t l = 0; l < m - ch0; ++l) {
-        const double* cl = c + l;
-        g[ch0 + l] = std::fma(
-            t,
-            std::fma(t,
-                     std::fma(t, std::fma(t, std::fma(t, cl[5 * kL], cl[4 * kL]), cl[3 * kL]),
-                              cl[2 * kL]),
-                     cl[1 * kL]),
-            cl[0 * kL]);
-      }
-    }
-  }
-}
-
-template <bool NT>
-DP_TARGET_AVX512 void blocked_deriv_avx512(const double* base, double t, std::size_t m,
-                                           std::size_t nblk, double* g, double* dg) {
-  using namespace simd;
-  const v8d vt = v8_set1(t);
-  const v8d two = v8_set1(2.0), three = v8_set1(3.0), four = v8_set1(4.0),
-            five = v8_set1(5.0);
-  for (std::size_t b = 0; b < nblk; ++b) {
-    const double* c = base + b * 6 * kL;
-    const std::size_t ch0 = b * kL;
-    if (ch0 + kL <= m) {
-      for (std::size_t q = 0; q < kL; q += 8) {
-        const double* cq = c + q;
-        const v8d c1 = v8_load(cq + 1 * kL), c2 = v8_load(cq + 2 * kL),
-                  c3 = v8_load(cq + 3 * kL), c4 = v8_load(cq + 4 * kL),
-                  c5 = v8_load(cq + 5 * kL);
-        v8d y = v8_fmadd(vt, c5, c4);
-        y = v8_fmadd(vt, y, c3);
-        y = v8_fmadd(vt, y, c2);
-        y = v8_fmadd(vt, y, c1);
-        y = v8_fmadd(vt, y, v8_load(cq + 0 * kL));
-        v8d d = v8_fmadd(vt, v8_mul(five, c5), v8_mul(four, c4));
-        d = v8_fmadd(vt, d, v8_mul(three, c3));
-        d = v8_fmadd(vt, d, v8_mul(two, c2));
-        d = v8_fmadd(vt, d, c1);
-        if constexpr (NT) {
-          v8_stream(g + ch0 + q, y);
-          v8_stream(dg + ch0 + q, d);
-        } else {
-          v8_storeu(g + ch0 + q, y);
-          v8_storeu(dg + ch0 + q, d);
-        }
-      }
-    } else {
-      for (std::size_t l = 0; l < m - ch0; ++l) {
-        const double* cl = c + l;
-        const double c1 = cl[1 * kL], c2 = cl[2 * kL], c3 = cl[3 * kL], c4 = cl[4 * kL],
-                     c5 = cl[5 * kL];
-        g[ch0 + l] = std::fma(
-            t, std::fma(t, std::fma(t, std::fma(t, std::fma(t, c5, c4), c3), c2), c1),
-            cl[0 * kL]);
-        dg[ch0 + l] = std::fma(
-            t, std::fma(t, std::fma(t, std::fma(t, 5.0 * c5, 4.0 * c4), 3.0 * c3), 2.0 * c2),
-            c1);
-      }
-    }
-  }
-}
-
-#endif  // DP_SIMD_X86
-
-using BlockedValueFn = void (*)(const double*, double, std::size_t, std::size_t, double*);
-using BlockedDerivFn = void (*)(const double*, double, std::size_t, std::size_t, double*,
-                                double*);
-
-BlockedValueFn pick_blocked_value(simd::Level lvl) {
-#if DP_SIMD_X86
-  if (lvl == simd::Level::AVX512) return blocked_value_avx512;
-  if (lvl == simd::Level::AVX2) return blocked_value_avx2;
-#else
-  (void)lvl;
-#endif
-  return blocked_value_scalar;
-}
-
-// `nt` selects the non-temporal store variant at the vector levels; the
-// scalar kernel keeps the seed stores (Level::Scalar is the seed path).
-BlockedDerivFn pick_blocked_deriv(simd::Level lvl, bool nt) {
-#if DP_SIMD_X86
-  if (lvl == simd::Level::AVX512) return nt ? blocked_deriv_avx512<true> : blocked_deriv_avx512<false>;
-  if (lvl == simd::Level::AVX2) return nt ? blocked_deriv_avx2<true> : blocked_deriv_avx2<false>;
-#else
-  (void)lvl;
-  (void)nt;
-#endif
-  return blocked_deriv_scalar;
-}
-
-}  // namespace
-
-TabulatedEmbedding::TabulatedEmbedding(const nn::EmbeddingNet& net,
-                                       const TabulationSpec& spec) {
+template <class C>
+Table<C>::Table(const nn::EmbeddingNet& net, const TabulationSpec& spec)
+  requires kDouble
+{
   DP_CHECK(spec.hi > spec.lo && spec.interval > 0.0);
-  m_ = net.output_dim();
-  m_pad_ = (m_ + kLane - 1) / kLane * kLane;
-  lo_ = spec.lo;
-  hi_ = spec.hi;
-  n_ = static_cast<std::size_t>(std::ceil((hi_ - lo_) / spec.interval - 1e-12));
-  DP_CHECK(n_ >= 1);
-  h_ = (hi_ - lo_) / static_cast<double>(n_);
-  inv_h_ = 1.0 / h_;
-
-  coef_.assign(n_ * m_ * 6, 0.0);
+  const auto n =
+      static_cast<std::size_t>(std::ceil((spec.hi - spec.lo) / spec.interval - 1e-12));
+  DP_CHECK(n >= 1);
+  shape(net.output_dim(), n, spec.lo, spec.hi, (spec.hi - spec.lo) / static_cast<double>(n));
 
   // Jets of the reference network at all n_+1 nodes.
   AlignedVector<double> g0(m_), d0(m_), s0(m_), g1(m_), d1(m_), s1(m_);
@@ -309,129 +41,50 @@ TabulatedEmbedding::TabulatedEmbedding(const nn::EmbeddingNet& net,
     net.eval_jet(x1, g1.data(), d1.data(), s1.data());
     for (std::size_t ch = 0; ch < m_; ++ch) {
       const Poly5 c = fit_quintic(h_, g0[ch], d0[ch], s0[ch], g1[ch], d1[ch], s1[ch]);
-      double* dst = coef_.data() + (i * m_ + ch) * 6;
-      for (int k = 0; k < 6; ++k) dst[k] = c[k];
+      for (std::size_t k = 0; k < 6; ++k) coef_[at(i, ch, k)] = c[k];
     }
     std::swap(g0, g1);
     std::swap(d0, d1);
     std::swap(s0, s1);
   }
-  rebuild_blocked();
 }
 
-void TabulatedEmbedding::rebuild_blocked() {
-  // Blocked layout: the k-th coefficient of channel ch lands in stream k of
-  // block ch/16 at lane ch%16 — the per-16 transpose of Sec 3.5.1.
-  coef_blocked_.assign(n_ * m_pad_ * 6, 0.0);
-  const std::size_t nblk = m_pad_ / kLane;
-  for (std::size_t i = 0; i < n_; ++i)
-    for (std::size_t ch = 0; ch < m_; ++ch) {
-      const std::size_t b = ch / kLane, l = ch % kLane;
-      const double* src = coef_.data() + (i * m_ + ch) * 6;
-      double* blk = coef_blocked_.data() + ((i * nblk + b) * 6) * kLane;
-      for (std::size_t k = 0; k < 6; ++k) blk[k * kLane + l] = src[k];
-    }
-}
-
-std::size_t TabulatedEmbedding::locate(double s, double& t) const {
-  double u = (s - lo_) * inv_h_;
+template <class C>
+std::size_t Table<C>::locate(Real s, Real& t) const {
+  const Real u = (s - lo_) * inv_h_;
   std::size_t i;
-  if (u < 0.0) {
+  if (u < Real(0)) {
     i = 0;
     extrapolations_.bump();
-  } else if (u >= static_cast<double>(n_)) {
+  } else if (u >= static_cast<Real>(n_)) {
     i = n_ - 1;
     if (s > hi_) extrapolations_.bump();
   } else {
     i = static_cast<std::size_t>(u);
   }
-  t = s - (lo_ + h_ * static_cast<double>(i));
+  t = s - (lo_ + h_ * static_cast<Real>(i));
   return i;
 }
 
-void TabulatedEmbedding::eval(double s, double* g) const {
-  double t;
-  const std::size_t i = locate(s, t);
-  const double* base = coef_.data() + i * m_ * 6;
-#if DP_SIMD_X86
-  if (simd::active() != simd::Level::Scalar) {
-    aos_value_fma(base, t, m_, g);
-    return;
-  }
-#endif
-  for (std::size_t ch = 0; ch < m_; ++ch) {
-    const double* c = base + ch * 6;
-    g[ch] = c[0] + t * (c[1] + t * (c[2] + t * (c[3] + t * (c[4] + t * c[5]))));
-  }
-}
-
-void TabulatedEmbedding::eval_with_deriv(double s, double* g, double* dg) const {
-  double t;
-  const std::size_t i = locate(s, t);
-  const double* base = coef_.data() + i * m_ * 6;
-#if DP_SIMD_X86
-  if (simd::active() != simd::Level::Scalar) {
-    aos_deriv_fma(base, t, m_, g, dg);
-    return;
-  }
-#endif
-  for (std::size_t ch = 0; ch < m_; ++ch) {
-    const double* c = base + ch * 6;
-    g[ch] = c[0] + t * (c[1] + t * (c[2] + t * (c[3] + t * (c[4] + t * c[5]))));
-    dg[ch] = c[1] + t * (2 * c[2] + t * (3 * c[3] + t * (4 * c[4] + t * 5 * c[5])));
-  }
-}
-
-void TabulatedEmbedding::eval_blocked(double s, double* g) const {
-  double t;
-  const std::size_t i = locate(s, t);
-  const std::size_t nblk = m_pad_ / kLane;
-  const double* base = coef_blocked_.data() + i * nblk * 6 * kLane;
-  pick_blocked_value(simd::active())(base, t, m_, nblk, g);
-}
-
-void TabulatedEmbedding::eval_with_deriv_blocked(double s, double* g, double* dg) const {
-  double t;
-  const std::size_t i = locate(s, t);
-  const std::size_t nblk = m_pad_ / kLane;
-  const double* base = coef_blocked_.data() + i * nblk * 6 * kLane;
-  pick_blocked_deriv(simd::active(), /*nt=*/false)(base, t, m_, nblk, g, dg);
-}
-
-void TabulatedEmbedding::eval_with_deriv_blocked_batch(const double* s, std::size_t s_stride,
-                                                       std::size_t count, double* g,
-                                                       double* dg, std::size_t out_stride,
-                                                       bool streaming) const {
-  // One dispatch for the whole run of slots; locate() per element keeps the
-  // extrapolation telemetry exactly as the per-slot entry point would.
-  //
-  // The streaming hint swaps the vector stores for non-temporal ones — for
-  // output runs far past the LLC the regular store's read-for-ownership
-  // doubles the write traffic and becomes the bottleneck. Only honored when
-  // every output row is 64-byte aligned (the stream intrinsics require it);
-  // the stored bits are identical either way, so the parity suite covers
-  // both variants with one oracle.
-  bool nt = false;
-#if DP_SIMD_X86
-  nt = streaming && simd::active() != simd::Level::Scalar &&
-       ((reinterpret_cast<std::uintptr_t>(g) | reinterpret_cast<std::uintptr_t>(dg) |
-         (out_stride * sizeof(double))) %
-            64 ==
-        0);
-#else
-  (void)streaming;
-#endif
-  const BlockedDerivFn fn = pick_blocked_deriv(simd::active(), nt);
-  const std::size_t nblk = m_pad_ / kLane;
+template <class C>
+void Table<C>::walk(const Real* s, std::size_t s_stride, std::size_t count, Real* g, Real* dg,
+                    std::size_t out_stride, bool streaming) const {
+  // Non-temporal stores need every output row 64-byte aligned; the stored
+  // bits are identical either way, so one oracle covers both variants.
+  const bool nt = streaming && dg != nullptr &&
+                  ((reinterpret_cast<std::uintptr_t>(g) | reinterpret_cast<std::uintptr_t>(dg) |
+                    (out_stride * sizeof(Real))) %
+                       64 ==
+                   0);
+  const simd::TableWalkFn<C> fn = simd::pick_table_walk<C>(simd::active(), dg != nullptr, nt);
+  const std::size_t interval = nblk_ * 6 * simd::kTableLane;
   for (std::size_t k = 0; k < count; ++k) {
-    double t;
+    Real t;
     const std::size_t i = locate(s[k * s_stride], t);
-    fn(coef_blocked_.data() + i * nblk * 6 * kLane, t, m_, nblk, g + k * out_stride,
-       dg + k * out_stride);
+    fn(coef_.data() + i * interval, t, m_, g + k * out_stride,
+       dg != nullptr ? dg + k * out_stride : nullptr);
   }
-#if DP_SIMD_X86
   if (nt) simd::store_fence();
-#endif
 }
 
 namespace {
@@ -449,33 +102,60 @@ T read_pod(std::istream& is) {
 constexpr std::uint32_t kTableMagic = 0x44505442;  // "DPTB"
 }  // namespace
 
-void TabulatedEmbedding::save(std::ostream& os) const {
+template <class C>
+void Table<C>::save(std::ostream& os) const
+  requires kDouble
+{
   write_pod(os, kTableMagic);
   write_pod<std::uint64_t>(os, m_);
   write_pod<std::uint64_t>(os, n_);
   write_pod(os, lo_);
   write_pod(os, hi_);
-  os.write(reinterpret_cast<const char*>(coef_.data()),
-           static_cast<std::streamsize>(coef_.size() * sizeof(double)));
+  AlignedVector<double> row(m_ * 6);
+  for (std::size_t i = 0; i < n_; ++i) {
+    for (std::size_t ch = 0; ch < m_; ++ch)
+      for (std::size_t k = 0; k < 6; ++k) row[ch * 6 + k] = coef_[at(i, ch, k)];
+    os.write(reinterpret_cast<const char*>(row.data()),
+             static_cast<std::streamsize>(row.size() * sizeof(double)));
+  }
 }
 
-TabulatedEmbedding TabulatedEmbedding::load(std::istream& is) {
+template <class C>
+Table<C> Table<C>::load(std::istream& is)
+  requires kDouble
+{
   DP_CHECK_MSG(read_pod<std::uint32_t>(is) == kTableMagic, "bad table magic");
-  TabulatedEmbedding t;
-  t.m_ = read_pod<std::uint64_t>(is);
-  t.n_ = read_pod<std::uint64_t>(is);
-  t.lo_ = read_pod<double>(is);
-  t.hi_ = read_pod<double>(is);
-  DP_CHECK(t.m_ > 0 && t.n_ > 0 && t.hi_ > t.lo_);
-  t.m_pad_ = (t.m_ + kLane - 1) / kLane * kLane;
-  t.h_ = (t.hi_ - t.lo_) / static_cast<double>(t.n_);
-  t.inv_h_ = 1.0 / t.h_;
-  t.coef_.resize(t.n_ * t.m_ * 6);
-  is.read(reinterpret_cast<char*>(t.coef_.data()),
-          static_cast<std::streamsize>(t.coef_.size() * sizeof(double)));
-  DP_CHECK_MSG(static_cast<bool>(is), "truncated table stream");
-  t.rebuild_blocked();
+  const auto m = read_pod<std::uint64_t>(is);
+  const auto n = read_pod<std::uint64_t>(is);
+  const auto lo = read_pod<double>(is);
+  const auto hi = read_pod<double>(is);
+  DP_CHECK_MSG(m > 0 && n > 0 && std::isfinite(lo) && std::isfinite(hi) && hi > lo,
+               "bad table header");
+  // Bound n x M by the coefficients the stream can still hold, before
+  // anything is allocated (n <= cap / m cannot overflow).
+  const std::streamoff here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streamoff end = is.tellg();
+  is.seekg(here);
+  DP_CHECK_MSG(here >= 0 && end >= here && is, "table stream is not seekable");
+  const auto cap = static_cast<std::uint64_t>(end - here) / (6 * sizeof(double));
+  DP_CHECK_MSG(m <= cap && n <= cap / m, "table header (" << n << " intervals x " << m
+                                                           << " channels) exceeds the stream");
+  Table t;
+  t.shape(m, n, lo, hi, (hi - lo) / static_cast<double>(n));
+  AlignedVector<double> row(m * 6);
+  for (std::size_t i = 0; i < n; ++i) {
+    is.read(reinterpret_cast<char*>(row.data()),
+            static_cast<std::streamsize>(row.size() * sizeof(double)));
+    DP_CHECK_MSG(static_cast<bool>(is), "truncated table stream");
+    for (std::size_t ch = 0; ch < m; ++ch)
+      for (std::size_t k = 0; k < 6; ++k) t.coef_[t.at(i, ch, k)] = row[ch * 6 + k];
+  }
   return t;
 }
+
+template class Table<double>;
+template class Table<float>;
+template class Table<_Float16>;
 
 }  // namespace dp::tab

@@ -6,18 +6,22 @@
 // (forward-mode jets), so the spline is C2 and its derivative — used for
 // forces — is the exact gradient of the tabulated energy.
 //
-// Two coefficient layouts are kept:
-//   * AoS: the 6 coefficients of one (interval, channel) stored contiguously;
-//   * blocked: per interval, channels grouped in lanes-of-16 with the 6
-//     coefficient streams transposed (the A64FX layout of Sec 3.5.1 that
-//     feeds 512-bit SVE loads; on x86 it vectorizes the same way).
+// One coefficient layout: per interval, channels grouped in blocks of
+// simd::kTableLane with the 6 coefficient streams transposed, so one vector
+// load feeds one Horner step across a block (the A64FX layout of Sec 3.5.1,
+// Fig 5; on x86 it vectorizes the same way). The coefficients are stored as
+// double, float or _Float16 — the storage half of the mixed-precision paths
+// (the paper's Table 1 mixed rows; making the *optimized* code mixed-precision
+// is its stated future work) — and the narrow tables evaluate in float.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <iosfwd>
+#include <type_traits>
 
 #include "common/aligned.hpp"
+#include "common/simd.hpp"
 #include "nn/embedding_net.hpp"
 
 namespace dp::tab {
@@ -54,79 +58,116 @@ struct TabulationSpec {
   double interval = 0.01; ///< node spacing (the paper sweeps 0.1/0.01/0.001)
 };
 
-class TabulatedEmbedding {
+/// A quintic table with coefficients stored as C (double, float or
+/// _Float16), evaluated in Real.
+template <class C>
+class Table {
  public:
-  TabulatedEmbedding() = default;
-  TabulatedEmbedding(const nn::EmbeddingNet& net, const TabulationSpec& spec);
+  using Real = simd::TableReal<C>;
+  static constexpr bool kDouble = std::is_same_v<C, double>;
+
+  Table() = default;
+  /// Samples the network (double tables only).
+  Table(const nn::EmbeddingNet& net, const TabulationSpec& spec)
+    requires kDouble;
+  /// Rounds a double table's coefficients to C (through float for _Float16)
+  /// and its grid to float. (A template, so Table<double> keeps its implicit
+  /// copy constructor.)
+  template <class D>
+    requires(!kDouble && std::is_same_v<D, double>)
+  explicit Table(const Table<D>& ref) {
+    shape(ref.m_, ref.n_, static_cast<Real>(ref.lo_), static_cast<Real>(ref.hi_),
+          static_cast<Real>(ref.h_));
+    for (std::size_t k = 0; k < coef_.size(); ++k)
+      coef_[k] = static_cast<C>(static_cast<float>(ref.coef_[k]));
+  }
 
   std::size_t output_dim() const { return m_; }
   std::size_t n_intervals() const { return n_; }
-  double interval() const { return h_; }
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  /// Table size in bytes (AoS copy only — what a deployment would ship).
-  std::size_t bytes() const { return coef_.size() * sizeof(double); }
+  Real interval() const { return h_; }
+  Real lo() const { return lo_; }
+  Real hi() const { return hi_; }
+  /// Table size in bytes: n x M x 6 coefficients of C — what a deployment
+  /// ships (the lane padding of the last block is not counted).
+  std::size_t bytes() const { return n_ * m_ * 6 * sizeof(C); }
 
   /// g[0..M): tabulated g(s). s outside [lo, hi] extrapolates with the edge
   /// segment (smoothly) and is counted in extrapolations().
-  void eval(double s, double* g) const;
+  void eval(Real s, Real* g) const { walk(&s, 1, 1, g, nullptr, 0, false); }
 
   /// Value and d/ds together (one table walk — the fused kernels want both).
-  void eval_with_deriv(double s, double* g, double* dg) const;
+  void eval_with_deriv(Real s, Real* g, Real* dg) const {
+    walk(&s, 1, 1, g, dg, 0, false);
+  }
 
-  /// Same results from the blocked (SVE-style) layout.
-  void eval_blocked(double s, double* g) const;
-  void eval_with_deriv_blocked(double s, double* g, double* dg) const;
-
-  /// Batched blocked walk over `count` inputs: s values at s[k * s_stride]
-  /// (stride 4 walks the first column of contiguous env-matrix rows), g/dg
-  /// rows at g + k * out_stride resp. dg + k * out_stride. Identical results
-  /// to `count` eval_with_deriv_blocked calls — the batch resolves the SIMD
-  /// dispatch once and keeps the coefficient streams hot.
+  /// Batched walk over `count` inputs: s values at s[k * s_stride] (stride 4
+  /// walks the first column of contiguous env-matrix rows), g/dg rows at
+  /// g + k * out_stride resp. dg + k * out_stride. Identical results to
+  /// `count` eval_with_deriv calls — the batch resolves the SIMD dispatch
+  /// once and keeps the coefficient streams hot.
   ///
   /// `streaming` hints that the aggregate output run (across this and the
   /// surrounding calls) streams far past the last-level cache: the vector
   /// levels then use non-temporal stores, halving the write traffic. Bits
-  /// stored are identical; the hint is ignored at Level::Scalar or when an
-  /// output row is not 64-byte aligned. Leave it off when the rows are
-  /// consumed while still cache-hot (e.g. a per-atom staging buffer).
-  void eval_with_deriv_blocked_batch(const double* s, std::size_t s_stride,
-                                     std::size_t count, double* g, double* dg,
-                                     std::size_t out_stride, bool streaming = false) const;
+  /// stored are identical; the hint is ignored when an output row is not
+  /// 64-byte aligned. Leave it off when the rows are consumed while still
+  /// cache-hot (e.g. a per-atom staging buffer).
+  void eval_with_deriv_batch(const Real* s, std::size_t s_stride, std::size_t count, Real* g,
+                             Real* dg, std::size_t out_stride, bool streaming = false) const {
+    walk(s, s_stride, count, g, dg, out_stride, streaming);
+  }
 
   std::size_t extrapolations() const { return extrapolations_.value(); }
 
-  /// Raw AoS coefficients [(interval * M + channel) * 6 + k] — consumed by
-  /// the single-precision table and by serialization.
-  const AlignedVector<double>& coefficients() const { return coef_; }
-
-  /// Binary (de)serialization — the shipped artifact of "dp compress".
-  void save(std::ostream& os) const;
-  static TabulatedEmbedding load(std::istream& is);
+  /// Binary (de)serialization — the shipped artifact of "dp compress". The
+  /// stream holds the coefficients channel-major per interval,
+  /// [(interval * M + channel) * 6 + k]; load() validates the header against
+  /// the bytes the stream has left before allocating.
+  void save(std::ostream& os) const
+    requires kDouble;
+  static Table load(std::istream& is)
+    requires kDouble;
 
  private:
-  /// Locates the segment and local coordinate for s.
-  std::size_t locate(double s, double& t) const;
-  /// Rebuilds the blocked (SVE-style) layout from the AoS coefficients.
-  void rebuild_blocked();
+  template <class D>
+  friend class Table;
 
-  std::size_t m_ = 0;       // channels
-  std::size_t m_pad_ = 0;   // channels padded to a multiple of kLane
-  std::size_t n_ = 0;       // intervals
-  double lo_ = 0, hi_ = 1, h_ = 1, inv_h_ = 1;
-  AlignedVector<double> coef_;          // AoS: [(i * m + ch) * 6 + k]
-  AlignedVector<double> coef_blocked_;  // [(i * nblk + b) * 6 + k][lane]
+  /// Grid and channel count; sizes coef_ (zeroed, so padded lanes stay 0).
+  void shape(std::size_t m, std::size_t n, Real lo, Real hi, Real h);
+  /// Coefficient k of (interval i, channel ch) in the blocked layout.
+  std::size_t at(std::size_t i, std::size_t ch, std::size_t k) const {
+    return ((i * nblk_ + ch / simd::kTableLane) * 6 + k) * simd::kTableLane +
+           ch % simd::kTableLane;
+  }
+  /// Locates the segment and local coordinate for s.
+  std::size_t locate(Real s, Real& t) const;
+  /// The one walk behind eval / eval_with_deriv / the batch (dg == nullptr:
+  /// values only).
+  void walk(const Real* s, std::size_t s_stride, std::size_t count, Real* g, Real* dg,
+            std::size_t out_stride, bool streaming) const;
+
+  std::size_t m_ = 0;     // channels
+  std::size_t nblk_ = 0;  // channel blocks of kTableLane
+  std::size_t n_ = 0;     // intervals
+  Real lo_ = 0, hi_ = 1, h_ = 1, inv_h_ = 1;
+  AlignedVector<C> coef_;  // [(i * nblk + b) * 6 + k][lane]
   // Atomic (relaxed): one table is evaluated concurrently by every rank and
   // OpenMP thread, and locate() bumps this from a const context. The bump
   // sits only on the rare out-of-range branches, so the in-range hot path
   // pays nothing; the count is telemetry read after the run.
   mutable RelaxedCounter extrapolations_;
-
- public:
-  /// Lane width of the blocked layout: 16 structures per transpose group
-  /// (two 512-bit vectors of doubles), as chosen in the paper for the dual
-  /// FP pipelines of A64FX.
-  static constexpr std::size_t kLane = 16;
 };
+
+extern template class Table<double>;
+extern template class Table<float>;
+extern template class Table<_Float16>;
+
+using TabulatedEmbedding = Table<double>;
+/// Single-precision coefficients: table memory halves.
+using TabulatedEmbeddingSP = Table<float>;
+/// IEEE binary16 coefficients, widened to float in registers: another 2x
+/// memory saving, at a visible accuracy cost (the paper: "the
+/// mixed-precision versions of code still has accuracy problems").
+using TabulatedEmbeddingHP = Table<_Float16>;
 
 }  // namespace dp::tab

@@ -28,6 +28,8 @@ class TabulatedDP {
   const TabulatedEmbedding& table_pair(int center, int neighbor) const {
     return tables_[model_.pair_index(center, neighbor)];
   }
+  /// Every table, in DPModel::pair_index order.
+  const std::vector<TabulatedEmbedding>& tables() const { return tables_; }
   /// Total shipped table size — the paper's interval-vs-model-size tradeoff.
   std::size_t total_bytes() const;
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../tab/aos_reference.hpp"
 #include "dp/baseline_model.hpp"
 #include "md/lattice.hpp"
 #include "md/simulation.hpp"
@@ -85,10 +86,13 @@ TEST(FusedDP, RedundancySkipIsExact) {
 }
 
 TEST(FusedDP, BlockedTableIdentical) {
+  // Tables re-blocked by load() from the channel-major save stream drive
+  // the batched (cache_rows) walk to the same bits as the sampled tables.
   PathFixture su(2, 43);
   TabulatedDP tab(su.model, su.spec);
-  FusedDP aos(tab, {.blocked_table = false});
-  FusedDP blk(tab, {.blocked_table = true});
+  TabulatedDP reloaded(su.model, su.spec, table_ref::reload_tables(tab));
+  FusedDP aos(reloaded, {.cache_rows = true});
+  FusedDP blk(tab, {.cache_rows = true});
   md::NeighborList nl(aos.cutoff(), 0.5);
   nl.build(su.sys.box, su.sys.atoms.pos);
   md::Atoms atoms_a = su.sys.atoms;

@@ -7,7 +7,7 @@
 #include "fused/fused_model.hpp"
 #include "md/lattice.hpp"
 #include "md/simulation.hpp"
-#include "tab/table_sp.hpp"
+#include "tab/table.hpp"
 
 namespace dp::fused {
 namespace {

@@ -1,10 +1,14 @@
 // Parameterized sweep over the fused kernel's option matrix: every
-// combination of {skip_padding, blocked_table, cache_rows, env_kernel} must
-// give the same physics — the options are pure performance rewrites.
+// combination of {skip_padding, cache_rows, env_kernel} must give the same
+// physics — the options are pure performance rewrites — whether the tables
+// were sampled in memory ("blk") or read back from the channel-major (AoS)
+// save stream, which load() re-blocks ("aos", the `dpmd run --compressed`
+// path).
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "../tab/aos_reference.hpp"
 #include "fused/fused_model.hpp"
 #include "md/lattice.hpp"
 
@@ -14,24 +18,24 @@ namespace {
 using tab::TabulatedDP;
 using tab::TabulationSpec;
 
-using OptParam = std::tuple<bool /*skip*/, bool /*blocked*/, bool /*cache*/, int /*env*/>;
+using OptParam = std::tuple<bool /*skip*/, bool /*built*/, bool /*cache*/, int /*env*/>;
 
 class FusedOptionsSweep : public ::testing::TestWithParam<OptParam> {};
 
 TEST_P(FusedOptionsSweep, MatchesReferenceConfiguration) {
-  const auto [skip, blocked, cache, env] = GetParam();
+  const auto [skip, built, cache, env] = GetParam();
   core::DPModel model(core::ModelConfig::tiny(2), 91);
   TabulationSpec spec{0.0, TabulatedDP::s_max(model.config(), 0.9), 0.01};
   TabulatedDP tab(model, spec);
+  TabulatedDP reloaded(model, spec, table_ref::reload_tables(tab));
   auto sys = md::make_water(1, 1, 1, 92);
 
-  FusedDP reference(tab, {});  // defaults: skip, AoS, no cache, optimized env
+  FusedDP reference(tab, {});  // defaults: skip, no cache, optimized env
   FusedOptions opts;
   opts.skip_padding = skip;
-  opts.blocked_table = blocked;
   opts.cache_rows = cache;
   opts.env_kernel = env == 0 ? core::EnvMatKernel::Baseline : core::EnvMatKernel::Optimized;
-  FusedDP variant(tab, opts);
+  FusedDP variant(built ? tab : reloaded, opts);
 
   md::NeighborList nl(reference.cutoff(), 0.5);
   nl.build(sys.box, sys.atoms.pos);
@@ -50,10 +54,10 @@ TEST_P(FusedOptionsSweep, MatchesReferenceConfiguration) {
 }
 
 std::string opt_name(const ::testing::TestParamInfo<OptParam>& info) {
-  const auto [skip, blocked, cache, env] = info.param;
+  const auto [skip, built, cache, env] = info.param;
   std::string n;
   n += skip ? "skip_" : "noskip_";
-  n += blocked ? "blk_" : "aos_";
+  n += built ? "blk_" : "aos_";
   n += cache ? "cache_" : "walk2_";
   n += env == 0 ? "envbase" : "envopt";
   return n;

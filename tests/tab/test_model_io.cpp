@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "fused/fused_model.hpp"
 #include "md/lattice.hpp"
@@ -37,16 +40,49 @@ TEST(TableIo, StreamRoundTripIsBitIdentical) {
       EXPECT_DOUBLE_EQ(a[ch], b[ch]);
       EXPECT_DOUBLE_EQ(da[ch], db[ch]);
     }
-    // The blocked layout must be rebuilt on load too.
-    loaded.eval_blocked(s, b.data());
-    for (int ch = 0; ch < 16; ++ch) EXPECT_DOUBLE_EQ(a[ch], b[ch]);
   }
+  // load() re-blocks the channel-major stream; saving again writes it back
+  // byte for byte.
+  std::stringstream again;
+  loaded.save(again);
+  EXPECT_EQ(again.str(), ss.str());
 }
 
 TEST(TableIo, BadMagicRejected) {
   std::stringstream ss;
   ss.write("garbage header data", 19);
   EXPECT_THROW(TabulatedEmbedding::load(ss), Error);
+}
+
+/// A table stream: header (magic, M, n, lo, hi) and `coefs` doubles.
+std::string table_stream(std::uint64_t m, std::uint64_t n, std::size_t coefs) {
+  std::stringstream ss;
+  const std::uint32_t magic = 0x44505442;  // "DPTB"
+  const double lo = 0.0, hi = 1.0;
+  ss.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+  ss.write(reinterpret_cast<const char*>(&m), sizeof(m));
+  ss.write(reinterpret_cast<const char*>(&n), sizeof(n));
+  ss.write(reinterpret_cast<const char*>(&lo), sizeof(lo));
+  ss.write(reinterpret_cast<const char*>(&hi), sizeof(hi));
+  const std::vector<double> payload(coefs, 0.5);
+  ss.write(reinterpret_cast<const char*>(payload.data()),
+           static_cast<std::streamsize>(coefs * sizeof(double)));
+  return ss.str();
+}
+
+TEST(TableIo, HeaderBeyondTheStreamRejectedBeforeAllocating) {
+  const auto load = [](const std::string& bytes) {
+    std::stringstream ss(bytes);
+    return TabulatedEmbedding::load(ss);
+  };
+  // n * M * 6 wraps to 0 in 64 bits: must not size the table from it.
+  EXPECT_THROW(load(table_stream(std::uint64_t{1} << 63, 1, 0)), Error);
+  // A plausible product far beyond the bytes present.
+  EXPECT_THROW(load(table_stream(128, std::uint64_t{1} << 40, 6)), Error);
+  // A truncated payload: one interval of two.
+  EXPECT_THROW(load(table_stream(16, 2, 16 * 6)), Error);
+  // The same header with the full payload loads.
+  EXPECT_EQ(load(table_stream(16, 2, 2 * 16 * 6)).n_intervals(), 2u);
 }
 
 TEST(CompressedModelIo, BundleRoundTripMatchesForces) {

@@ -1,14 +1,15 @@
-// Scalar-vs-SIMD parity for the tabulated hot loops (common/simd.hpp).
+// Cross-level parity for the dispatched hot loops (common/simd.hpp).
 //
-// Pins the numerical contract of the dispatch layer:
-//   * at any fixed level, the AoS walk, the blocked walk and the batched
-//     blocked walk agree BITWISE (the seed Blocked*Identical tests only
-//     check to 4 ulp via EXPECT_DOUBLE_EQ — this is stricter);
-//   * forcing Level::Scalar reproduces the pre-SIMD results bit-for-bit no
-//     matter what level ran before (DP_SIMD=scalar is a true fallback);
-//   * the AVX levels stay within 1 ulp of scalar everywhere, including the
-//     boundary set the PR's bugfixes cover (lo, hi, their nextafter
-//     neighbors, and extrapolating inputs).
+// Pins the numerical contract of the dispatch layer: Level::Scalar is the
+// kernel body at lane width 1 with std::fma, so
+//   * at every level, single-row eval / eval_with_deriv and the batched walk
+//     agree BITWISE with an independent channel-major (AoS) fma Horner over
+//     the save() stream — in-domain, at the boundaries and their nextafter
+//     neighbors, and extrapolating;
+//   * every elementwise kernel — the table walk, the rank-1 update,
+//     descriptor_forward and the prod-force pair gradients — is bitwise
+//     identical across levels;
+//   * forcing Level::Scalar is bit-stable no matter what level ran before.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,10 +19,12 @@
 #include <limits>
 #include <vector>
 
+#include "aos_reference.hpp"
 #include "common/aligned.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "common/tanh_table.hpp"
+#include "dp/descriptor.hpp"
 #include "tab/table.hpp"
 
 namespace dp {
@@ -59,9 +62,10 @@ std::int64_t ulp_diff(double a, double b) {
   return d < 0 ? -d : d;
 }
 
-bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+template <class V>
+bool bitwise_equal(const V& a, const V& b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
 }
 
 tab::TabulatedEmbedding make_table(std::size_t m_out, std::uint64_t seed) {
@@ -88,51 +92,49 @@ std::vector<double> probe_set(double lo, double hi) {
   return s;
 }
 
+std::vector<double> random_vec(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> v(n);
+  for (double& x : v) x = rng.uniform(-1.0, 1.0);
+  return v;
+}
+
 struct TableRun {
-  std::vector<double> g_aos, dg_aos, g_blk, dg_blk, g_val, g_blk_val, g_batch, dg_batch;
+  std::vector<double> g_row, dg_row, g_val, g_batch, dg_batch;
 };
 
 TableRun run_table(const tab::TabulatedEmbedding& table, const std::vector<double>& s) {
   const std::size_t m = table.output_dim();
-  TableRun r;
   const std::size_t total = s.size() * m;
-  r.g_aos.resize(total);
-  r.dg_aos.resize(total);
-  r.g_blk.resize(total);
-  r.dg_blk.resize(total);
-  r.g_val.resize(total);
-  r.g_blk_val.resize(total);
-  r.g_batch.resize(total);
-  r.dg_batch.resize(total);
+  TableRun r{std::vector<double>(total), std::vector<double>(total),
+             std::vector<double>(total), std::vector<double>(total),
+             std::vector<double>(total)};
   for (std::size_t k = 0; k < s.size(); ++k) {
-    table.eval_with_deriv(s[k], r.g_aos.data() + k * m, r.dg_aos.data() + k * m);
-    table.eval_with_deriv_blocked(s[k], r.g_blk.data() + k * m, r.dg_blk.data() + k * m);
+    table.eval_with_deriv(s[k], r.g_row.data() + k * m, r.dg_row.data() + k * m);
     table.eval(s[k], r.g_val.data() + k * m);
-    table.eval_blocked(s[k], r.g_blk_val.data() + k * m);
   }
-  table.eval_with_deriv_blocked_batch(s.data(), 1, s.size(), r.g_batch.data(),
-                                      r.dg_batch.data(), m);
+  table.eval_with_deriv_batch(s.data(), 1, s.size(), r.g_batch.data(), r.dg_batch.data(), m);
   return r;
 }
 
 TEST(SimdParity, LayoutsAgreeBitwiseAtEveryLevel) {
   // 24 channels: blocks of 16 + a partial 8-lane tail block, so the vector
-  // body and the scalar-fma tail are both exercised.
+  // body and the width-1 tail are both exercised.
   for (std::size_t m_out : {std::size_t{32}, std::size_t{24}}) {
     const auto table = make_table(m_out, 5);
     const auto s = probe_set(table.lo(), table.hi());
+    const table_ref::AosReference<double> aos(table, table);
+    std::vector<double> g_ref(s.size() * m_out), dg_ref(s.size() * m_out);
+    for (std::size_t k = 0; k < s.size(); ++k)
+      aos(s[k], g_ref.data() + k * m_out, dg_ref.data() + k * m_out);
     for (simd::Level lvl : available_levels()) {
       LevelGuard guard(lvl);
       const TableRun r = run_table(table, s);
-      EXPECT_TRUE(bitwise_equal(r.g_aos, r.g_blk)) << "m " << m_out << " " << simd::name(lvl);
-      EXPECT_TRUE(bitwise_equal(r.dg_aos, r.dg_blk))
-          << "m " << m_out << " " << simd::name(lvl);
-      EXPECT_TRUE(bitwise_equal(r.g_aos, r.g_val)) << "m " << m_out << " " << simd::name(lvl);
-      EXPECT_TRUE(bitwise_equal(r.g_aos, r.g_blk_val))
-          << "m " << m_out << " " << simd::name(lvl);
-      EXPECT_TRUE(bitwise_equal(r.g_blk, r.g_batch))
-          << "m " << m_out << " " << simd::name(lvl);
-      EXPECT_TRUE(bitwise_equal(r.dg_blk, r.dg_batch))
+      EXPECT_TRUE(bitwise_equal(r.g_row, g_ref)) << "m " << m_out << " " << simd::name(lvl);
+      EXPECT_TRUE(bitwise_equal(r.dg_row, dg_ref)) << "m " << m_out << " " << simd::name(lvl);
+      EXPECT_TRUE(bitwise_equal(r.g_val, g_ref)) << "m " << m_out << " " << simd::name(lvl);
+      EXPECT_TRUE(bitwise_equal(r.g_batch, g_ref)) << "m " << m_out << " " << simd::name(lvl);
+      EXPECT_TRUE(bitwise_equal(r.dg_batch, dg_ref))
           << "m " << m_out << " " << simd::name(lvl);
     }
   }
@@ -145,74 +147,62 @@ TEST(SimdParity, ScalarFallbackIsBitStableAcrossForcedLevels) {
   {
     LevelGuard guard(simd::Level::Scalar);
     const TableRun r = run_table(table, s);
-    g0 = r.g_aos;
-    dg0 = r.dg_aos;
+    g0 = r.g_row;
+    dg0 = r.dg_row;
   }
   for (simd::Level lvl : available_levels()) {
     LevelGuard guard(lvl);  // run at lvl, then re-force scalar underneath
     {
       LevelGuard inner(simd::Level::Scalar);
       const TableRun r = run_table(table, s);
-      EXPECT_TRUE(bitwise_equal(r.g_aos, g0)) << simd::name(lvl);
-      EXPECT_TRUE(bitwise_equal(r.dg_aos, dg0)) << simd::name(lvl);
+      EXPECT_TRUE(bitwise_equal(r.g_row, g0)) << simd::name(lvl);
+      EXPECT_TRUE(bitwise_equal(r.dg_row, dg0)) << simd::name(lvl);
     }
   }
 }
 
 TEST(SimdParity, VectorLevelsWithinOneUlpOfScalar) {
-  const auto table = make_table(32, 7);
+  // Every elementwise kernel runs the same fma sequence per element at every
+  // lane width, so each vector level matches Level::Scalar bit for bit,
+  // in-domain and extrapolating.
+  const auto table = make_table(24, 7);
   const auto s = probe_set(table.lo(), table.hi());
-  const std::size_t m = table.output_dim();
-  std::vector<double> g0, dg0;
-  {
-    LevelGuard guard(simd::Level::Scalar);
-    const TableRun r = run_table(table, s);
-    g0 = r.g_aos;
-    dg0 = r.dg_aos;
-  }
+  // Kernel inputs: odd widths (m = 37) leave a tail at every lane width.
+  constexpr std::size_t m = 37, m_sub = 5, cnt = 45;
+  const auto a_mat = random_vec(4 * m, 71), row = random_vec(m, 72), r = random_vec(4, 73);
+  const auto g_rows = random_vec(4 * cnt, 74), d_rows = random_vec(12 * cnt, 75);
+  std::vector<float> a_f(4 * m), row_f(m), r_f(4);
+  for (std::size_t k = 0; k < 4 * m; ++k) a_f[k] = static_cast<float>(a_mat[k]);
+  for (std::size_t k = 0; k < m; ++k) row_f[k] = static_cast<float>(row[k]);
+  for (std::size_t k = 0; k < 4; ++k) r_f[k] = static_cast<float>(r[k]);
+
+  struct Out {
+    TableRun table;
+    std::vector<double> rank1, desc, pair;
+    std::vector<float> rank1_f;
+  };
+  const auto run = [&](simd::Level lvl) {
+    LevelGuard guard(lvl);
+    Out o{run_table(table, s), a_mat, std::vector<double>(m_sub * m),
+          std::vector<double>(3 * cnt), a_f};
+    simd::pick_rank1<double>(lvl)(r.data(), row.data(), m, o.rank1.data());
+    simd::pick_rank1<float>(lvl)(r_f.data(), row_f.data(), m, o.rank1_f.data());
+    core::descriptor_forward(a_mat.data(), m, m_sub, o.desc.data());
+    simd::pick_pair_gradients(lvl)(g_rows.data(), d_rows.data(), static_cast<int>(cnt),
+                                   o.pair.data());
+    return o;
+  };
+  const Out ref = run(simd::Level::Scalar);
   for (simd::Level lvl : available_levels()) {
     if (lvl == simd::Level::Scalar) continue;
-    LevelGuard guard(lvl);
-    const TableRun r = run_table(table, s);
-    // Per-channel magnitude of the scalar results: where a value is itself
-    // the small residue of cancelling O(scale) Horner terms, "1 ulp of the
-    // result" is below the information content of either rounding sequence,
-    // so such elements are held to 1 ulp OR absolute agreement at the
-    // cancellation scale (2 eps x the channel's magnitude).
-    std::vector<double> gsc(m, 1.0), dsc(m, 1.0);
-    for (std::size_t k = 0; k < s.size(); ++k) {
-      for (std::size_t ch = 0; ch < m; ++ch) {
-        gsc[ch] = std::max(gsc[ch], std::fabs(g0[k * m + ch]));
-        dsc[ch] = std::max(dsc[ch], std::fabs(dg0[k * m + ch]));
-      }
-    }
-    const double eps2 = 2.0 * std::numeric_limits<double>::epsilon();
-    std::int64_t worst_in = 0;
-    double worst_rel_out = 0.0;
-    for (std::size_t k = 0; k < s.size(); ++k) {
-      for (std::size_t ch = 0; ch < m; ++ch) {
-        const std::size_t idx = k * m + ch;
-        if (s[k] >= table.lo() && s[k] <= table.hi()) {
-          if (std::fabs(r.g_aos[idx] - g0[idx]) > eps2 * gsc[ch])
-            worst_in = std::max(worst_in, ulp_diff(r.g_aos[idx], g0[idx]));
-          if (std::fabs(r.dg_aos[idx] - dg0[idx]) > eps2 * dsc[ch])
-            worst_in = std::max(worst_in, ulp_diff(r.dg_aos[idx], dg0[idx]));
-        } else {
-          // Extrapolating inputs run the edge polynomial outside its fitted
-          // interval, where the Horner terms cancel; FMA's dropped
-          // roundings shift the cancellation by a few ulps, so the bound is
-          // relative rather than ulp-exact out there.
-          const auto rel = [](double a, double b) {
-            return std::fabs(a - b) / std::max({std::fabs(a), std::fabs(b), 1.0});
-          };
-          worst_rel_out = std::max(worst_rel_out, rel(r.g_aos[idx], g0[idx]));
-          worst_rel_out = std::max(worst_rel_out, rel(r.dg_aos[idx], dg0[idx]));
-        }
-      }
-    }
-    // In-domain the FMA Horner stays within 1 ulp of the scalar expression.
-    EXPECT_LE(worst_in, 1) << simd::name(lvl);
-    EXPECT_LE(worst_rel_out, 1e-13) << simd::name(lvl);
+    const Out o = run(lvl);
+    EXPECT_TRUE(bitwise_equal(o.table.g_row, ref.table.g_row)) << simd::name(lvl);
+    EXPECT_TRUE(bitwise_equal(o.table.dg_row, ref.table.dg_row)) << simd::name(lvl);
+    EXPECT_TRUE(bitwise_equal(o.table.g_batch, ref.table.g_batch)) << simd::name(lvl);
+    EXPECT_TRUE(bitwise_equal(o.rank1, ref.rank1)) << simd::name(lvl);
+    EXPECT_TRUE(bitwise_equal(o.rank1_f, ref.rank1_f)) << simd::name(lvl);
+    EXPECT_TRUE(bitwise_equal(o.desc, ref.desc)) << simd::name(lvl);
+    EXPECT_TRUE(bitwise_equal(o.pair, ref.pair)) << simd::name(lvl);
   }
 }
 
@@ -230,10 +220,10 @@ TEST(SimdParity, StreamingBatchMatchesRegularBitwise) {
     AlignedVector<double> g_nt(s.size() * m), dg_nt(s.size() * m);
     for (simd::Level lvl : available_levels()) {
       LevelGuard guard(lvl);
-      table.eval_with_deriv_blocked_batch(s.data(), 1, s.size(), g_reg.data(), dg_reg.data(),
-                                          m, /*streaming=*/false);
-      table.eval_with_deriv_blocked_batch(s.data(), 1, s.size(), g_nt.data(), dg_nt.data(),
-                                          m, /*streaming=*/true);
+      table.eval_with_deriv_batch(s.data(), 1, s.size(), g_reg.data(), dg_reg.data(), m,
+                                  /*streaming=*/false);
+      table.eval_with_deriv_batch(s.data(), 1, s.size(), g_nt.data(), dg_nt.data(), m,
+                                  /*streaming=*/true);
       EXPECT_EQ(0, std::memcmp(g_reg.data(), g_nt.data(), s.size() * m * sizeof(double)))
           << "m " << m_out << " " << simd::name(lvl);
       EXPECT_EQ(0, std::memcmp(dg_reg.data(), dg_nt.data(), s.size() * m * sizeof(double)))
@@ -241,8 +231,8 @@ TEST(SimdParity, StreamingBatchMatchesRegularBitwise) {
       // Misaligned rows (offset by one double) must take the fallback and
       // still produce the same bits.
       AlignedVector<double> g_off(s.size() * m + 1), dg_off(s.size() * m + 1);
-      table.eval_with_deriv_blocked_batch(s.data(), 1, s.size(), g_off.data() + 1,
-                                          dg_off.data() + 1, m, /*streaming=*/true);
+      table.eval_with_deriv_batch(s.data(), 1, s.size(), g_off.data() + 1, dg_off.data() + 1,
+                                  m, /*streaming=*/true);
       EXPECT_EQ(0, std::memcmp(g_reg.data(), g_off.data() + 1, s.size() * m * sizeof(double)))
           << "m " << m_out << " " << simd::name(lvl);
     }

@@ -1,13 +1,14 @@
-// Scalar-vs-SIMD parity for the float-lane tabulated walks (table_sp.cpp)
-// and the mixed-precision fused model built on them — the single-precision
-// sibling of test_simd_parity.cpp, pinning the same dispatch contract one
-// element width down:
-//   * at any fixed level, the AoS float walk and the batched blocked walk
-//     agree BITWISE (each lane runs the same Horner fma sequence);
-//   * forcing Level::Scalar reproduces the seed float expressions bit for
-//     bit no matter what level ran before;
-//   * the vector levels stay within 1 float ulp of scalar in-domain,
-//     including the interval boundaries and their nextafter neighbors;
+// Cross-level parity for the float-lane tabulated walks (float and
+// _Float16 coefficients) and the mixed-precision fused model built on them —
+// the single-precision sibling of test_simd_parity.cpp, pinning the same
+// dispatch contract one element width down:
+//   * at every level, the single-row and batched walks agree BITWISE with an
+//     independent channel-major (AoS) float fma Horner over the rounded
+//     coefficients (each lane runs the same fma sequence);
+//   * forcing Level::Scalar is bit-stable no matter what level ran before;
+//   * the vector levels are bitwise identical to Level::Scalar, in-domain,
+//     at the interval boundaries and their nextafter neighbors, and
+//     extrapolating;
 //   * the streaming (non-temporal) store path and its misaligned fallback
 //     change nothing but the store instruction;
 //   * MixedFusedDP forces are bitwise thread-count independent at every
@@ -15,20 +16,19 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
+#include <string>
 #include <vector>
 
+#include "aos_reference.hpp"
 #include "common/aligned.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "fused/mixed_model.hpp"
 #include "md/lattice.hpp"
 #include "tab/table.hpp"
-#include "tab/table_sp.hpp"
 
 namespace dp {
 namespace {
@@ -60,18 +60,6 @@ std::vector<simd::Level> available_levels() {
   if (cap >= static_cast<int>(simd::Level::AVX2)) v.push_back(simd::Level::AVX2);
   if (cap >= static_cast<int>(simd::Level::AVX512)) v.push_back(simd::Level::AVX512);
   return v;
-}
-
-/// Distance in representable floats, sign-aware (0 iff bitwise-comparable).
-std::int32_t ulp_diff_f(float a, float b) {
-  if (a == b) return 0;  // covers +0/-0
-  auto key = [](float x) {
-    std::int32_t i;
-    std::memcpy(&i, &x, sizeof(i));
-    return i < 0 ? std::numeric_limits<std::int32_t>::min() - i : i;
-  };
-  const std::int32_t d = key(a) - key(b);
-  return d < 0 ? -d : d;
 }
 
 bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
@@ -107,43 +95,43 @@ std::vector<float> probe_set_f(float lo, float hi) {
   return s;
 }
 
-template <class Table>
 struct TableRunF {
-  std::vector<float> g_aos, dg_aos, g_val, g_batch, dg_batch;
+  std::vector<float> g_row, dg_row, g_val, g_batch, dg_batch;
 };
 
 template <class Table>
-TableRunF<Table> run_table_f(const Table& table, const std::vector<float>& s) {
+TableRunF run_table_f(const Table& table, const std::vector<float>& s) {
   const std::size_t m = table.output_dim();
-  TableRunF<Table> r;
   const std::size_t total = s.size() * m;
-  r.g_aos.resize(total);
-  r.dg_aos.resize(total);
-  r.g_val.resize(total);
-  r.g_batch.resize(total);
-  r.dg_batch.resize(total);
+  TableRunF r{std::vector<float>(total), std::vector<float>(total), std::vector<float>(total),
+              std::vector<float>(total), std::vector<float>(total)};
   for (std::size_t k = 0; k < s.size(); ++k) {
-    table.eval_with_deriv(s[k], r.g_aos.data() + k * m, r.dg_aos.data() + k * m);
+    table.eval_with_deriv(s[k], r.g_row.data() + k * m, r.dg_row.data() + k * m);
     table.eval(s[k], r.g_val.data() + k * m);
   }
-  table.eval_with_deriv_blocked_batch(s.data(), 1, s.size(), r.g_batch.data(),
-                                      r.dg_batch.data(), m);
+  table.eval_with_deriv_batch(s.data(), 1, s.size(), r.g_batch.data(), r.dg_batch.data(), m);
   return r;
 }
 
-template <class Table>
-void expect_layouts_agree(const tab::TabulatedEmbedding& ref, const Table& table,
+template <class C>
+void expect_layouts_agree(const tab::TabulatedEmbedding& ref, const tab::Table<C>& table,
                           const char* what) {
   const auto s = probe_set_f(static_cast<float>(ref.lo()), static_cast<float>(ref.hi()));
+  const std::size_t m = table.output_dim();
+  const table_ref::AosReference<C> aos(ref, table);
+  std::vector<float> g_ref(s.size() * m), dg_ref(s.size() * m);
+  for (std::size_t k = 0; k < s.size(); ++k)
+    aos(s[k], g_ref.data() + k * m, dg_ref.data() + k * m);
   for (simd::Level lvl : available_levels()) {
     LevelGuard guard(lvl);
     const auto r = run_table_f(table, s);
-    EXPECT_TRUE(bitwise_equal(r.g_aos, r.g_val))
-        << what << " m " << table.output_dim() << " " << simd::name(lvl);
-    EXPECT_TRUE(bitwise_equal(r.g_aos, r.g_batch))
-        << what << " m " << table.output_dim() << " " << simd::name(lvl);
-    EXPECT_TRUE(bitwise_equal(r.dg_aos, r.dg_batch))
-        << what << " m " << table.output_dim() << " " << simd::name(lvl);
+    const auto at = [&] { return std::string(what) + " m " + std::to_string(m) + " " +
+                                 simd::name(lvl); };
+    EXPECT_TRUE(bitwise_equal(r.g_row, g_ref)) << at();
+    EXPECT_TRUE(bitwise_equal(r.dg_row, dg_ref)) << at();
+    EXPECT_TRUE(bitwise_equal(r.g_val, g_ref)) << at();
+    EXPECT_TRUE(bitwise_equal(r.g_batch, g_ref)) << at();
+    EXPECT_TRUE(bitwise_equal(r.dg_batch, dg_ref)) << at();
   }
 }
 
@@ -167,10 +155,10 @@ TEST(SimdParitySP, ScalarFallbackIsBitStableAcrossForcedLevels) {
     LevelGuard guard(simd::Level::Scalar);
     const auto rs = run_table_f(sp, s);
     const auto rh = run_table_f(hp, s);
-    g0_sp = rs.g_aos;
-    dg0_sp = rs.dg_aos;
-    g0_hp = rh.g_aos;
-    dg0_hp = rh.dg_aos;
+    g0_sp = rs.g_row;
+    dg0_sp = rs.dg_row;
+    g0_hp = rh.g_row;
+    dg0_hp = rh.dg_row;
   }
   for (simd::Level lvl : available_levels()) {
     LevelGuard guard(lvl);  // run at lvl, then re-force scalar underneath
@@ -178,64 +166,38 @@ TEST(SimdParitySP, ScalarFallbackIsBitStableAcrossForcedLevels) {
       LevelGuard inner(simd::Level::Scalar);
       const auto rs = run_table_f(sp, s);
       const auto rh = run_table_f(hp, s);
-      EXPECT_TRUE(bitwise_equal(rs.g_aos, g0_sp)) << simd::name(lvl);
-      EXPECT_TRUE(bitwise_equal(rs.dg_aos, dg0_sp)) << simd::name(lvl);
-      EXPECT_TRUE(bitwise_equal(rh.g_aos, g0_hp)) << simd::name(lvl);
-      EXPECT_TRUE(bitwise_equal(rh.dg_aos, dg0_hp)) << simd::name(lvl);
+      EXPECT_TRUE(bitwise_equal(rs.g_row, g0_sp)) << simd::name(lvl);
+      EXPECT_TRUE(bitwise_equal(rs.dg_row, dg0_sp)) << simd::name(lvl);
+      EXPECT_TRUE(bitwise_equal(rh.g_row, g0_hp)) << simd::name(lvl);
+      EXPECT_TRUE(bitwise_equal(rh.dg_row, dg0_hp)) << simd::name(lvl);
     }
   }
 }
 
 TEST(SimdParitySP, VectorLevelsWithinOneUlpOfScalar) {
-  const auto ref = make_ref(32, 7);
-  const tab::TabulatedEmbeddingSP table(ref);
-  const float flo = static_cast<float>(ref.lo());
-  const float fhi = static_cast<float>(ref.hi());
-  const auto s = probe_set_f(flo, fhi);
-  const std::size_t m = table.output_dim();
-  std::vector<float> g0, dg0;
+  // Bitwise, for float and half coefficients alike: every lane runs the fma
+  // sequence Level::Scalar runs, extrapolating inputs included.
+  const auto ref = make_ref(24, 7);
+  const tab::TabulatedEmbeddingSP sp(ref);
+  const tab::TabulatedEmbeddingHP hp(ref);
+  const auto s = probe_set_f(static_cast<float>(ref.lo()), static_cast<float>(ref.hi()));
+  TableRunF sp0, hp0;
   {
     LevelGuard guard(simd::Level::Scalar);
-    const auto r = run_table_f(table, s);
-    g0 = r.g_aos;
-    dg0 = r.dg_aos;
+    sp0 = run_table_f(sp, s);
+    hp0 = run_table_f(hp, s);
   }
   for (simd::Level lvl : available_levels()) {
     if (lvl == simd::Level::Scalar) continue;
     LevelGuard guard(lvl);
-    const auto r = run_table_f(table, s);
-    // Same cancellation carve-out as the double test: a channel whose value
-    // is the small residue of cancelling Horner terms is held to absolute
-    // agreement at 2 eps x the channel's magnitude instead of 1 ulp.
-    std::vector<float> gsc(m, 1.0f), dsc(m, 1.0f);
-    for (std::size_t k = 0; k < s.size(); ++k) {
-      for (std::size_t ch = 0; ch < m; ++ch) {
-        gsc[ch] = std::max(gsc[ch], std::fabs(g0[k * m + ch]));
-        dsc[ch] = std::max(dsc[ch], std::fabs(dg0[k * m + ch]));
-      }
-    }
-    const float eps2 = 2.0f * std::numeric_limits<float>::epsilon();
-    std::int32_t worst_in = 0;
-    float worst_rel_out = 0.0f;
-    for (std::size_t k = 0; k < s.size(); ++k) {
-      for (std::size_t ch = 0; ch < m; ++ch) {
-        const std::size_t idx = k * m + ch;
-        if (s[k] >= flo && s[k] <= fhi) {
-          if (std::fabs(r.g_aos[idx] - g0[idx]) > eps2 * gsc[ch])
-            worst_in = std::max(worst_in, ulp_diff_f(r.g_aos[idx], g0[idx]));
-          if (std::fabs(r.dg_aos[idx] - dg0[idx]) > eps2 * dsc[ch])
-            worst_in = std::max(worst_in, ulp_diff_f(r.dg_aos[idx], dg0[idx]));
-        } else {
-          const auto rel = [](float a, float b) {
-            return std::fabs(a - b) / std::max({std::fabs(a), std::fabs(b), 1.0f});
-          };
-          worst_rel_out = std::max(worst_rel_out, rel(r.g_aos[idx], g0[idx]));
-          worst_rel_out = std::max(worst_rel_out, rel(r.dg_aos[idx], dg0[idx]));
-        }
-      }
-    }
-    EXPECT_LE(worst_in, 1) << simd::name(lvl);
-    EXPECT_LE(worst_rel_out, 1e-4f) << simd::name(lvl);  // float-scale Horner cancellation
+    const auto rs = run_table_f(sp, s);
+    const auto rh = run_table_f(hp, s);
+    EXPECT_TRUE(bitwise_equal(rs.g_row, sp0.g_row)) << simd::name(lvl);
+    EXPECT_TRUE(bitwise_equal(rs.dg_row, sp0.dg_row)) << simd::name(lvl);
+    EXPECT_TRUE(bitwise_equal(rs.g_batch, sp0.g_batch)) << simd::name(lvl);
+    EXPECT_TRUE(bitwise_equal(rh.g_row, hp0.g_row)) << simd::name(lvl);
+    EXPECT_TRUE(bitwise_equal(rh.dg_row, hp0.dg_row)) << simd::name(lvl);
+    EXPECT_TRUE(bitwise_equal(rh.dg_batch, hp0.dg_batch)) << simd::name(lvl);
   }
 }
 
@@ -248,10 +210,10 @@ void expect_streaming_parity(const tab::TabulatedEmbedding& ref, const Table& ta
   AlignedVector<float> g_nt(s.size() * m), dg_nt(s.size() * m);
   for (simd::Level lvl : available_levels()) {
     LevelGuard guard(lvl);
-    table.eval_with_deriv_blocked_batch(s.data(), 1, s.size(), g_reg.data(), dg_reg.data(),
-                                        m, /*streaming=*/false);
-    table.eval_with_deriv_blocked_batch(s.data(), 1, s.size(), g_nt.data(), dg_nt.data(), m,
-                                        /*streaming=*/true);
+    table.eval_with_deriv_batch(s.data(), 1, s.size(), g_reg.data(), dg_reg.data(), m,
+                                /*streaming=*/false);
+    table.eval_with_deriv_batch(s.data(), 1, s.size(), g_nt.data(), dg_nt.data(), m,
+                                /*streaming=*/true);
     EXPECT_EQ(0, std::memcmp(g_reg.data(), g_nt.data(), s.size() * m * sizeof(float)))
         << what << " m " << m << " " << simd::name(lvl);
     EXPECT_EQ(0, std::memcmp(dg_reg.data(), dg_nt.data(), s.size() * m * sizeof(float)))
@@ -259,8 +221,8 @@ void expect_streaming_parity(const tab::TabulatedEmbedding& ref, const Table& ta
     // Misaligned rows (offset by one float) must take the fallback and
     // still produce the same bits.
     AlignedVector<float> g_off(s.size() * m + 1), dg_off(s.size() * m + 1);
-    table.eval_with_deriv_blocked_batch(s.data(), 1, s.size(), g_off.data() + 1,
-                                        dg_off.data() + 1, m, /*streaming=*/true);
+    table.eval_with_deriv_batch(s.data(), 1, s.size(), g_off.data() + 1, dg_off.data() + 1, m,
+                                /*streaming=*/true);
     EXPECT_EQ(0, std::memcmp(g_reg.data(), g_off.data() + 1, s.size() * m * sizeof(float)))
         << what << " m " << m << " " << simd::name(lvl);
   }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "aos_reference.hpp"
 
 namespace dp::tab {
 namespace {
@@ -88,21 +89,23 @@ TEST(TabulatedEmbedding, C2AcrossNodes) {
   }
 }
 
+// The blocked walk against the channel-major (AoS) coefficients of the
+// save() stream, evaluated independently (tests/tab/aos_reference.hpp).
 TEST(TabulatedEmbedding, BlockedLayoutIdenticalToAoS) {
   auto net = make_net(6);
   TabulatedEmbedding table(net, {0.0, 2.0, 0.02});
-  std::vector<double> g_a(32), g_b(32), d_a(32), d_b(32);
+  const table_ref::AosReference<double> aos(table, table);
+  std::vector<double> g_a(32), g_b(32), d_a(32), d_b(32), g_v(32);
   Rng rng(7);
   for (int k = 0; k < 200; ++k) {
     const double s = rng.uniform(0.0, 2.0);
-    table.eval(s, g_a.data());
-    table.eval_blocked(s, g_b.data());
-    for (std::size_t ch = 0; ch < 32; ++ch) EXPECT_DOUBLE_EQ(g_a[ch], g_b[ch]);
-    table.eval_with_deriv(s, g_a.data(), d_a.data());
-    table.eval_with_deriv_blocked(s, g_b.data(), d_b.data());
+    aos(s, g_a.data(), d_a.data());
+    table.eval(s, g_v.data());
+    table.eval_with_deriv(s, g_b.data(), d_b.data());
     for (std::size_t ch = 0; ch < 32; ++ch) {
-      EXPECT_DOUBLE_EQ(g_a[ch], g_b[ch]);
-      EXPECT_DOUBLE_EQ(d_a[ch], d_b[ch]);
+      EXPECT_EQ(g_a[ch], g_v[ch]);
+      EXPECT_EQ(g_a[ch], g_b[ch]);
+      EXPECT_EQ(d_a[ch], d_b[ch]);
     }
   }
 }
@@ -112,11 +115,15 @@ TEST(TabulatedEmbedding, BlockedLayoutHandlesNonMultipleOf16Channels) {
   Rng rng(8);
   net.init_random(rng);
   TabulatedEmbedding table(net, {0.0, 1.0, 0.05});
-  std::vector<double> g_a(20), g_b(20);
+  const table_ref::AosReference<double> aos(table, table);
+  std::vector<double> g_a(20), g_b(20), d_a(20), d_b(20);
   for (double s : {0.05, 0.41, 0.93}) {
-    table.eval(s, g_a.data());
-    table.eval_blocked(s, g_b.data());
-    for (std::size_t ch = 0; ch < 20; ++ch) EXPECT_DOUBLE_EQ(g_a[ch], g_b[ch]);
+    aos(s, g_a.data(), d_a.data());
+    table.eval_with_deriv(s, g_b.data(), d_b.data());
+    for (std::size_t ch = 0; ch < 20; ++ch) {
+      EXPECT_EQ(g_a[ch], g_b[ch]);
+      EXPECT_EQ(d_a[ch], d_b[ch]);
+    }
   }
 }
 

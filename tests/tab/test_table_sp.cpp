@@ -1,4 +1,4 @@
-#include "tab/table_sp.hpp"
+#include "tab/table.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "tab/table.hpp"
 
 namespace dp::tab {
 namespace {

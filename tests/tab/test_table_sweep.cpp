@@ -72,16 +72,18 @@ TEST_P(TableSweep, DerivativeDifferentiatesTheTable) {
   }
 }
 
+// The batched blocked walk against single-row walks, bit for bit.
 TEST_P(TableSweep, BlockedLayoutBitIdentical) {
-  std::vector<double> a(m_), b(m_), da(m_), db(m_);
+  constexpr std::size_t kRows = 25;
+  std::vector<double> s(kRows), a(m_), da(m_), b(kRows * m_), db(kRows * m_);
   Rng rng(5);
-  for (int k = 0; k < 25; ++k) {
-    const double s = rng.uniform(0.0, 2.0);
-    table_->eval_with_deriv(s, a.data(), da.data());
-    table_->eval_with_deriv_blocked(s, b.data(), db.data());
+  for (double& v : s) v = rng.uniform(0.0, 2.0);
+  table_->eval_with_deriv_batch(s.data(), 1, kRows, b.data(), db.data(), m_);
+  for (std::size_t k = 0; k < kRows; ++k) {
+    table_->eval_with_deriv(s[k], a.data(), da.data());
     for (std::size_t ch = 0; ch < m_; ++ch) {
-      EXPECT_DOUBLE_EQ(a[ch], b[ch]);
-      EXPECT_DOUBLE_EQ(da[ch], db[ch]);
+      EXPECT_EQ(a[ch], b[k * m_ + ch]);
+      EXPECT_EQ(da[ch], db[k * m_ + ch]);
     }
   }
 }

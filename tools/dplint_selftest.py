@@ -241,35 +241,37 @@ class RuleTest(unittest.TestCase):
         # float vector types, _ps intrinsics, fp16 vectors and _ph/cvtph
         # intrinsics, and the wide mask type.
         self.assertIn("raw-intrinsics",
-                      rules("src/tab/table_sp.cpp", "__m256 y = _mm256_loadu_ps(p);\n"))
+                      rules("src/tab/table.cpp", "__m256 y = _mm256_loadu_ps(p);\n"))
         self.assertIn("raw-intrinsics",
                       rules("src/fused/mixed_model.cpp", "__m512 v;\n"))
         self.assertIn("raw-intrinsics",
-                      rules("src/tab/table_sp.cpp", "x = _mm512_fmadd_ps(a, b, c);\n"))
+                      rules("src/tab/table.cpp", "x = _mm512_fmadd_ps(a, b, c);\n"))
         self.assertIn("raw-intrinsics",
-                      rules("src/tab/table_sp.cpp", "__m256h hvec;\n"))
+                      rules("src/tab/table.cpp", "__m256h hvec;\n"))
         self.assertIn("raw-intrinsics",
-                      rules("src/tab/table_sp.cpp",
+                      rules("src/tab/table.cpp",
                             "auto w = _mm256_cvtph_ps(_mm_loadu_si128(p));\n"))
         self.assertIn("raw-intrinsics",
                       rules("src/fused/mixed_model.cpp", "__mmask16 k = 0xffff;\n"))
         # The float wrappers are the sanctioned spelling outside simd.hpp.
         self.assertNotIn("raw-intrinsics",
-                         rules("src/tab/table_sp.cpp",
+                         rules("src/tab/table.cpp",
                                "simd::f16 y = simd::f16_fmadd(a, b, c);\n"))
         ok = ("#include <immintrin.h>\n"
               "__m512 f16_loadu(const float* p) { return _mm512_loadu_ps(p); }\n")
         self.assertNotIn("raw-intrinsics", rules("src/common/simd.hpp", ok))
 
     def test_hot_pragma_simd(self):
-        # A pragma in a converted hot-loop body (outside any *_scalar
-        # function) means the loop slipped off the dispatcher.
+        # A pragma in a dispatched hot-loop file means the loop slipped off
+        # the dispatcher.
         bad = ("void rank1_update(const double* r, double* a, std::size_t m) {\n"
                "#pragma omp simd\n"
                "  for (std::size_t b = 0; b < m; ++b) a[b] += r[0];\n"
                "}\n")
         for rel in ("src/fused/fused_model.cpp", "src/fused/mixed_model.cpp",
-                    "src/dp/descriptor.cpp", "src/dp/prod_force.cpp", "src/nn/gemm.cpp"):
+                    "src/dp/descriptor.cpp", "src/dp/prod_force.cpp", "src/nn/gemm.cpp",
+                    "src/tab/table.cpp", "src/common/simd_kernels.inc",
+                    "src/nn/gemm_kernels.inc"):
             self.assertIn("hot-pragma-simd", rules(rel, bad), msg=rel)
         # The GEMM kernels dispatch through gemm_kernels.inc: a pragma'd
         # loop back in gemm.cpp is a kernel slipping off the dispatcher.
@@ -278,28 +280,18 @@ class RuleTest(unittest.TestCase):
                      "  for (std::size_t j = 0; j < n; ++j) c[j] += a[j];\n"
                      "}\n")
         self.assertIn("hot-pragma-simd", rules("src/nn/gemm.cpp", gemm_loop))
-        # Inside a *_scalar seed body the pragma is the preserved contract.
-        ok = ("void rank1_update_scalar(const double* r, double* a, std::size_t m) {\n"
-              "#pragma omp simd reduction(+ : acc)\n"
-              "  for (std::size_t b = 0; b < m; ++b) acc += r[b];\n"
-              "}\n")
-        self.assertNotIn("hot-pragma-simd", rules("src/fused/fused_model.cpp", ok))
-        # A *_scalar body must bound the exemption: a pragma after its
-        # closing brace still fires.
-        mixed_src = (ok +
-                     "void other(double* a, std::size_t m) {\n"
-                     "#pragma omp simd\n"
-                     "  for (std::size_t b = 0; b < m; ++b) a[b] = 0;\n"
-                     "}\n")
-        self.assertIn("hot-pragma-simd", rules("src/dp/descriptor.cpp", mixed_src))
-        # Call sites of *_scalar functions are not bodies; other pragmas and
-        # other files stay out of scope.
-        call_site = ("void dispatch() { rank1_update_scalar(r, a, m); }\n")
-        self.assertNotIn("hot-pragma-simd", rules("src/fused/fused_model.cpp", call_site))
+        # Level::Scalar is the width-1 body: a *_scalar seed body no longer
+        # earns an exemption.
+        seed = ("void rank1_update_scalar(const double* r, double* a, std::size_t m) {\n"
+                "#pragma omp simd reduction(+ : acc)\n"
+                "  for (std::size_t b = 0; b < m; ++b) acc += r[b];\n"
+                "}\n")
+        self.assertIn("hot-pragma-simd", rules("src/fused/fused_model.cpp", seed))
+        # Other pragmas and other files stay out of scope.
         other_pragma = "#pragma omp parallel for\nvoid f();\n"
         self.assertNotIn("hot-pragma-simd",
                          rules("src/fused/fused_model.cpp", other_pragma))
-        self.assertNotIn("hot-pragma-simd", rules("src/tab/table.cpp", bad))
+        self.assertNotIn("hot-pragma-simd", rules("src/fused/se_r_model.cpp", bad))
 
     def test_narrowing_cast(self):
         self.assertIn("narrowing-cast", rules("src/md/neighbor.cpp", "int j = (int)a;\n"))
@@ -397,14 +389,6 @@ class RuleTest(unittest.TestCase):
         cv = ("DP_SIGNAL_SAFE void on_crash(int sig) noexcept "
               "{ g_cv.notify_all(); CondVar* c = &g_cv; }\n")
         self.assertIn("signal-safety", rules("src/obs/foo.cpp", cv))
-
-    def test_sp_precision(self):
-        self.assertIn("sp-precision", rules("src/tab/table_sp.hpp", "double h_;\n"))
-        self.assertIn("sp-precision", rules("src/tab/table_sp.cpp", "long double x;\n"))
-        # Prose mentioning double is fine; other tab files are unrestricted.
-        self.assertNotIn("sp-precision",
-                         rules("src/tab/table_sp.cpp", "// reduced in double by callers\nfloat x;\n"))
-        self.assertNotIn("sp-precision", rules("src/tab/table.cpp", "double h_;\n"))
 
 
 class TreeTest(unittest.TestCase):
