@@ -6,8 +6,9 @@
 //   dpmd compress --model model.dpm [--interval H] [--rmin R]
 //   dpmd run --model model.dpm --system water|copper [--cells N] [--steps N]
 //            [--path baseline|tabulated|fused|mixed] [--dt FS] [--temp K]
-//            [--thermostat none|langevin|berendsen] [--dump traj.xyz]
-//            [--thermo thermo.csv] [--interval H]
+//            [--rebuild-every N] [--ranks N] [--interval H]
+//            serial only: [--thermostat none|langevin|berendsen]
+//            [--dump traj.xyz] [--thermo thermo.csv]
 //            [--trace out.trace.json] [--metrics out.metrics.jsonl]
 #include <fcntl.h>
 #include <unistd.h>
@@ -399,19 +400,28 @@ int cmd_run(const Args& args) {
 
   std::string path = args.get("path", "fused");
   if (model.config().descriptor == dp::core::DescriptorKind::SeR) path = "se_r";
-  std::unique_ptr<dp::md::ForceField> ff;
-  if (path == "se_r")
-    ff = std::make_unique<dp::fused::SeRFusedDP>(tabulated);
-  else if (path == "baseline")
-    ff = std::make_unique<dp::core::BaselineDP>(model);
-  else if (path == "tabulated")
-    ff = std::make_unique<dp::tab::CompressedDP>(tabulated);
-  else if (path == "fused")
-    ff = std::make_unique<dp::fused::FusedDP>(tabulated);
-  else if (path == "mixed")
-    ff = std::make_unique<dp::fused::MixedFusedDP>(tabulated);
-  else
+  // The serial run builds one force field, a distributed run one per rank.
+  const auto make_ff = [&]() -> std::unique_ptr<dp::md::ForceField> {
+    if (path == "se_r") return std::make_unique<dp::fused::SeRFusedDP>(tabulated);
+    if (path == "baseline") return std::make_unique<dp::core::BaselineDP>(model);
+    if (path == "tabulated") return std::make_unique<dp::tab::CompressedDP>(tabulated);
+    if (path == "fused") return std::make_unique<dp::fused::FusedDP>(tabulated);
+    if (path == "mixed") return std::make_unique<dp::fused::MixedFusedDP>(tabulated);
     throw dp::Error("unknown --path '" + path + "'");
+  };
+
+  // Transport selection: --transport/--rank/--world/--rendezvous/--timeout
+  // override the DP_* environment (transport_config_from_env). Anything but
+  // "threads" makes this process exactly one rank of a multi-process world.
+  dp::par::TransportConfig tcfg = dp::par::transport_config_from_env();
+  if (args.has("transport"))
+    tcfg.kind = dp::par::parse_transport_kind(args.get("transport"));
+  if (args.has("rank")) tcfg.rank = args.get_int("rank", 0);
+  if (args.has("world")) tcfg.world = args.get_int("world", 1);
+  if (args.has("rendezvous")) tcfg.rendezvous = args.get("rendezvous");
+  if (args.has("timeout")) tcfg.timeout_seconds = args.get_double("timeout", 60.0);
+  const bool multiprocess = tcfg.kind != dp::par::TransportKind::Threads;
+  const bool distributed = multiprocess || args.get_int("ranks", 1) > 1;
 
   dp::md::SimulationConfig sc;
   sc.steps = args.get_int("steps", 99);
@@ -419,6 +429,9 @@ int cmd_run(const Args& args) {
   sc.temperature = args.get_double("temp", 330.0);
   sc.skin = args.get_double("skin", 1.0);
   sc.thermo_every = args.get_int("thermo-every", 10);
+  // Distributed rebuilds also migrate atoms between ranks, so they default
+  // to a shorter period.
+  sc.rebuild_every = args.get_int("rebuild-every", distributed ? 10 : sc.rebuild_every);
 
   // Run-health watchdogs + crash black box. The fatal hook routes every
   // DP_CHECK failure through obs::notify_fatal before it throws.
@@ -439,25 +452,19 @@ int cmd_run(const Args& args) {
   const int inject_segv = args.get_int("inject-segv", -1);
   const int inject_fatal = args.get_int("inject-fatal", -1);
 
-  // Transport selection: --transport/--rank/--world/--rendezvous/--timeout
-  // override the DP_* environment (transport_config_from_env). Anything but
-  // "threads" makes this process exactly one rank of a multi-process world.
-  dp::par::TransportConfig tcfg = dp::par::transport_config_from_env();
-  if (args.has("transport"))
-    tcfg.kind = dp::par::parse_transport_kind(args.get("transport"));
-  if (args.has("rank")) tcfg.rank = args.get_int("rank", 0);
-  if (args.has("world")) tcfg.world = args.get_int("world", 1);
-  if (args.has("rendezvous")) tcfg.rendezvous = args.get("rendezvous");
-  if (args.has("timeout")) tcfg.timeout_seconds = args.get_double("timeout", 60.0);
-  const bool multiprocess = tcfg.kind != dp::par::TransportKind::Threads;
-
   // Domain-decomposed run — in-process rank threads (--ranks N) or one rank
-  // of a multi-process world (--transport shm|tcp). Fused path only; the
-  // serial driver below additionally supports thermostats and dumps.
-  if (multiprocess || args.get_int("ranks", 1) > 1) {
-    sc.rebuild_every = args.get_int("rebuild-every", 10);
+  // of a multi-process world (--transport shm|tcp), on any --path. The
+  // distributed driver is NVE only and writes no trajectory, thermo CSV or
+  // checkpoint, so the flags asking for those are refused, not ignored.
+  if (distributed) {
+    if (args.get("thermostat", "none") != "none")
+      throw dp::Error("--thermostat is serial-only; multi-rank runs are NVE");
+    for (const char* flag : {"pressure", "dump", "thermo", "save-checkpoint"})
+      if (args.has(flag))
+        throw dp::Error(std::string("--") + flag + " is not supported on multi-rank runs");
     dp::TimerRegistry::instance().clear();
     dp::par::DistributedOptions dopts;
+    dopts.init_velocities = !restarted;  // a restart keeps the checkpointed velocities
     dp::obs::HealthConfig hcfg;
     if (health_on) {
       hcfg.target_temperature = sc.temperature;
@@ -490,7 +497,6 @@ int cmd_run(const Args& args) {
         }
       };
     }
-    const auto factory = [&] { return std::make_unique<dp::fused::FusedDP>(tabulated); };
     dp::par::DistributedRunResult result;
     int ranks = 0;
     bool print_results = true;
@@ -499,15 +505,16 @@ int cmd_run(const Args& args) {
       ranks = pg.size();
       print_results = pg.rank() == 0;
       if (print_results)
-        std::printf("%s | %zu atoms | distributed on %d %s ranks | %d steps\n",
+        std::printf("%s | %zu atoms | distributed on %d %s ranks | path=%s | %d steps\n",
                     system.c_str(), sys.atoms.size(), ranks,
-                    tcfg.kind == dp::par::TransportKind::Shm ? "shm" : "tcp", sc.steps);
-      result = dp::par::run_distributed_md_rank(pg.comm(), sys, factory, sc, dopts);
+                    tcfg.kind == dp::par::TransportKind::Shm ? "shm" : "tcp", path.c_str(),
+                    sc.steps);
+      result = dp::par::run_distributed_md_rank(pg.comm(), sys, make_ff, sc, dopts);
     } else {
       ranks = args.get_int("ranks", 1);
-      std::printf("%s | %zu atoms | distributed on %d ranks | %d steps\n", system.c_str(),
-                  sys.atoms.size(), ranks, sc.steps);
-      result = dp::par::run_distributed_md(ranks, sys, factory, sc, dopts);
+      std::printf("%s | %zu atoms | distributed on %d ranks | path=%s | %d steps\n",
+                  system.c_str(), sys.atoms.size(), ranks, path.c_str(), sc.steps);
+      result = dp::par::run_distributed_md(ranks, sys, make_ff, sc, dopts);
     }
     if (print_results) {
       std::printf("%6s %14s %10s\n", "step", "E_tot [eV]", "T [K]");
@@ -533,6 +540,7 @@ int cmd_run(const Args& args) {
     return 0;
   }
 
+  const std::unique_ptr<dp::md::ForceField> ff = make_ff();
   // A restart must keep the checkpointed velocities: the driver
   // re-thermalizes at sc.temperature, so stash and restore them.
   const auto restart_velocities = sys.atoms.vel;
@@ -687,15 +695,16 @@ int usage() {
       "  compress  tabulate a model          (--model F [--interval H] [--rmin R])\n"
       "  run       molecular dynamics        (--model F | --compressed F) --system S\n"
       "            [--path baseline|tabulated|fused|mixed] [--cells N] [--steps N]\n"
-      "            [--dt FS] [--temp K] [--thermostat none|langevin|berendsen|nose-hoover]\n"
-      "            [--pressure BAR]\n"
-      "            [--dump traj.xyz] [--thermo out.csv] [--ranks N]\n"
+      "            [--dt FS] [--temp K] [--rebuild-every N] [--ranks N]\n"
+      "            serial only: [--thermostat none|langevin|berendsen|nose-hoover]\n"
+      "            [--pressure BAR] [--dump traj.xyz] [--thermo out.csv]\n"
+      "            [--save-checkpoint ckpt]\n"
       "            [--transport threads|shm|tcp --rank K --world N\n"
       "             --rendezvous NAME|HOST:PORT [--timeout S]]  (or DP_TRANSPORT,\n"
       "             DP_RANK, DP_WORLD, DP_RENDEZVOUS, DP_TIMEOUT env)\n"
       "            [--rebalance [--rebalance-every K]] [--vacuum FRAC]\n"
       "            [--force-dump F]\n"
-      "            [--restart ckpt] [--save-checkpoint ckpt] [--data lammps.data]\n"
+      "            [--restart ckpt] [--data lammps.data]\n"
       "            [--trace out.trace.json] [--metrics out.metrics.jsonl]\n"
       "            [--health] [--flight-recorder [DIR]]\n"
       "  train     fit a model to LJ labels    (--frames N --epochs N [--pref-f W] --out F\n"

@@ -28,15 +28,20 @@ SeRFusedDP::SeRFusedDP(const tab::TabulatedDP& tabulated) : tab_(tabulated) {
 }
 
 void SeRFusedDP::prepare(std::size_t n) {
-  const std::size_t m = tab_.model().config().m();
+  const ModelConfig& cfg = tab_.model().config();
+  const std::size_t m = cfg.m();
+  const auto ntypes = static_cast<std::size_t>(cfg.ntypes);
   atom_energy_.resize(n);
   g_rmat_.resize(env_.stored_slots() * 4);
   scratch_.resize(static_cast<std::size_t>(std::max(1, omp_get_max_threads())));
   for (ThreadScratch& sc : scratch_) {
     sc.g_row.resize(m);
     sc.dg_row.resize(m);
-    sc.d_vec.resize(m);
-    sc.g_d.resize(m);
+    sc.d_rows.resize(ntypes);
+    for (auto& d : sc.d_rows) d.resize(nn::kFitBlock * m);
+    sc.row_atom.resize(ntypes);
+    sc.rows.assign(ntypes, 0);
+    sc.blocks = 0;
   }
 }
 
@@ -65,36 +70,11 @@ md::ForceResult SeRFusedDP::compute(const md::Box& box, md::Atoms& atoms,
     sc.energy_partial = 0.0;
     const std::size_t i_begin = chunk_bound(n, tid, T);
     const std::size_t i_end = chunk_bound(n, tid + 1, T);
-    for (std::size_t i = i_begin; i < i_end; ++i) {
-      // ---- Pass 1: D = (1/N_m) sum over ALL slots of g(s_j); real slots
-      // are walked, padded ones contribute the cached g(0) analytically ----
-      std::memset(sc.d_vec.data(), 0, m * sizeof(double));
-      for (int ty = 0; ty < cfg.ntypes; ++ty) {
-        const TabulatedEmbedding& table = tab_.table_pair(atoms.type[i], ty);
-        const std::size_t base = env_.block_begin(i, ty);
-        const int limit = env_.count(i, ty);
-        for (int k = 0; k < limit; ++k) {
-          table.eval(env_.rmat_at(base + static_cast<std::size_t>(k))[0], sc.g_row.data());
-#pragma omp simd
-          for (std::size_t b = 0; b < m; ++b) sc.d_vec[b] += sc.g_row[b];
-        }
-        const double n_padded =
-            static_cast<double>(cfg.sel[static_cast<std::size_t>(ty)] - limit);
-        const auto& g0 = g_zero_[model.pair_index(atoms.type[i], ty)];
-#pragma omp simd
-        for (std::size_t b = 0; b < m; ++b) sc.d_vec[b] += n_padded * g0[b];
-      }
-      for (double& v : sc.d_vec) v *= scale;
 
-      const int ct = atoms.type[i];
-      const double e_i = model.fitting(ct).forward(sc.d_vec.data(), sc.fit_ws);
-      atom_energy_[i] = e_i;
-      sc.energy_partial += e_i;
-      model.fitting(ct).backward(sc.fit_ws, sc.g_d.data());
-
-      // ---- Pass 2: dE/ds_j = (1/N_m) <g_D, g'(s_j)> into column 0; the
-      // directional columns are written as explicit zeros (g_rmat_ is a
-      // persistent buffer that is never bulk-zeroed) ----------------------
+    // ---- Pass 2: dE/ds_j = (1/N_m) <g_D, g'(s_j)> into column 0; the
+    // directional columns are written as explicit zeros (g_rmat_ is a
+    // persistent buffer that is never bulk-zeroed) ------------------------
+    const auto pass2 = [&](std::size_t i, const double* g_d) {
       for (int ty = 0; ty < cfg.ntypes; ++ty) {
         const TabulatedEmbedding& table = tab_.table_pair(atoms.type[i], ty);
         const std::size_t base = env_.block_begin(i, ty);
@@ -104,7 +84,7 @@ md::ForceResult SeRFusedDP::compute(const md::Box& box, md::Atoms& atoms,
           table.eval_with_deriv(env_.rmat_at(slot)[0], sc.g_row.data(), sc.dg_row.data());
           double acc = 0.0;
 #pragma omp simd reduction(+ : acc)
-          for (std::size_t b = 0; b < m; ++b) acc += sc.g_d[b] * sc.dg_row[b];
+          for (std::size_t b = 0; b < m; ++b) acc += g_d[b] * sc.dg_row[b];
           double* grow = g_rmat_.data() + slot * 4;
           grow[0] = acc * scale;
           grow[1] = 0.0;
@@ -112,12 +92,68 @@ md::ForceResult SeRFusedDP::compute(const md::Box& box, md::Atoms& atoms,
           grow[3] = 0.0;
         }
       }
+    };
+
+    // ---- Fitting net over center type t's queued D rows: one forward and
+    // one backward block, then pass 2 per atom in queue order ------------
+    const auto flush = [&](int t) {
+      const auto ut = static_cast<std::size_t>(t);
+      const std::size_t rows = sc.rows[ut];
+      if (rows == 0) return;
+      sc.rows[ut] = 0;
+      ++sc.blocks;
+      double* d = sc.d_rows[ut].data();
+      model.fitting(t).forward_block(d, rows, sc.fit_ws, sc.energy.data());
+      // dE/dD overwrites D in place: without parameter gradients the
+      // backward pass never reads the layer-0 input.
+      model.fitting(t).backward(sc.fit_ws, d);
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::size_t i = sc.row_atom[ut][r];
+        atom_energy_[i] = sc.energy[r];
+        pass2(i, d + r * m);
+      }
+    };
+
+    for (std::size_t i = i_begin; i < i_end; ++i) {
+      const int ct = atoms.type[i];
+      const auto uct = static_cast<std::size_t>(ct);
+      const std::size_t r = sc.rows[uct]++;
+      sc.row_atom[uct][r] = i;
+      double* d_vec = sc.d_rows[uct].data() + r * m;
+
+      // ---- Pass 1: D = (1/N_m) sum over ALL slots of g(s_j); real slots
+      // are walked, padded ones contribute the cached g(0) analytically ----
+      std::memset(d_vec, 0, m * sizeof(double));
+      for (int ty = 0; ty < cfg.ntypes; ++ty) {
+        const TabulatedEmbedding& table = tab_.table_pair(ct, ty);
+        const std::size_t base = env_.block_begin(i, ty);
+        const int limit = env_.count(i, ty);
+        for (int k = 0; k < limit; ++k) {
+          table.eval(env_.rmat_at(base + static_cast<std::size_t>(k))[0], sc.g_row.data());
+#pragma omp simd
+          for (std::size_t b = 0; b < m; ++b) d_vec[b] += sc.g_row[b];
+        }
+        const double n_padded =
+            static_cast<double>(cfg.sel[static_cast<std::size_t>(ty)] - limit);
+        const auto& g0 = g_zero_[model.pair_index(ct, ty)];
+#pragma omp simd
+        for (std::size_t b = 0; b < m; ++b) d_vec[b] += n_padded * g0[b];
+      }
+      for (std::size_t b = 0; b < m; ++b) d_vec[b] *= scale;
+
+      if (sc.rows[uct] == nn::kFitBlock) flush(ct);
     }
+    for (int t = 0; t < cfg.ntypes; ++t) flush(t);
+    // Energies in ascending atom order, as the one-atom loop summed them.
+    for (std::size_t i = i_begin; i < i_end; ++i) sc.energy_partial += atom_energy_[i];
   };
   team.run(team_size, BodyRef(body));
-  for (const ThreadScratch& sc : scratch_) energy_total += sc.energy_partial;
-  // se_r evaluates its (M-input) fitting net one row at a time.
-  core::record_fit_block_cost(model.fitting(0), n, n);
+  std::size_t fit_blocks = 0;
+  for (const ThreadScratch& sc : scratch_) {
+    energy_total += sc.energy_partial;
+    fit_blocks += sc.blocks;
+  }
+  core::record_fit_block_cost(model.fitting(0), n, fit_blocks);
 
   md::ForceResult out;
   out.energy = energy_total;

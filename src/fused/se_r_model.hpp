@@ -16,6 +16,7 @@
 // redundancy removal stays exact AND the energy stays continuous.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "dp/env_mat.hpp"
@@ -46,8 +47,15 @@ class SeRFusedDP final : public md::ForceField {
   void prepare(std::size_t n);
 
   struct ThreadScratch {
-    AlignedVector<double> g_row, dg_row, d_vec, g_d;
+    AlignedVector<double> g_row, dg_row;
+    /// Pending fitting block per center type: up to nn::kFitBlock D rows
+    /// (m wide) and the atoms they belong to.
+    std::vector<AlignedVector<double>> d_rows;
+    std::vector<std::array<std::size_t, nn::kFitBlock>> row_atom;
+    std::vector<std::size_t> rows;
+    std::array<double, nn::kFitBlock> energy{};
     nn::FittingNet::Workspace fit_ws;
+    std::size_t blocks = 0;       ///< fitting blocks evaluated this compute()
     double energy_partial = 0.0;  ///< folded by the master, ascending thread order
   };
 

@@ -326,59 +326,6 @@ bool NeighborList::needs_rebuild(const Box& box, const std::vector<Vec3>& pos,
   return false;
 }
 
-NeighborList NeighborList::prefix(std::size_t k) const {
-  DP_CHECK_MSG(!half_, "prefix() needs a full list");
-  NeighborList out(rc_, skin_);
-  out.periodic_ = periodic_;
-  if (offsets_.empty()) {  // never built; only the empty prefix exists
-    DP_CHECK(k == 0);
-    out.offsets_ = {0};
-    return out;
-  }
-  DP_CHECK(k < offsets_.size());
-  out.offsets_.assign(offsets_.begin(), offsets_.begin() + static_cast<std::ptrdiff_t>(k + 1));
-  out.list_.assign(list_.begin(), list_.begin() + offsets_[k]);
-  out.pos_at_build_.assign(pos_at_build_.begin(),
-                           pos_at_build_.begin() + static_cast<std::ptrdiff_t>(k));
-  out.n_atoms_at_build_ = n_atoms_at_build_;
-  return out;
-}
-
-NeighborList NeighborList::compact(std::size_t begin, std::size_t end,
-                                   std::vector<int>& atom_index) const {
-  DP_CHECK_MSG(!half_, "compact() needs a full list");
-  DP_CHECK(begin <= end && end < offsets_.size());
-  NeighborList out(rc_, skin_);
-  out.periodic_ = periodic_;
-  atom_index.clear();
-  // Dense remap table (this file is a hot path: no hash maps). Centers claim
-  // the first slots so the compact system's center prefix is [0, end-begin).
-  std::vector<int> remap(n_atoms_at_build_, -1);
-  for (std::size_t i = begin; i < end; ++i) {
-    remap[i] = static_cast<int>(atom_index.size());
-    atom_index.push_back(static_cast<int>(i));
-  }
-  out.offsets_.assign(end - begin + 1, 0);
-  out.list_.reserve(static_cast<std::size_t>(offsets_[end] - offsets_[begin]));
-  for (std::size_t i = begin; i < end; ++i) {
-    for (int idx = offsets_[i]; idx < offsets_[i + 1]; ++idx) {
-      const auto j = static_cast<std::size_t>(list_[static_cast<std::size_t>(idx)]);
-      if (remap[j] < 0) {
-        remap[j] = static_cast<int>(atom_index.size());
-        atom_index.push_back(static_cast<int>(j));
-      }
-      out.list_.push_back(remap[j]);
-    }
-    out.offsets_[i - begin + 1] = static_cast<int>(out.list_.size());
-  }
-  // Compact centers are the first end-begin slots; only their positions are
-  // retained (ghost slots are never consulted by needs_rebuild).
-  out.pos_at_build_.assign(pos_at_build_.begin() + static_cast<std::ptrdiff_t>(begin),
-                           pos_at_build_.begin() + static_cast<std::ptrdiff_t>(end));
-  out.n_atoms_at_build_ = atom_index.size();
-  return out;
-}
-
 std::vector<std::vector<int>> brute_force_neighbors(const Box& box,
                                                     const std::vector<Vec3>& pos, double cutoff,
                                                     std::size_t n_centers, bool periodic) {

@@ -85,21 +85,6 @@ class NeighborList {
   bool needs_rebuild(const Box& box, const std::vector<Vec3>& pos,
                      std::size_t n_check = SIZE_MAX) const;
 
-  /// Copy of this list restricted to the first `k` centers, sharing the
-  /// original atom numbering. With atoms ordered interior-first, prefix(n_i)
-  /// is the interior work list: none of its neighbor indices reach ghosts,
-  /// so it can be evaluated before the halo refresh completes.
-  NeighborList prefix(std::size_t k) const;
-
-  /// Compacted sub-list for centers [begin, end): centers come first
-  /// (renumbered 0 .. end-begin-1), every atom their lists reference follows
-  /// in first-encounter order, and `atom_index` maps each compact slot back
-  /// to the original index. Evaluating a force field on the compacted
-  /// system and folding the forces back through `atom_index` reproduces the
-  /// full evaluation's contribution of these centers exactly.
-  NeighborList compact(std::size_t begin, std::size_t end,
-                       std::vector<int>& atom_index) const;
-
   double cutoff() const { return rc_; }
   double skin() const { return skin_; }
   double build_cutoff() const { return rc_ + skin_; }

@@ -168,48 +168,6 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
   std::size_t n_local = atoms.size();
   std::size_t max_local = 0, max_ghost = 0;
 
-  // Interior/boundary split for communication overlap: locals are kept
-  // interior-first, where *interior* means farther than the halo width
-  // (cutoff + skin) from every sub-domain face — such atoms cannot have a
-  // ghost in their neighbor list until the next rebuild, so their forces
-  // are computable before the ghost refresh completes. `interior_list` is
-  // the CSR prefix over them; `boundary_list`/`boundary_map`/`batoms` are
-  // the compacted sub-system for the rest (see NeighborList::compact).
-  std::size_t n_interior = 0;
-  md::NeighborList interior_list(ff->cutoff(), sim.skin);
-  md::NeighborList boundary_list(ff->cutoff(), sim.skin);
-  std::vector<int> boundary_map;
-  md::Atoms batoms;
-
-  auto partition_interior = [&] {
-    const Vec3 lo = decomp.lo(rank);
-    const Vec3 hi = decomp.hi(rank);
-    std::vector<std::size_t> order;
-    order.reserve(n_local);
-    for (int pass = 0; pass < 2; ++pass) {
-      for (std::size_t a = 0; a < n_local; ++a) {
-        const Vec3& p = atoms.pos[a];
-        bool interior = true;
-        for (std::size_t d = 0; d < 3; ++d)
-          interior = interior && (p[d] - lo[d] > halo) && (hi[d] - p[d] > halo);
-        if (interior == (pass == 0)) order.push_back(a);
-      }
-      if (pass == 0) n_interior = order.size();
-    }
-    md::Atoms reordered;
-    reordered.mass_by_type = atoms.mass_by_type;
-    std::vector<std::int64_t> reordered_ids;
-    reordered_ids.reserve(n_local);
-    for (std::size_t a : order) {
-      reordered.add(atoms.pos[a], atoms.type[a]);
-      reordered.vel.back() = atoms.vel[a];
-      reordered.force.back() = atoms.force[a];
-      reordered_ids.push_back(ids[a]);
-    }
-    atoms = std::move(reordered);
-    ids = std::move(reordered_ids);
-  };
-
   // --- measurement-driven slab rebalancing ------------------------------
   // The per-rank step-time EWMA is the load signal. Every rebalance_every
   // rebuilds, the EWMAs are allgathered (one-hot allreduce_sum: each slot
@@ -293,7 +251,6 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
       WallTimer phase;
       migrate(comm, init.box, decomp, rank, atoms, &ids, sim.rebuild_every);
       n_local = atoms.size();
-      partition_interior();
       halo_ex.exchange_ghosts(comm, atoms);
       phase_comm += phase.seconds();
     }
@@ -301,44 +258,27 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
       ScopedTimer t("md.neighbor", "md");
       WallTimer phase;
       nlist.build(init.box, atoms.pos, n_local, /*periodic=*/false);
-      interior_list = nlist.prefix(n_interior);
-      boundary_list = nlist.compact(n_interior, n_local, boundary_map);
-      batoms = md::Atoms{};
-      batoms.mass_by_type = atoms.mass_by_type;
-      for (int a : boundary_map)
-        batoms.add(atoms.pos[static_cast<std::size_t>(a)],
-                   atoms.type[static_cast<std::size_t>(a)]);
       phase_neighbor += phase.seconds();
     }
     max_local = std::max(max_local, n_local);
     max_ghost = std::max(max_ghost, halo_ex.n_ghost());
   };
 
-  // Two-phase force evaluation. The interior call zeroes every force slot
-  // (locals and ghosts) and accumulates the interior centers' terms; the
-  // boundary call runs on the compacted copy and is folded back with +=.
-  // The same split runs on every step — rebuild steps included — so the
-  // floating-point summation order never depends on which path a step
-  // took. Energy/virial are per-center sums, so A + B is exact.
+  // One force evaluation per step: every local center against locals and
+  // ghosts, then the ghost-force reduction folds the ghost slots back onto
+  // their owners (the LAMMPS pair-style cycle).
   md::ForceResult local_force;
-  auto compute_interior = [&] {
-    ScopedTimer t("md.force", "md");
+  auto evaluate_forces = [&] {
+    {
+      ScopedTimer t("md.force", "md");
+      WallTimer phase;
+      local_force = ff->compute(init.box, atoms, nlist, /*periodic=*/false);
+      phase_force += phase.seconds();
+    }
+    ScopedTimer t("md.halo", "halo");
     WallTimer phase;
-    local_force = ff->compute(init.box, atoms, interior_list, /*periodic=*/false);
-    phase_force += phase.seconds();
-  };
-  auto compute_boundary = [&] {
-    ScopedTimer t("md.force", "md");
-    WallTimer phase;
-    for (std::size_t k = 0; k < boundary_map.size(); ++k)
-      batoms.pos[k] = atoms.pos[static_cast<std::size_t>(boundary_map[k])];
-    const md::ForceResult bres =
-        ff->compute(init.box, batoms, boundary_list, /*periodic=*/false);
-    for (std::size_t k = 0; k < boundary_map.size(); ++k)
-      atoms.force[static_cast<std::size_t>(boundary_map[k])] += batoms.force[k];
-    local_force.energy += bres.energy;
-    local_force.virial += bres.virial;
-    phase_force += phase.seconds();
+    halo_ex.reduce_forces(comm, atoms);
+    phase_comm += phase.seconds();
   };
 
   std::vector<md::ThermoSample> thermo;
@@ -403,21 +343,8 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
     if (rank == 0) health->publish_gauges(obs::MetricsRegistry::instance());
   };
 
-  auto half_kick = [&](std::size_t begin, std::size_t end) {
-    ScopedTimer t("md.integrate", "md");
-    for (std::size_t a = begin; a < end; ++a) {
-      const double sc = 0.5 * sim.dt * md::kForceToAccel / atoms.mass(a);
-      atoms.vel[a] += atoms.force[a] * sc;
-    }
-  };
-
   rebuild();
-  compute_interior();
-  compute_boundary();
-  {
-    ScopedTimer t("md.halo", "halo");
-    halo_ex.reduce_forces(comm, atoms);
-  }
+  evaluate_forces();
   sample(0);
   health_probe(0);
 
@@ -444,67 +371,40 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
       }
     }
     ++since_rebuild;
-    bool rebuilt = false;
-    if (since_rebuild >= sim.rebuild_every) {
-      rebuild();
-      rebuilt = true;
-    } else if (opts.displacement_rebuild) {
+    bool rebuild_now = since_rebuild >= sim.rebuild_every;
+    if (!rebuild_now && opts.displacement_rebuild) {
       // Skin/2 displacement criterion, checked on local atoms only (every
       // atom is local on exactly one rank, so the OR over ranks covers
       // ghosts) and OR-allreduced so all ranks rebuild in lockstep —
       // migration and ghost exchange are collective.
       const bool mine = nlist.needs_rebuild(init.box, atoms.pos, n_local);
       if (comm.allreduce_max(mine ? 1.0 : 0.0) > 0.5) {
-        rebuild();
-        rebuilt = true;
+        rebuild_now = true;
         ++early_rebuilds;
         early_counter.inc();
       }
     }
-    if (rebuilt) {
+    if (rebuild_now) {
+      rebuild();
       since_rebuild = 0;
       ++rebuilds;
       rebuilds_counter.inc();
-      // Ghosts are fresh from exchange_ghosts; evaluate both halves.
-      compute_interior();
-      compute_boundary();
     } else {
-      // Overlap: post the ghost refresh, evaluate interior centers (their
-      // lists reach no ghosts) while messages are in flight, complete the
-      // refresh, then evaluate boundary centers against fresh ghosts.
-      {
-        ScopedTimer t("md.halo", "halo");
-        WallTimer phase;
-        halo_ex.begin_update_ghosts(comm, atoms);
-        phase_comm += phase.seconds();
-      }
-      compute_interior();
-      {
-        ScopedTimer t("md.halo", "halo");
-        WallTimer phase;
-        halo_ex.finish_update_ghosts(comm, atoms);
-        phase_comm += phase.seconds();
-      }
-      compute_boundary();
-    }
-    // Overlap the ghost-force reduction with the interior half-kick:
-    // interior atoms sit farther than the halo width from every face, so
-    // they are in no send slab — the reduction neither reads nor writes
-    // their forces.
-    {
+      // Membership is unchanged since the last rebuild: refresh the ghost
+      // positions along the recorded plan.
       ScopedTimer t("md.halo", "halo");
       WallTimer phase;
-      halo_ex.begin_reduce_forces(comm, atoms);
+      halo_ex.update_ghost_positions(comm, atoms);
       phase_comm += phase.seconds();
     }
-    half_kick(0, n_interior);
+    evaluate_forces();
     {
-      ScopedTimer t("md.halo", "halo");
-      WallTimer phase;
-      halo_ex.finish_reduce_forces(comm, atoms);
-      phase_comm += phase.seconds();
+      ScopedTimer t("md.integrate", "md");
+      for (std::size_t a = 0; a < n_local; ++a) {
+        const double sc = 0.5 * sim.dt * md::kForceToAccel / atoms.mass(a);
+        atoms.vel[a] += atoms.force[a] * sc;
+      }
     }
-    half_kick(n_interior, n_local);
     const bool sampled = step % sim.thermo_every == 0 || step == sim.steps;
     if (sampled) {
       sample(step);
@@ -552,12 +452,9 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
   // so rank 0 can publish fleet-level gauges (mean/max expose imbalance).
   const double rank_bytes = static_cast<double>(halo_ex.bytes_sent());
   const double rank_wait = halo_ex.wait_seconds();
-  const double rank_hidden = halo_ex.hidden_seconds();
-  const auto comm_sums =
-      comm.allreduce_sum(std::vector<double>{rank_bytes, rank_wait, rank_hidden});
+  const auto comm_sums = comm.allreduce_sum(std::vector<double>{rank_bytes, rank_wait});
   const double bytes_max = comm.allreduce_max(rank_bytes);
   const double wait_max = comm.allreduce_max(rank_wait);
-  const double hidden_max = comm.allreduce_max(rank_hidden);
   // Steady-state neighbor workspace footprint: the parallel rebuild path
   // is allocation-free once warm, so the fleet-wide max is a meaningful
   // per-rank memory gauge (and a regression tripwire if it ever grows
@@ -572,8 +469,6 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
   const double rank_env_dense = static_cast<double>(env_stats.dense_bytes);
   const double env_compact_max = comm.allreduce_max(rank_env_compact);
   const double env_dense_max = comm.allreduce_max(rank_env_dense);
-  const double latency_total = comm_sums[1] + comm_sums[2];
-  const double overlap_ratio = latency_total > 0 ? comm_sums[2] / latency_total : 0.0;
   const CommStats cs = comm.stats();
   if (rank == 0) {
     auto& reg = obs::MetricsRegistry::instance();
@@ -581,9 +476,6 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
     reg.gauge("halo.bytes_per_rank_max").set(bytes_max);
     reg.gauge("halo.wait_seconds_mean").set(comm_sums[1] / nranks);
     reg.gauge("halo.wait_seconds_max").set(wait_max);
-    reg.gauge("halo.hidden_seconds_mean").set(comm_sums[2] / nranks);
-    reg.gauge("halo.hidden_seconds_max").set(hidden_max);
-    reg.gauge("halo.overlap_ratio").set(overlap_ratio);
     reg.gauge("neighbor.workspace_bytes_max").set(nlist_bytes_max);
     reg.gauge("env_mat.compact_bytes_max").set(env_compact_max);
     reg.gauge("env_mat.dense_bytes_max").set(env_dense_max);
@@ -609,7 +501,6 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
                {"halo_bytes", rank_bytes},
                {"halo_messages", static_cast<double>(halo_ex.messages_sent())},
                {"halo_wait_seconds", rank_wait},
-               {"halo_hidden_seconds", rank_hidden},
                {"neighbor_workspace_bytes", rank_nlist_bytes},
                {"env_compact_bytes", rank_env_compact},
                {"env_dense_bytes", rank_env_dense},
@@ -623,8 +514,6 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
     result.max_ghost_atoms = static_cast<std::size_t>(max_ghost_global);
     result.load_imbalance = mean_local > 0 ? max_local_global / mean_local : 1.0;
     result.halo_wait_seconds = comm_sums[1];
-    result.halo_hidden_seconds = comm_sums[2];
-    result.halo_overlap_ratio = overlap_ratio;
     result.neighbor_rebuilds = rebuilds;
     result.early_rebuilds = early_rebuilds;
     result.boundary_shifts = boundary_shifts;

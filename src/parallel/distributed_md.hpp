@@ -1,15 +1,12 @@
 // Domain-decomposed MD driver: the parallel equivalent of md::Simulation.
 //
-// Per step (the LAMMPS-style cycle the paper runs on Summit/Fugaku), with
-// halo traffic overlapped with force work via nonblocking minimpi:
+// Per step (the LAMMPS pair-style cycle the paper runs on Summit/Fugaku):
 //   half-kick + drift -> rebuild check (every rebuild_every steps, or early
 //   when the OR-allreduced skin/2 displacement criterion fires: drop ghosts,
-//   migrate, reorder locals interior-first, re-exchange ghosts, rebuild
-//   local neighbor lists) -> post ghost-position refresh, evaluate forces on
-//   *interior* centers (their lists reach no ghosts) while messages are in
-//   flight, complete the refresh, evaluate *boundary* centers -> post
-//   ghost-force reduction, interior half-kick while in flight, complete the
-//   reduction, boundary half-kick; thermodynamics via allreduce.
+//   migrate, re-exchange ghosts, rebuild the local neighbor list; otherwise
+//   refresh ghost positions along the recorded plan) -> one force
+//   evaluation over every local center -> ghost-force reduction -> half-kick;
+//   thermodynamics via allreduce.
 #pragma once
 
 #include <array>
@@ -41,13 +38,11 @@ struct DistributedRunResult {
   /// Fig 6c notes sub-regions are "carefully divided to avoid load-balance
   /// problems").
   double load_imbalance = 1.0;
-  /// Halo latency accounting, summed over ranks: seconds blocked in recv,
-  /// seconds of compute executed while halo messages were in flight, and
-  /// hidden / (hidden + wait) — the fraction of halo latency taken off the
-  /// critical path by the nonblocking overlap.
+  /// Seconds blocked in halo receives (wait + unpack), summed over ranks.
   double halo_wait_seconds = 0.0;
+  /// Always 0: the step no longer overlaps force work with halo traffic.
+  /// Kept for readers of the old field (bench/e2e/anatomy.cpp).
   double halo_hidden_seconds = 0.0;
-  double halo_overlap_ratio = 0.0;
   /// Neighbor-list rebuilds per rank (ranks rebuild in lockstep), and the
   /// subset forced early by the skin/2 displacement trigger.
   std::uint64_t neighbor_rebuilds = 0;

@@ -40,9 +40,9 @@ void HaloExchange::post_send(Communicator& comm, int dest, int tag,
   metrics.messages.inc();
 }
 
-std::vector<double> HaloExchange::wait_recv(Request& req) {
+std::vector<double> HaloExchange::wait_recv(Communicator& comm, int src, int tag) {
   WallTimer wait;
-  auto incoming = req.take_vec<double>();
+  auto incoming = comm.recv_vec<double>(src, tag);
   const double waited = wait.seconds();
   wait_seconds_ += waited;
   TimerRegistry::instance().add("halo.wait", waited);
@@ -52,14 +52,7 @@ std::vector<double> HaloExchange::wait_recv(Request& req) {
 std::vector<double> HaloExchange::send_recv(Communicator& comm, int dest, int src, int tag,
                                             const std::vector<double>& payload) {
   post_send(comm, dest, tag, payload);
-  Request req = comm.irecv(src, tag);
-  return wait_recv(req);
-}
-
-void HaloExchange::note_overlap_window() {
-  const double hidden = overlap_timer_.seconds();
-  hidden_seconds_ += hidden;
-  TimerRegistry::instance().add("halo.hidden", hidden);
+  return wait_recv(comm, src, tag);
 }
 
 std::vector<double> HaloExchange::pack_positions(const Stage& st, const md::Atoms& atoms) const {
@@ -166,106 +159,50 @@ void HaloExchange::exchange_ghosts(Communicator& comm, md::Atoms& atoms) {
 }
 
 void HaloExchange::update_ghost_positions(Communicator& comm, md::Atoms& atoms) {
-  begin_update_ghosts(comm, atoms);
-  finish_update_ghosts(comm, atoms);
-}
-
-void HaloExchange::begin_update_ghosts(Communicator& comm, md::Atoms& atoms) {
   ScopedTimer timer("halo.update", "halo");
-  DP_CHECK_MSG(!update_active_ && !reduce_active_,
-               "begin_update_ghosts: another begin/finish pair is still open");
-  // The x stages' send_idx reference only local atoms (they were selected
-  // from the pre-ghost candidate range), whose positions are final for this
-  // step — so both x sends can be posted before any force work. The y and z
-  // payloads read ghost positions that arrive with the earlier stages; those
-  // sends are posted in finish_update_ghosts() as their inputs land.
-  pending_.clear();
-  pending_.reserve(stages_.size());
-  for (std::size_t s = 0; s < stages_.size(); ++s) {
-    const Stage& st = stages_[s];
-    if (s < 2) post_send(comm, st.send_to, 200 + st.tag, pack_positions(st, atoms));
-    pending_.push_back(comm.irecv(st.recv_from, 200 + st.tag));
+  // One dimension at a time (stage pairs {0,1} = x, {2,3} = y, {4,5} = z).
+  // A pair's send_idx predate its own receives, so neither payload depends
+  // on the other: both sends are posted before waiting on either. The y and
+  // z payloads read ghosts unpacked by the earlier dimensions.
+  for (std::size_t s = 0; s < stages_.size(); s += 2) {
+    for (std::size_t t : {s, s + 1})
+      post_send(comm, stages_[t].send_to, 200 + stages_[t].tag,
+                pack_positions(stages_[t], atoms));
+    for (std::size_t t : {s, s + 1}) {
+      const Stage& st = stages_[t];
+      const auto incoming = wait_recv(comm, st.recv_from, 200 + st.tag);
+      DP_CHECK(incoming.size() == 3 * st.recv_count);
+      for (std::size_t k = 0; k < st.recv_count; ++k)
+        atoms.pos[st.recv_begin + k] = {incoming[3 * k], incoming[3 * k + 1],
+                                        incoming[3 * k + 2]};
+    }
   }
-  update_active_ = true;
-  overlap_timer_.reset();
-}
-
-void HaloExchange::finish_update_ghosts(Communicator& comm, md::Atoms& atoms) {
-  ScopedTimer timer("halo.update", "halo");
-  DP_CHECK_MSG(update_active_, "finish_update_ghosts without begin_update_ghosts");
-  note_overlap_window();
-  for (std::size_t s = 0; s < stages_.size(); ++s) {
-    // Entering dimension d (stage pairs {2,3} = y, {4,5} = z): the previous
-    // dimension's ghosts are unpacked, so both of this dimension's payloads
-    // are now readable. Their send_idx predate this dimension's recvs, so
-    // neither pair member depends on the other — post both at once.
-    if (s >= 2 && s % 2 == 0)
-      for (std::size_t t : {s, s + 1})
-        post_send(comm, stages_[t].send_to, 200 + stages_[t].tag,
-                  pack_positions(stages_[t], atoms));
-    const Stage& st = stages_[s];
-    const auto incoming = wait_recv(pending_[s]);
-    DP_CHECK(incoming.size() == 3 * st.recv_count);
-    for (std::size_t k = 0; k < st.recv_count; ++k)
-      atoms.pos[st.recv_begin + k] = {incoming[3 * k], incoming[3 * k + 1],
-                                      incoming[3 * k + 2]};
-  }
-  pending_.clear();
-  update_active_ = false;
 }
 
 void HaloExchange::reduce_forces(Communicator& comm, md::Atoms& atoms) {
-  begin_reduce_forces(comm, atoms);
-  finish_reduce_forces(comm, atoms);
-}
-
-void HaloExchange::begin_reduce_forces(Communicator& comm, md::Atoms& atoms) {
   ScopedTimer timer("halo.reduce", "halo");
-  DP_CHECK_MSG(!update_active_ && !reduce_active_,
-               "begin_reduce_forces: another begin/finish pair is still open");
-  // Reversed plan: the z stages go first. Their payloads read the forces on
-  // their own ghost ranges, which are final as soon as the local force
-  // evaluation is done, and the sibling z stage's fold cannot touch them
-  // (its send_idx predate both z recv ranges) — so both z sends post here.
-  // The y and x payloads absorb folds from the stages before them in the
-  // reversed order; those sends are posted in finish_reduce_forces().
-  pending_.clear();
-  pending_.reserve(stages_.size());
-  for (std::size_t r = 0; r < stages_.size(); ++r) {
-    const Stage& st = stages_[stages_.size() - 1 - r];
-    if (r < 2) post_send(comm, st.recv_from, 400 + st.tag, pack_ghost_forces(st, atoms));
-    pending_.push_back(comm.irecv(st.send_to, 400 + st.tag));
-  }
-  reduce_active_ = true;
-  overlap_timer_.reset();
-}
-
-void HaloExchange::finish_reduce_forces(Communicator& comm, md::Atoms& atoms) {
-  ScopedTimer timer("halo.reduce", "halo");
-  DP_CHECK_MSG(reduce_active_, "finish_reduce_forces without begin_reduce_forces");
-  note_overlap_window();
-  for (std::size_t r = 0; r < stages_.size(); ++r) {
-    // Entering dimension d of the reversed walk (r == 2 → y, r == 4 → x):
-    // every fold that can write into this dimension's ghost ranges has run
-    // (later dimensions' send_idx never reach them), so both payloads are
-    // final — post both at once. The fold order below is exactly the
-    // blocking loop's, so the reduction stays bitwise reproducible.
-    if (r >= 2 && r % 2 == 0)
-      for (std::size_t t : {r, r + 1}) {
-        const Stage& ps = stages_[stages_.size() - 1 - t];
-        post_send(comm, ps.recv_from, 400 + ps.tag, pack_ghost_forces(ps, atoms));
+  // The plan walked backwards, one dimension at a time (z, y, x). Every
+  // fold that can write into a dimension's ghost ranges comes from a later
+  // dimension (earlier send_idx never reach them), so both of its payloads
+  // are final on entry and both sends are posted before waiting on either.
+  // The folds run in reversed stage order, so the reduction is bitwise
+  // reproducible.
+  for (std::size_t r = 0; r < stages_.size(); r += 2) {
+    for (std::size_t t : {r, r + 1}) {
+      const Stage& st = stages_[stages_.size() - 1 - t];
+      post_send(comm, st.recv_from, 400 + st.tag, pack_ghost_forces(st, atoms));
+    }
+    for (std::size_t t : {r, r + 1}) {
+      const Stage& st = stages_[stages_.size() - 1 - t];
+      const auto incoming = wait_recv(comm, st.send_to, 400 + st.tag);
+      DP_CHECK(incoming.size() == 3 * st.send_idx.size());
+      // Fold the returned ghost forces into the atoms we sent out.
+      for (std::size_t k = 0; k < st.send_idx.size(); ++k) {
+        atoms.force[static_cast<std::size_t>(st.send_idx[k])] +=
+            Vec3{incoming[3 * k], incoming[3 * k + 1], incoming[3 * k + 2]};
       }
-    const Stage& st = stages_[stages_.size() - 1 - r];
-    const auto incoming = wait_recv(pending_[r]);
-    DP_CHECK(incoming.size() == 3 * st.send_idx.size());
-    // Fold the returned ghost forces into the atoms we sent out.
-    for (std::size_t k = 0; k < st.send_idx.size(); ++k) {
-      atoms.force[static_cast<std::size_t>(st.send_idx[k])] +=
-          Vec3{incoming[3 * k], incoming[3 * k + 1], incoming[3 * k + 2]};
     }
   }
-  pending_.clear();
-  reduce_active_ = false;
 }
 
 void migrate(Communicator& comm, const md::Box& box, const Decomp& decomp, int rank,

@@ -4,13 +4,15 @@
 // the x ghosts, which populates edges), then +z, -z (corners). Positions sent
 // across a periodic boundary are shifted by the box length so ghosts sit
 // geometrically adjacent to the receiving sub-domain; force reduction walks
-// the same plan backwards, so every ghost force lands on its owner.
+// the same plan backwards, so every ghost force lands on its owner. Every
+// call is blocking: within a dimension both sends are posted before either
+// receive is waited on, and the folds run in a fixed stage order, so the
+// reduced forces are bitwise reproducible.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "common/timer.hpp"
 #include "md/atoms.hpp"
 #include "md/box.hpp"
 #include "parallel/decomp.hpp"
@@ -28,33 +30,12 @@ class HaloExchange {
   void exchange_ghosts(Communicator& comm, md::Atoms& atoms);
 
   /// Re-sends current positions along the recorded plan (between neighbor
-  /// list rebuilds, when membership hasn't changed). Equivalent to
-  /// begin_update_ghosts() immediately followed by finish_update_ghosts().
+  /// list rebuilds, when membership hasn't changed).
   void update_ghost_positions(Communicator& comm, md::Atoms& atoms);
 
-  /// Nonblocking ghost-position refresh. begin posts the x-leg isends (their
-  /// payloads read only local positions) and the irecvs of all six stages,
-  /// then returns so force work on interior atoms can run while messages are
-  /// in flight; finish completes the staged plan (the y payloads read the x
-  /// ghosts, the z payloads read both, so those legs are posted as their
-  /// inputs arrive). begin/finish pairs must not nest or interleave with the
-  /// reduce pair.
-  void begin_update_ghosts(Communicator& comm, md::Atoms& atoms);
-  void finish_update_ghosts(Communicator& comm, md::Atoms& atoms);
-
   /// Sends ghost forces back along the reversed plan, accumulating into the
-  /// owners' force arrays; ghost forces are consumed. Equivalent to
-  /// begin_reduce_forces() immediately followed by finish_reduce_forces().
+  /// owners' force arrays in a fixed stage order; ghost forces are consumed.
   void reduce_forces(Communicator& comm, md::Atoms& atoms);
-
-  /// Nonblocking ghost-force reduction. begin posts the reversed plan's
-  /// first (z) leg — its payloads are final as soon as the local force
-  /// evaluation is done — plus every irecv; work that does not read boundary
-  /// forces (e.g. the interior half-kick) runs while messages are in flight;
-  /// finish folds incoming forces in exactly the blocking call's stage
-  /// order, so the reduction stays bitwise reproducible.
-  void begin_reduce_forces(Communicator& comm, md::Atoms& atoms);
-  void finish_reduce_forces(Communicator& comm, md::Atoms& atoms);
 
   std::size_t n_local() const { return n_local_; }
   std::size_t n_ghost() const { return n_ghost_; }
@@ -66,10 +47,6 @@ class HaloExchange {
   std::uint64_t messages_sent() const { return messages_sent_; }
   /// Seconds spent blocked in recv (wait + unpack) across all exchanges.
   double wait_seconds() const { return wait_seconds_; }
-  /// Seconds of compute executed between a begin_* post and the matching
-  /// finish_* — the window in which halo traffic progressed off the
-  /// critical path (the latency-hiding the paper's Sec 3.5.4 relies on).
-  double hidden_seconds() const { return hidden_seconds_; }
 
  private:
   struct Stage {
@@ -82,16 +59,14 @@ class HaloExchange {
 
   /// isend of one stage payload, updating the communication counters.
   void post_send(Communicator& comm, int dest, int tag, const std::vector<double>& payload);
-  /// Timed completion of a posted irecv, charged to wait_seconds_.
-  std::vector<double> wait_recv(Request& req);
-  /// post_send + irecv + wait_recv of one lockstep stage (structural
-  /// exchange at rebuild time, where payload sizes change).
+  /// Timed receive of one stage payload, charged to wait_seconds_.
+  std::vector<double> wait_recv(Communicator& comm, int src, int tag);
+  /// post_send + wait_recv of one lockstep stage (structural exchange at
+  /// rebuild time, where payload sizes change).
   std::vector<double> send_recv(Communicator& comm, int dest, int src, int tag,
                                 const std::vector<double>& payload);
   std::vector<double> pack_positions(const Stage& st, const md::Atoms& atoms) const;
   std::vector<double> pack_ghost_forces(const Stage& st, const md::Atoms& atoms) const;
-  /// Charges the begin->finish window to hidden_seconds_.
-  void note_overlap_window();
 
   md::Box box_;
   const Decomp& decomp_;
@@ -102,16 +77,6 @@ class HaloExchange {
   std::size_t n_local_ = 0, n_ghost_ = 0;
   std::uint64_t bytes_sent_ = 0, messages_sent_ = 0;
   double wait_seconds_ = 0.0;
-  double hidden_seconds_ = 0.0;
-
-  /// In-flight nonblocking exchange: one pending irecv per stage plus the
-  /// overlap-window timer. Instance state owned by one rank thread, like
-  /// everything else in this class; the Requests carry the mailbox
-  /// happens-before (see minimpi.cpp).
-  std::vector<Request> pending_;
-  WallTimer overlap_timer_;
-  bool update_active_ = false;
-  bool reduce_active_ = false;
 };
 
 /// Moves atoms that left this rank's sub-domain to their new owners (one

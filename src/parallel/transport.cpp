@@ -9,7 +9,8 @@
 
 namespace dp::par {
 
-// Default collectives over tagged p2p, usable by any backend.
+// The collectives, over tagged p2p — the one implementation every backend
+// runs (threads, shm and tcp implement only point-to-point).
 //
 // Shape: a gather to rank 0 (in rank order) followed by a broadcast from
 // rank 0. Tags live in the reserved kCollectiveTag space so they can never
@@ -25,7 +26,6 @@ void Transport::barrier(int me) {
   constexpr int kRelease = kCollectiveTag + 1;
   const int n = size();
   if (me == 0) {
-    std::vector<std::byte> scratch;
     for (int r = 1; r < n; ++r) (void)recv(0, r, kArrive);
     for (int r = 1; r < n; ++r) send(0, r, kRelease, nullptr, 0);
   } else {

@@ -4,9 +4,8 @@
 // is the contract; a Transport is how the bytes actually move. Three
 // backends implement it (DESIGN.md "Transport" has the full matrix):
 //
-//   * threads — the original in-process mailbox World (minimpi.cpp): ranks
-//     are threads of one process, sends are buffered copies, collectives run
-//     on shared memory. Default; zero behavior change vs the seed.
+//   * threads — the in-process mailbox World (minimpi.cpp): ranks are
+//     threads of one process and sends are buffered copies. Default.
 //   * shm — one POSIX shared-memory segment of N*N SPSC byte rings for
 //     co-located processes (transport_shm.cpp).
 //   * tcp — one socket per rank pair plus a reader/flush thread, for real
@@ -15,6 +14,8 @@
 // A Transport instance either serves every rank of one process (threads) or
 // exactly one rank of a multi-process world (shm/tcp); the `me`/`src`
 // parameters carry the caller's rank so both shapes share one interface.
+// Backends implement only point-to-point; the collectives are written once
+// in this base class, so every backend folds reductions in the same order.
 #pragma once
 
 #include <atomic>
@@ -29,8 +30,9 @@ namespace dp::par {
 class Communicator;
 
 /// Aggregate communication counters. For the threads backend these are
-/// world totals (summed over ranks); for shm/tcp they are this process's
-/// view of its one rank.
+/// world totals (summed over ranks, collective plumbing included: a barrier
+/// counts once per rank and moves 2(n-1) zero-byte messages); for shm/tcp
+/// they are this process's view of its one rank.
 struct CommStats {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
@@ -76,20 +78,15 @@ class Transport {
   /// Single nonblocking poll; true moves the payload into `out`.
   virtual bool try_recv(int me, int src, int tag, std::vector<std::byte>& out) = 0;
 
-  /// Collectives. The base implementations run on tagged p2p (gather to
-  /// rank 0 in rank order, then broadcast) over tags >= kCollectiveTag, so
-  /// any backend that moves bytes gets deterministic collectives for free:
-  /// the reduction folds in *rank* order at rank 0, independent of arrival
-  /// order. (The threads backend overrides them with its shared-memory
-  /// versions, which fold in arrival order — order-sensitive reductions are
-  /// only used for telemetry, never for forces, and the integer sum is
-  /// order-free; see DESIGN.md.)
-  virtual void barrier(int me);
-  virtual std::vector<double> allreduce(int me, const std::vector<double>& x,
-                                        bool take_max);
+  /// Collectives, on tagged p2p over tags >= kCollectiveTag: a gather to
+  /// rank 0 in rank order, then a broadcast. The reduction folds in *rank*
+  /// order at rank 0, independent of arrival order, so every backend gives
+  /// the same bits.
+  void barrier(int me);
+  std::vector<double> allreduce(int me, const std::vector<double>& x, bool take_max);
   /// Integer sum, folded in rank order like allreduce() but never through a
   /// double, so it is exact over the whole uint64_t range (modulo 2^64).
-  virtual std::vector<std::uint64_t> allreduce_u64(int me, const std::vector<std::uint64_t>& x);
+  std::vector<std::uint64_t> allreduce_u64(int me, const std::vector<std::uint64_t>& x);
 
   /// Tags at or above this value are reserved for the transport layer's own
   /// collective plumbing; Communicator-level code must stay below it.
@@ -111,8 +108,7 @@ class Transport {
  protected:
   /// Stats counters are relaxed atomics: monotonic telemetry, read after
   /// the world quiesced (thread join or ProcessGroup teardown supplies the
-  /// happens-before), so no stronger ordering is needed — the same argument
-  /// as the seed World's counters (minimpi.cpp).
+  /// happens-before), so no stronger ordering is needed.
   std::atomic<std::uint64_t> n_messages_{0};
   std::atomic<std::uint64_t> n_bytes_{0};
   std::atomic<std::uint64_t> n_barriers_{0};

@@ -140,29 +140,6 @@ TEST(NeighborParallel, HalfListParity) {
   }
 }
 
-TEST(NeighborParallel, PrefixAndCompactParity) {
-  // prefix()/compact() consume the CSR and the retained center positions;
-  // both must be independent of the thread count that built them.
-  Box box(26, 26, 26);
-  const auto pos = uneven_positions(box, 450, 19);
-  ThreadGuard guard;
-  omp_set_num_threads(1);
-  NeighborList serial(4.0, 1.0);
-  serial.build(box, pos, 200, /*periodic=*/false);
-  std::vector<int> serial_map;
-  const Csr want_prefix = snapshot(serial.prefix(80));
-  const Csr want_compact = snapshot(serial.compact(80, 200, serial_map));
-  for (int t : kThreadCounts) {
-    omp_set_num_threads(t);
-    NeighborList threaded(4.0, 1.0);
-    threaded.build(box, pos, 200, /*periodic=*/false);
-    std::vector<int> map;
-    EXPECT_EQ(want_prefix, snapshot(threaded.prefix(80))) << "threads=" << t;
-    EXPECT_EQ(want_compact, snapshot(threaded.compact(80, 200, map))) << "threads=" << t;
-    EXPECT_EQ(serial_map, map) << "threads=" << t;
-  }
-}
-
 TEST(NeighborParallel, RepeatedRebuildsAreAllocationFree) {
   // Steady state: after a couple of warm-up builds (capacities alternate
   // once through build_half's buffer swap), the persistent workspace stops

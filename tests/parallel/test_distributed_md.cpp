@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+
 #include "dp/baseline_model.hpp"
 #include "fused/fused_model.hpp"
 #include "fused/mixed_model.hpp"
@@ -259,19 +262,40 @@ TEST(DistributedMd, WithoutDisplacementTriggerAggressiveDynamicsDiverges) {
   EXPECT_GT(max_err, 1e-3);
 }
 
-TEST(DistributedMd, OverlapHidesHaloLatency) {
-  // Multi-rank run dominated by non-rebuild steps: every step opens two
-  // begin/finish overlap windows, so hidden time must accumulate.
+/// Forwards to Lennard-Jones and counts compute() calls into a slot the
+/// test reads after the run (each rank owns one instance, hence one slot).
+class CountingForceField final : public md::ForceField {
+ public:
+  explicit CountingForceField(std::atomic<int>* calls) : calls_(calls) {}
+  md::ForceResult compute(const md::Box& box, md::Atoms& atoms, const md::NeighborList& nlist,
+                          bool periodic) override {
+    calls_->fetch_add(1, std::memory_order_relaxed);
+    return lj_.compute(box, atoms, nlist, periodic);
+  }
+  double cutoff() const override { return lj_.cutoff(); }
+
+ private:
+  md::LennardJones lj_{0.4, 2.34, 4.5};
+  std::atomic<int>* calls_;
+};
+
+TEST(DistributedMd, OneComputeCallPerForceEvaluation) {
+  // The step is the LAMMPS cycle: ghost refresh, one compute() over every
+  // local center, ghost-force reduction. Rebuild steps and plain steps
+  // alike make exactly one call, plus the initial evaluation.
   auto sys = md::make_fcc(8, 8, 8, 3.7, 63.5, 0.05, 83);
-  md::SimulationConfig sc = fast_sim(20);
+  md::SimulationConfig sc = fast_sim(12);
   DistributedOptions opts;
   opts.grid = {2, 2, 1};
+  std::array<std::atomic<int>, 4> calls{};
+  std::atomic<int> next_slot{0};
   const auto r = run_distributed_md(
-      4, sys, [] { return std::make_unique<md::LennardJones>(0.4, 2.34, 4.5); }, sc, opts);
-  EXPECT_GT(r.halo_hidden_seconds, 0.0);
-  EXPECT_GE(r.halo_overlap_ratio, 0.0);
-  EXPECT_LE(r.halo_overlap_ratio, 1.0);
-  EXPECT_GE(r.neighbor_rebuilds, 1u);
+      4, sys,
+      [&] { return std::make_unique<CountingForceField>(&calls[next_slot.fetch_add(1)]); }, sc,
+      opts);
+  EXPECT_EQ(next_slot.load(), 4);
+  for (const auto& c : calls) EXPECT_EQ(c.load(), sc.steps + 1);
+  EXPECT_GE(r.neighbor_rebuilds, 2u);
 }
 
 TEST(DistributedMd, PairModeAndMixedPathsWork) {

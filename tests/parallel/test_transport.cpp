@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -167,6 +168,25 @@ void u64_allreduce_exact(const TransportConfig& base) {
 TEST(Transport, U64AllreduceExactAbove2Pow53) {
   u64_allreduce_exact(backend_config(TransportKind::Shm, 4, "u64"));
   u64_allreduce_exact(backend_config(TransportKind::Tcp, 4, "u64"));
+}
+
+/// Rank r contributes kParts[r] after sleeping (2 - r) x 20 ms, so the
+/// contributions reach rank 0 in reverse rank order. Every backend must fold
+/// in rank order, (0.1 + 0.2) + 0.3, which differs in the last bit from the
+/// arrival-order (0.3 + 0.2) + 0.1.
+void expect_rank_order_fold(Communicator& comm) {
+  constexpr double kParts[3] = {0.1, 0.2, 0.3};
+  ASSERT_EQ(comm.size(), 3);
+  ASSERT_NE((kParts[0] + kParts[1]) + kParts[2], (kParts[2] + kParts[1]) + kParts[0]);
+  const int r = comm.rank();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20 * (2 - r)));
+  EXPECT_EQ(comm.allreduce_sum(kParts[r]), (kParts[0] + kParts[1]) + kParts[2]) << "rank " << r;
+}
+
+TEST(Transport, AllreduceFoldsInRankOrderOnEveryBackend) {
+  run_parallel(3, expect_rank_order_fold);
+  run_world(backend_config(TransportKind::Shm, 3, "fold"), expect_rank_order_fold);
+  run_world(backend_config(TransportKind::Tcp, 3, "fold"), expect_rank_order_fold);
 }
 
 /// The tentpole acceptance check, in-binary: an MD run over a cross-process
