@@ -13,14 +13,18 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/cost.hpp"
 #include "common/timer.hpp"
@@ -52,6 +56,7 @@ using dp::core::ModelConfig;
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
+  std::vector<std::string> order;  ///< option names as given on the command line
 
   std::string get(const std::string& key, const std::string& fallback = "") const {
     auto it = options.find(key);
@@ -77,9 +82,11 @@ Args parse(int argc, char** argv) {
     key = key.substr(2);
     if (const auto eq = key.find('='); eq != std::string::npos) {
       // --key=value spelling
-      args.options[key.substr(0, eq)] = key.substr(eq + 1);
+      args.order.push_back(key.substr(0, eq));
+      args.options[args.order.back()] = key.substr(eq + 1);
       continue;
     }
+    args.order.push_back(key);
     if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
       // Assign through a std::string temporary: string::operator=(const
       // char*) trips GCC 12's -Wrestrict false positive (PR105329) once
@@ -90,6 +97,15 @@ Args parse(int argc, char** argv) {
     }
   }
   return args;
+}
+
+/// Refuses the first option on the command line that the command does not
+/// read, so a misspelt or retired flag stops the run instead of being
+/// silently ignored.
+void accept_only(const Args& args, std::initializer_list<std::string_view> known) {
+  for (const std::string& key : args.order)
+    if (std::find(known.begin(), known.end(), key) == known.end())
+      throw dp::Error("unknown option --" + key + " for 'dpmd " + args.command + "'");
 }
 
 ModelConfig config_for(const std::string& system, bool demo, const std::string& descriptor) {
@@ -307,6 +323,7 @@ void print_fit_block_cost(std::size_t n_atoms, std::uint64_t force_evals) {
 }
 
 int cmd_init(const Args& args) {
+  accept_only(args, {"system", "out", "demo", "descriptor", "seed"});
   const std::string system = args.get("system", "water");
   const std::string out = args.get("out", "model.dpm");
   DPModel model(config_for(system, args.has("demo"), args.get("descriptor", "se_a")),
@@ -317,6 +334,7 @@ int cmd_init(const Args& args) {
 }
 
 int cmd_info(const Args& args) {
+  accept_only(args, {"model"});
   DPModel model = DPModel::load(args.get("model", "model.dpm"));
   const ModelConfig& c = model.config();
   std::printf("cutoff        %.2f A (smooth from %.2f A)\n", c.rcut, c.rcut_smth);
@@ -335,6 +353,7 @@ int cmd_info(const Args& args) {
 }
 
 int cmd_compress(const Args& args) {
+  accept_only(args, {"model", "interval", "rmin", "out"});
   DPModel model = DPModel::load(args.get("model", "model.dpm"));
   const double interval = args.get_double("interval", 0.01);
   const double rmin = args.get_double("rmin", 0.8);
@@ -354,6 +373,12 @@ int cmd_compress(const Args& args) {
 }
 
 int cmd_run(const Args& args) {
+  accept_only(args, {"model", "compressed", "system", "data", "cells", "restart", "vacuum",
+                     "rmin", "interval", "path", "steps", "dt", "temp", "skin", "thermo-every",
+                     "rebuild-every", "ranks", "transport", "rank", "world", "rendezvous",
+                     "timeout", "thermostat", "pressure", "dump", "thermo", "save-checkpoint",
+                     "force-dump", "trace", "metrics", "health", "flight-recorder",
+                     "inject-segv", "inject-fatal"});
   const ObsOutputs obs_out = setup_observability(args);
   // Either a raw model (tables built on the fly) or a compressed bundle.
   std::unique_ptr<dp::tab::CompressedModel> bundle;
@@ -380,8 +405,8 @@ int cmd_run(const Args& args) {
                 ck.step, sys.atoms.size());
   }
   // Inhomogeneous-load scenario: grow the box along x by FRAC without moving
-  // atoms, leaving a vacuum slab at high x — the workload where fixed slabs
-  // are maximally unbalanced and --rebalance has the most to recover.
+  // atoms, leaving a vacuum slab at high x — the workload where uniform slabs
+  // would leave ranks idle and the count-equalized planes earn their keep.
   const double vacuum = args.get_double("vacuum", 0.0);
   if (vacuum > 0.0) {
     const dp::Vec3 L = sys.box.lengths();
@@ -475,8 +500,6 @@ int cmd_run(const Args& args) {
       dopts.flight_dir = flight_dir;
       dopts.metrics_rewrite_path = obs_out.metrics_path;
     }
-    dopts.rebalance = args.has("rebalance");
-    dopts.rebalance_every = args.get_int("rebalance-every", dopts.rebalance_every);
     const std::string force_dump = args.get("force-dump");
     dopts.gather_state = !force_dump.empty();
     if (inject_segv >= 0 || inject_fatal >= 0) {
@@ -526,12 +549,10 @@ int cmd_run(const Args& args) {
           result.comm.transport, result.comm.bytes / 1024.0,
           static_cast<unsigned long long>(result.comm.messages),
           result.comm.wire_bytes / 1024.0, result.max_ghost_atoms, result.wall_seconds);
-      std::printf("rebuilds %llu (early %llu); load imbalance %.4f; boundary shifts "
-                  "%llu\n",
+      std::printf("rebuilds %llu (early %llu); load imbalance %.4f\n",
                   static_cast<unsigned long long>(result.neighbor_rebuilds),
                   static_cast<unsigned long long>(result.early_rebuilds),
-                  result.load_imbalance,
-                  static_cast<unsigned long long>(result.boundary_shifts));
+                  result.load_imbalance);
       if (!force_dump.empty()) write_force_dump(force_dump, result.final_force);
       print_step_breakdown(result.wall_seconds, multiprocess ? 1 : ranks);
       if (health_on) print_health_summary(result.health);
@@ -645,6 +666,8 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_train(const Args& args) {
+  accept_only(args, {"frames", "epochs", "cells", "seed", "lr", "pref-f", "ranks", "out",
+                     "trace", "metrics"});
   const ObsOutputs obs_out = setup_observability(args);
   // Train a (tiny) model on LJ-labelled copper frames, then save it.
   const int frames = args.get_int("frames", 16);
@@ -702,8 +725,7 @@ int usage() {
       "            [--transport threads|shm|tcp --rank K --world N\n"
       "             --rendezvous NAME|HOST:PORT [--timeout S]]  (or DP_TRANSPORT,\n"
       "             DP_RANK, DP_WORLD, DP_RENDEZVOUS, DP_TIMEOUT env)\n"
-      "            [--rebalance [--rebalance-every K]] [--vacuum FRAC]\n"
-      "            [--force-dump F]\n"
+      "            [--vacuum FRAC] [--force-dump F]\n"
       "            [--restart ckpt] [--data lammps.data]\n"
       "            [--trace out.trace.json] [--metrics out.metrics.jsonl]\n"
       "            [--health] [--flight-recorder [DIR]]\n"

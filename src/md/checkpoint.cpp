@@ -1,5 +1,6 @@
 #include "md/checkpoint.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 
@@ -21,6 +22,16 @@ T read_pod(std::istream& is) {
   is.read(reinterpret_cast<char*>(&v), sizeof(T));
   DP_CHECK_MSG(static_cast<bool>(is), "truncated checkpoint");
   return v;
+}
+
+/// Bytes between the read position and the end of the file.
+std::uint64_t bytes_left(std::istream& is) {
+  const std::streamoff here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streamoff end = is.tellg();
+  is.seekg(here);
+  DP_CHECK_MSG(here >= 0 && end >= here && is, "checkpoint is not seekable");
+  return static_cast<std::uint64_t>(end - here);
 }
 }  // namespace
 
@@ -54,10 +65,20 @@ Checkpoint load_checkpoint(const std::string& path) {
   const double lx = read_pod<double>(is);
   const double ly = read_pod<double>(is);
   const double lz = read_pod<double>(is);
+  DP_CHECK_MSG(std::isfinite(lx) && std::isfinite(ly) && std::isfinite(lz),
+               "non-finite box lengths in checkpoint " << path);
   out.config.box = Box(lx, ly, lz);
-  out.config.atoms.mass_by_type.resize(read_pod<std::uint64_t>(is));
+  // Bound both counts by the bytes the file can still hold before anything
+  // is allocated, so a corrupt header cannot request an arbitrary resize.
+  const auto ntypes = read_pod<std::uint64_t>(is);
+  DP_CHECK_MSG(ntypes <= bytes_left(is) / sizeof(double),
+               "checkpoint header (" << ntypes << " types) exceeds the file " << path);
+  out.config.atoms.mass_by_type.resize(ntypes);
   for (double& m : out.config.atoms.mass_by_type) m = read_pod<double>(is);
   const auto n = read_pod<std::uint64_t>(is);
+  constexpr std::uint64_t kAtomBytes = sizeof(std::int32_t) + 2 * sizeof(Vec3);
+  DP_CHECK_MSG(n <= bytes_left(is) / kAtomBytes,
+               "checkpoint header (" << n << " atoms) exceeds the file " << path);
   out.config.atoms.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     out.config.atoms.type[i] = read_pod<std::int32_t>(is);

@@ -108,7 +108,7 @@ HealthMonitor::HealthMonitor(const HealthConfig& cfg, MetricsRegistry* sink)
        "raise neighbor slot reservation before lists overflow"});
   add({kImbalance, cfg.imbalance_warn, cfg.imbalance_fatal, true,
        cfg.raise_after, cfg.clear_after, "max/mean",
-       "rank decomposition is skewed; rebalance the grid"});
+       "force work is uneven across ranks; compare load_imbalance (atom counts)"});
   add({kExtrap, cfg.extrapolation_warn, cfg.extrapolation_fatal, true,
        cfg.raise_after, cfg.clear_after, "extrapolations/atom/step",
        "configurations outside training data; widen the tabulated domain"});

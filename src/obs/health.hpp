@@ -6,8 +6,7 @@
 // integration drift all corrupt a multi-hour run silently long before
 // anything crashes (paper Sec 6.1). Each Watchdog turns one scalar signal
 // into a three-level state (ok / warn / fatal) with hysteresis, so a driver
-// — or the dynamic rebalancer this feeds — can act on a stable answer
-// instead of a flapping threshold comparison.
+// can act on a stable answer instead of a flapping threshold comparison.
 //
 // Thread model: a HealthMonitor belongs to one rank (thread) and is never
 // shared; distributed runs evaluate one monitor per rank on globally
@@ -80,8 +79,8 @@ class Watchdog {
   HealthState better_max_ = HealthState::kOk;
 };
 
-/// Point-in-time snapshot, consumable in-process (the dynamic-rebalance
-/// hook reads this) and serializable through the JSONL sink.
+/// Point-in-time snapshot, consumable in-process and serializable through
+/// the JSONL sink.
 struct HealthReport {
   struct Entry {
     std::string name;
@@ -112,7 +111,8 @@ struct StepSignals {
   double max_force = std::numeric_limits<double>::quiet_NaN();
   /// Longest neighbor list / slot reservation (N_m); >= 1 means overflow.
   double neighbor_occupancy = std::numeric_limits<double>::quiet_NaN();
-  /// max/mean per-rank step seconds; 1.0 is perfect balance.
+  /// max/mean over ranks of the force-evaluation seconds since the last
+  /// sample; 1.0 is perfect balance.
   double step_imbalance = std::numeric_limits<double>::quiet_NaN();
   /// Cumulative embedding-table extrapolation count (monitor differences it).
   double extrapolations = std::numeric_limits<double>::quiet_NaN();
@@ -131,7 +131,7 @@ struct HealthConfig {
   double force_fatal = 1e4;
   double occupancy_warn = 0.85;   ///< longest list / reservation
   double occupancy_fatal = 1.0;
-  double imbalance_warn = 1.5;    ///< max/mean per-rank step seconds
+  double imbalance_warn = 1.5;    ///< max/mean per-rank force seconds
   double imbalance_fatal = 4.0;
   double extrapolation_warn = 1e-4;   ///< extrapolations / atom / step
   double extrapolation_fatal = 1e-2;

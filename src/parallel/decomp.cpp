@@ -7,10 +7,68 @@
 
 namespace dp::par {
 
+namespace {
+
+/// Minimum slab width as a multiple of the halo width: the margin above 1.0
+/// keeps HaloExchange's halo <= min_extent() invariant satisfied with room
+/// for floating-point drift in the cut arithmetic.
+constexpr double kMinWidthFactor = 1.05;
+
+/// Clamps interior cut planes so every slab is at least `minw` wide, keeping
+/// cuts.front()/back() fixed. Two passes: forward raises each plane to
+/// minw past its predecessor, backward lowers it to minw before its (already
+/// final) successor — feasible whenever n*minw <= L, which the caller checks.
+void clamp_min_widths(std::vector<double>& cuts, double minw) {
+  for (std::size_t i = 1; i + 1 < cuts.size(); ++i)
+    cuts[i] = std::max(cuts[i], cuts[i - 1] + minw);
+  for (std::size_t i = cuts.size() - 2; i >= 1; --i)
+    cuts[i] = std::min(cuts[i], cuts[i + 1] - minw);
+}
+
+/// Atom-count-equalizing cut planes along `axis`: boundary i sits at the
+/// midpoint of the coordinate pair straddling the i-th n-quantile of the
+/// (wrapped) positions.
+std::vector<double> count_equalizing_cuts(const md::Box& box,
+                                          const std::vector<Vec3>& positions, int axis, int n,
+                                          double minw) {
+  std::vector<double> xs;
+  xs.reserve(positions.size());
+  for (const Vec3& p : positions) xs.push_back(box.wrap(p)[static_cast<std::size_t>(axis)]);
+  std::sort(xs.begin(), xs.end());
+  const double L = box.lengths()[static_cast<std::size_t>(axis)];
+  std::vector<double> cuts(static_cast<std::size_t>(n) + 1);
+  cuts.front() = 0.0;
+  cuts.back() = L;
+  for (int i = 1; i < n; ++i) {
+    const std::size_t q = std::clamp<std::size_t>(
+        static_cast<std::size_t>(i) * xs.size() / static_cast<std::size_t>(n), 1,
+        xs.size() - 1);
+    cuts[static_cast<std::size_t>(i)] = 0.5 * (xs[q - 1] + xs[q]);
+  }
+  clamp_min_widths(cuts, minw);
+  return cuts;
+}
+
+}  // namespace
+
 Decomp::Decomp(const md::Box& box, std::array<int, 3> grid) : box_(box), grid_(grid) {
   DP_CHECK(grid[0] >= 1 && grid[1] >= 1 && grid[2] >= 1);
   const Vec3 L = box_.lengths();
   cell_ = {L.x / grid_[0], L.y / grid_[1], L.z / grid_[2]};
+}
+
+Decomp::Decomp(const md::Box& box, std::array<int, 3> grid, const std::vector<Vec3>& positions,
+               double halo_width)
+    : Decomp(box, grid) {
+  std::size_t axis = 0;
+  for (std::size_t d = 1; d < 3; ++d)
+    if (grid_[d] > grid_[axis]) axis = d;
+  const int n = grid_[axis];
+  const double minw = kMinWidthFactor * halo_width;
+  if (n > 1 && box_.lengths()[axis] >= n * minw && positions.size() >= 2) {
+    set_cuts(static_cast<int>(axis),
+             count_equalizing_cuts(box_, positions, static_cast<int>(axis), n, minw));
+  }
 }
 
 std::array<int, 3> Decomp::choose_grid(const md::Box& box, int nranks) {
@@ -48,7 +106,7 @@ int Decomp::coord_of(int dim, double x) const {
   const auto d = static_cast<std::size_t>(dim);
   const int n = grid_[d];
   if (cuts_[d].empty()) {
-    // Uniform fast path — the seed arithmetic, bit-for-bit.
+    // Uniform fast path.
     return std::min(static_cast<int>(x / cell_[d]), n - 1);
   }
   const auto& cuts = cuts_[d];

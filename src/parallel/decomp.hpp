@@ -1,12 +1,13 @@
 // 3D Cartesian domain decomposition: each rank owns one orthorhombic
 // sub-region of the global box (paper Fig 1 (a)).
 //
-// By default the grid is uniform. Each dimension can instead carry an
-// explicit cut array (set_cuts) so slab boundaries can move — the
-// measurement-driven rebalancing in distributed_md shifts them from
-// per-rank step-time EWMAs. With no cuts set, every query reproduces the
-// seed's uniform arithmetic bit-for-bit, which is what keeps the
-// rebalance-off path bitwise identical to history.
+// The distributed driver decomposes with count-equalized slabs, the paper's
+// sub-regions "carefully divided to avoid load-balance problems" (Fig 6c):
+// along the axis with the most ranks, the cut planes split the initial atom
+// positions into equal counts; the other axes keep the uniform grid. The
+// planes are placed once, at construction, and never move. The plain
+// (box, grid) constructor is the uniform grid, whose queries divide instead
+// of searching.
 #pragma once
 
 #include <array>
@@ -19,8 +20,18 @@ namespace dp::par {
 
 class Decomp {
  public:
-  /// grid[d] ranks along dimension d; grid[0]*grid[1]*grid[2] == nranks.
+  /// Uniform grid: grid[d] ranks along dimension d; grid[0]*grid[1]*grid[2]
+  /// == nranks.
   Decomp(const md::Box& box, std::array<int, 3> grid);
+
+  /// Count-equalized grid: the uniform grid, except along the axis with the
+  /// most ranks (the first on ties), whose planes split `positions` into
+  /// equal counts while keeping every slab at least 1.05 x halo_width wide.
+  /// Stays uniform when that axis cannot hold its slabs at that width, or
+  /// with fewer than 2 atoms. Deterministic in its inputs, so every rank
+  /// derives the identical planes without communicating.
+  Decomp(const md::Box& box, std::array<int, 3> grid, const std::vector<Vec3>& positions,
+         double halo_width);
 
   /// Picks the grid with the most-cubic sub-domains for nranks ranks.
   static std::array<int, 3> choose_grid(const md::Box& box, int nranks);
@@ -51,8 +62,8 @@ class Decomp {
   /// Installs explicit boundary planes along `dim`: grid[dim]+1 strictly
   /// increasing values spanning exactly [0, L[dim]]. Passing the uniform
   /// planes is NOT the same as never calling this — the uniform fast path
-  /// divides instead of searching — so rebalancing callers only install
-  /// cuts when they actually move a boundary.
+  /// divides instead of searching. Call before handing the Decomp to a
+  /// HaloExchange, which reads its bounds once.
   void set_cuts(int dim, const std::vector<double>& cuts);
   bool has_cuts(int dim) const { return !cuts_[static_cast<std::size_t>(dim)].empty(); }
 
@@ -71,7 +82,7 @@ class Decomp {
   md::Box box_;
   std::array<int, 3> grid_;
   Vec3 cell_;
-  /// Per-dimension boundary planes; empty = uniform (the seed behavior).
+  /// Per-dimension boundary planes; empty = uniform.
   std::array<std::vector<double>, 3> cuts_;
 };
 

@@ -24,56 +24,6 @@ namespace {
 /// broadcast/gatherv 1<<20).
 constexpr int kGatherTagBase = 1 << 22;
 
-/// Step-time EWMA smoothing factor: ~the last three rebalance windows carry
-/// the weight, so one slow step (page fault, noisy neighbor) cannot yank a
-/// boundary.
-constexpr double kEwmaAlpha = 0.3;
-
-/// Per-boundary shift clamp, as a fraction of the smaller adjacent slab:
-/// < 0.5 guarantees slabs never invert in one update and atoms near a moved
-/// boundary still travel at most one slab per migration.
-constexpr double kMaxShiftFraction = 0.45;
-
-/// Minimum slab width as a multiple of the halo width: the margin above 1.0
-/// keeps HaloExchange's halo <= min_extent() invariant satisfied with room
-/// for floating-point drift in the cut arithmetic.
-constexpr double kMinWidthFactor = 1.05;
-
-/// Clamps interior cut planes so every slab is at least `minw` wide, keeping
-/// cuts.front()/back() fixed. Two passes: forward raises each plane to
-/// minw past its predecessor, backward lowers it to minw before its (already
-/// final) successor — feasible whenever n*minw <= L, which callers check.
-void clamp_min_widths(std::vector<double>& cuts, double minw) {
-  for (std::size_t i = 1; i + 1 < cuts.size(); ++i)
-    cuts[i] = std::max(cuts[i], cuts[i - 1] + minw);
-  for (std::size_t i = cuts.size() - 2; i >= 1; --i)
-    cuts[i] = std::min(cuts[i], cuts[i + 1] - minw);
-}
-
-/// Initial atom-count-equalizing cut planes along `axis`: boundary i sits at
-/// the midpoint of the coordinate pair straddling the i-th n-quantile of the
-/// (wrapped) atom positions. Deterministic in the input configuration, so
-/// every rank computes the identical planes without communicating.
-std::vector<double> count_equalizing_cuts(const md::Box& box, const md::Atoms& atoms,
-                                          int axis, int n, double minw) {
-  std::vector<double> xs;
-  xs.reserve(atoms.size());
-  for (const Vec3& p : atoms.pos) xs.push_back(box.wrap(p)[static_cast<std::size_t>(axis)]);
-  std::sort(xs.begin(), xs.end());
-  const double L = box.lengths()[static_cast<std::size_t>(axis)];
-  std::vector<double> cuts(static_cast<std::size_t>(n) + 1);
-  cuts.front() = 0.0;
-  cuts.back() = L;
-  for (int i = 1; i < n; ++i) {
-    const std::size_t q = std::clamp<std::size_t>(
-        static_cast<std::size_t>(i) * xs.size() / static_cast<std::size_t>(n), 1,
-        xs.size() - 1);
-    cuts[static_cast<std::size_t>(i)] = 0.5 * (xs[q - 1] + xs[q]);
-  }
-  clamp_min_widths(cuts, minw);
-  return cuts;
-}
-
 }  // namespace
 
 DistributedRunResult run_distributed_md_rank(Communicator& comm,
@@ -94,12 +44,6 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
 
   std::array<int, 3> grid = opts.grid;
   if (grid[0] == 0) grid = Decomp::choose_grid(init.box, nranks);
-  // Per-rank copy, mutable because the rebalancer installs new cut planes;
-  // every rank applies the identical update (computed from allreduced
-  // inputs), so the copies never diverge.
-  Decomp decomp(init.box, grid);
-  DP_CHECK_MSG(decomp.nranks() == nranks, "grid does not match rank count");
-
   const std::size_t n_global = init.atoms.size();
   const double global_volume = init.box.volume();
 
@@ -110,25 +54,9 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
   obs::TraceCollector::set_thread_rank(rank);
   auto ff = factory();
   const double halo = ff->cutoff() + sim.skin;
-
-  // Rebalancing runs along the axis with the most ranks (boundary moves
-  // there have the most leverage), provided there is a boundary to move and
-  // room to keep every slab wider than the halo.
-  int rb_axis = 0;
-  for (int d = 1; d < 3; ++d)
-    if (grid[static_cast<std::size_t>(d)] > grid[static_cast<std::size_t>(rb_axis)]) rb_axis = d;
-  const int rb_n = grid[static_cast<std::size_t>(rb_axis)];
-  const double rb_minw = kMinWidthFactor * halo;
-  const double rb_len = init.box.lengths()[static_cast<std::size_t>(rb_axis)];
-  const bool rebalance_active =
-      opts.rebalance && rb_n > 1 && rb_len >= rb_n * rb_minw && n_global >= 2;
-  if (rebalance_active) {
-    // Start from atom-count-equalizing planes: the initial distribution is
-    // the one imbalance source measurable before any step runs, and evening
-    // it out means the running-max load_imbalance below starts near 1.0.
-    decomp.set_cuts(rb_axis, count_equalizing_cuts(init.box, init.atoms, rb_axis,
-                                                   rb_n, rb_minw));
-  }
+  // Count-equalized slabs, placed once from the initial positions.
+  const Decomp decomp(init.box, grid, init.atoms.pos, halo);
+  DP_CHECK_MSG(decomp.nranks() == nranks, "grid does not match rank count");
 
   // Per-rank black box + watchdogs. Only rank 0's monitor emits into the
   // JSONL sink (all ranks observe identical globally reduced signals, so
@@ -148,9 +76,11 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
   // Per-step phase accounting feeding the flight record (comm covers
   // migration, ghost exchange and force reduction).
   double phase_comm = 0.0, phase_neighbor = 0.0, phase_force = 0.0;
-  // Step seconds accumulated since the last sample — the imbalance probe
-  // compares this window's max across ranks against its mean.
-  double window_seconds = 0.0;
+  // Force-evaluation seconds since the last sample — the imbalance probe
+  // compares this window's max across ranks against its mean. Step time
+  // would not do: it includes the blocking halo wait, which evens it out
+  // across ranks however skewed the work is.
+  double window_force_seconds = 0.0;
 
   // Take ownership of this rank's atoms (ids track the global index).
   md::Atoms atoms;
@@ -168,80 +98,7 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
   std::size_t n_local = atoms.size();
   std::size_t max_local = 0, max_ghost = 0;
 
-  // --- measurement-driven slab rebalancing ------------------------------
-  // The per-rank step-time EWMA is the load signal. Every rebalance_every
-  // rebuilds, the EWMAs are allgathered (one-hot allreduce_sum: each slot
-  // receives exactly one nonzero contribution, so the result is exact and
-  // fold-order-independent) and every rank runs the identical boundary
-  // update: slab widths take a damped step towards being proportional to
-  // width/time (a slab twice as slow per unit width gets half the width),
-  // with a hysteresis skip when the measured imbalance is already small, a
-  // per-boundary shift clamp so slabs cannot invert or outrun the one-hop
-  // migrate contract, and a width clamp preserving halo <= min_extent.
-  double step_ewma = 0.0;
-  bool ewma_seeded = false;
-  int rebuilds_since_rebalance = 0;
-  std::uint64_t boundary_shifts = 0;
-  obs::Counter& shifts_counter =
-      obs::MetricsRegistry::instance().counter("rebalance.boundary_shifts");
-
-  auto maybe_rebalance = [&] {
-    if (!rebalance_active) return;
-    if (++rebuilds_since_rebalance < opts.rebalance_every) return;
-    rebuilds_since_rebalance = 0;
-    if (!ewma_seeded) return;
-    std::vector<double> per_rank(static_cast<std::size_t>(nranks), 0.0);
-    per_rank[static_cast<std::size_t>(rank)] = step_ewma;
-    per_rank = comm.allreduce_sum(per_rank);
-
-    // Mean EWMA per slab coordinate along the rebalance axis (all ranks in
-    // a slab share its boundaries, so their times are pooled).
-    const auto n = static_cast<std::size_t>(rb_n);
-    std::vector<double> slab_time(n, 0.0);
-    for (int r = 0; r < nranks; ++r)
-      slab_time[static_cast<std::size_t>(decomp.coords_of(r)[static_cast<std::size_t>(
-          rb_axis)])] += per_rank[static_cast<std::size_t>(r)];
-    const double ranks_per_slab = static_cast<double>(nranks) / rb_n;
-    double mean_time = 0.0, max_time = 0.0;
-    for (double& t : slab_time) {
-      t /= ranks_per_slab;
-      mean_time += t / rb_n;
-      max_time = std::max(max_time, t);
-    }
-    if (mean_time <= 0.0) return;
-    if (max_time / mean_time - 1.0 < opts.rebalance_hysteresis) return;
-
-    std::vector<double> old_cuts(n + 1), old_width(n);
-    for (std::size_t i = 0; i <= n; ++i) old_cuts[i] = decomp.cut(rb_axis, static_cast<int>(i));
-    for (std::size_t c = 0; c < n; ++c) old_width[c] = old_cuts[c + 1] - old_cuts[c];
-
-    // Target widths proportional to width/time, damped towards them.
-    double denom = 0.0;
-    for (std::size_t c = 0; c < n; ++c) denom += old_width[c] / slab_time[c];
-    std::vector<double> cuts(n + 1);
-    cuts.front() = 0.0;
-    cuts.back() = rb_len;
-    for (std::size_t i = 1; i < n; ++i) {
-      const std::size_t c = i - 1;
-      const double target = (old_width[c] / slab_time[c]) / denom * rb_len;
-      const double w = old_width[c] + opts.rebalance_damping * (target - old_width[c]);
-      cuts[i] = cuts[i - 1] + w;
-      const double lim = kMaxShiftFraction * std::min(old_width[c], old_width[c + 1]);
-      cuts[i] = std::clamp(cuts[i], old_cuts[i] - lim, old_cuts[i] + lim);
-    }
-    clamp_min_widths(cuts, rb_minw);
-    if (cuts == old_cuts) return;
-    decomp.set_cuts(rb_axis, cuts);
-    ++boundary_shifts;
-    if (rank == 0) shifts_counter.inc();
-  };
-
   auto rebuild = [&] {
-    // Boundary updates land exactly here, before the migrate that moves
-    // atoms to their (possibly new) owners — so a shifted cut is always
-    // followed by the migration honoring it, and exchange_ghosts re-reads
-    // the bounds. Collective (allreduce) like the rest of rebuild.
-    maybe_rebalance();
     atoms.resize(n_local);  // drop ghosts
     {
       // Migration + ghost exchange are communication, not list building:
@@ -331,15 +188,15 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
           static_cast<double>(nlist.max_neighbors()) / reservation);
     }
     const auto sums = comm.allreduce_sum(std::vector<double>{
-        window_seconds, static_cast<double>(ff->extrapolations())});
-    const double window_max = comm.allreduce_max(window_seconds);
+        window_force_seconds, static_cast<double>(ff->extrapolations())});
+    const double window_max = comm.allreduce_max(window_force_seconds);
     if (sums[0] > 0.0) sig.step_imbalance = window_max / (sums[0] / nranks);
     sig.extrapolations = sums[1];
     const obs::HealthState worst = health->observe_step(sig);
     const double agreed = comm.allreduce_max(
         static_cast<double>(obs::HealthMonitor::encode(worst)));
     worst_seen = std::max(worst_seen, static_cast<int>(agreed));
-    window_seconds = 0.0;
+    window_force_seconds = 0.0;
     if (rank == 0) health->publish_gauges(obs::MetricsRegistry::instance());
   };
 
@@ -372,7 +229,7 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
     }
     ++since_rebuild;
     bool rebuild_now = since_rebuild >= sim.rebuild_every;
-    if (!rebuild_now && opts.displacement_rebuild) {
+    if (!rebuild_now) {
       // Skin/2 displacement criterion, checked on local atoms only (every
       // atom is local on exactly one rank, so the OR over ranks covers
       // ghosts) and OR-allreduced so all ranks rebuild in lockstep —
@@ -405,6 +262,7 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
         atoms.vel[a] += atoms.force[a] * sc;
       }
     }
+    window_force_seconds += phase_force;
     const bool sampled = step % sim.thermo_every == 0 || step == sim.steps;
     if (sampled) {
       sample(step);
@@ -413,12 +271,6 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
     if (rank == 0) steps_counter.inc();
     const double step_secs = step_timer.seconds();
     step_seconds.observe(step_secs);
-    window_seconds += step_secs;
-    // Load signal for the rebalancer (cheap either way, so it is tracked
-    // even with rebalancing off — the gauge is useful on its own).
-    step_ewma = ewma_seeded ? kEwmaAlpha * step_secs + (1.0 - kEwmaAlpha) * step_ewma
-                            : step_secs;
-    ewma_seeded = true;
     if (flight) {
       obs::FlightRecord r;
       r.step = step;
@@ -491,7 +343,6 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
     reg.gauge("comm.posts_immediate").set(static_cast<double>(cs.posts_immediate));
     reg.gauge("comm.posts_deferred").set(static_cast<double>(cs.posts_deferred));
     reg.gauge("comm.wire_bytes").set(static_cast<double>(cs.wire_bytes));
-    reg.gauge("rebalance.boundary_shifts").set(static_cast<double>(boundary_shifts));
   }
 
   // The registry serializes internally; no outer lock is needed even when
@@ -516,7 +367,6 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
     result.halo_wait_seconds = comm_sums[1];
     result.neighbor_rebuilds = rebuilds;
     result.early_rebuilds = early_rebuilds;
-    result.boundary_shifts = boundary_shifts;
     if (health) result.health = health->report();
     result.worst_health = worst_seen;
   }

@@ -1,5 +1,9 @@
 // Domain-decomposed MD driver: the parallel equivalent of md::Simulation.
 //
+// The decomposition is count-equalized slabs (Decomp's positions
+// constructor), placed once from the initial configuration: the paper's
+// sub-regions "carefully divided to avoid load-balance problems" (Fig 6c).
+//
 // Per step (the LAMMPS pair-style cycle the paper runs on Summit/Fugaku):
 //   half-kick + drift -> rebuild check (every rebuild_every steps, or early
 //   when the OR-allreduced skin/2 displacement criterion fires: drop ghosts,
@@ -47,9 +51,6 @@ struct DistributedRunResult {
   /// subset forced early by the skin/2 displacement trigger.
   std::uint64_t neighbor_rebuilds = 0;
   std::uint64_t early_rebuilds = 0;
-  /// Slab-boundary updates applied by the measurement-driven rebalancer
-  /// (0 unless DistributedOptions::rebalance).
-  std::uint64_t boundary_shifts = 0;
   /// Snapshot of the final state, sorted by global atom id (for parity
   /// tests against a serial run). Filled only when gather_state is set.
   std::vector<Vec3> final_pos, final_vel, final_force;
@@ -66,11 +67,6 @@ struct DistributedOptions {
   std::array<int, 3> grid{0, 0, 0};  ///< ranks per dimension; {0,0,0} = auto
   bool gather_state = false;
   bool init_velocities = true;  ///< draw MB velocities before distribution
-  /// Rebuild early when any rank trips the skin/2 displacement criterion
-  /// (OR-allreduced each step). Off reproduces the historical fixed-period
-  /// behavior, which lets fast atoms silently leave the skin — only tests
-  /// demonstrating that failure mode should disable this.
-  bool displacement_rebuild = true;
   /// Run-health watchdogs (not owned): every rank evaluates the standard
   /// set on globally reduced signals at each thermo sample, and the
   /// encoded states are max-allreduced so all ranks agree on the worst.
@@ -88,21 +84,6 @@ struct DistributedOptions {
   /// (sample + flight record + metrics rewrite have all landed).
   /// Crash-injection tests raise their signal from here.
   std::function<void(int rank, int step)> on_sample;
-
-  /// Measurement-driven slab rebalancing (paper Fig 6c's "carefully divided"
-  /// sub-regions, made automatic). Along the axis with the most ranks, slab
-  /// boundaries start at atom-count-equalizing positions and then follow the
-  /// measured per-rank step-time EWMAs: every `rebalance_every` neighbor
-  /// rebuilds the EWMAs are allgathered (a one-hot allreduce, exact in fp)
-  /// and each boundary takes a damped step towards the inverse-time target
-  /// widths. Off (the default) leaves the uniform grid untouched and
-  /// reproduces the unbalanced trajectory bitwise.
-  bool rebalance = false;
-  int rebalance_every = 4;          ///< rebuilds between boundary updates
-  double rebalance_damping = 0.5;   ///< fraction of the target step applied
-  /// Skip the update while max/mean slab time - 1 is below this (keeps
-  /// boundaries still once balanced, so migration churn stops).
-  double rebalance_hysteresis = 0.05;
 };
 
 /// SPMD entry point: runs this rank's share of the global configuration over

@@ -82,12 +82,15 @@ std::vector<double> HaloExchange::pack_ghost_forces(const Stage& st,
 
 HaloExchange::HaloExchange(const md::Box& box, const Decomp& decomp, int rank,
                            double halo_width)
-    : box_(box), decomp_(decomp), rank_(rank), halo_(halo_width) {
+    : box_(box),
+      decomp_(decomp),
+      rank_(rank),
+      halo_(halo_width),
+      lo_(decomp.lo(rank)),
+      hi_(decomp.hi(rank)) {
   DP_CHECK_MSG(halo_width <= decomp.min_extent(),
                "halo width " << halo_width << " exceeds sub-domain extent "
                              << decomp.min_extent() << " — use fewer ranks");
-  lo_ = decomp.lo(rank);
-  hi_ = decomp.hi(rank);
 }
 
 void HaloExchange::exchange_ghosts(Communicator& comm, md::Atoms& atoms) {
@@ -96,18 +99,6 @@ void HaloExchange::exchange_ghosts(Communicator& comm, md::Atoms& atoms) {
   stages_.clear();
   const auto coords = decomp_.coords_of(rank_);
   const Vec3 L = box_.lengths();
-
-  // Slab boundaries can move between rebuilds (the rebalancer installs new
-  // cuts on the Decomp this exchanger references), so the bounds cached at
-  // construction are refreshed at every structural exchange. The rebalancer
-  // clamps slab widths to keep halo_ <= min_extent(), but re-check so a bad
-  // cut fails loudly at the exchange that would use it, not as silently
-  // missing ghosts.
-  DP_CHECK_MSG(halo_ <= decomp_.min_extent(),
-               "halo width " << halo_ << " exceeds sub-domain extent "
-                             << decomp_.min_extent() << " after a boundary shift");
-  lo_ = decomp_.lo(rank_);
-  hi_ = decomp_.hi(rank_);
 
   int tag = 0;
   for (int dim = 0; dim < 3; ++dim) {

@@ -23,6 +23,7 @@ namespace dp::par {
 class HaloExchange {
  public:
   /// halo_width = model cutoff + neighbor skin; must fit in one sub-domain.
+  /// The rank's bounds are read here, once: the planes never move.
   HaloExchange(const md::Box& box, const Decomp& decomp, int rank, double halo_width);
 
   /// Appends ghost atoms to `atoms` (positions possibly outside the box) and
@@ -72,7 +73,7 @@ class HaloExchange {
   const Decomp& decomp_;
   int rank_;
   double halo_;
-  Vec3 lo_, hi_;
+  const Vec3 lo_, hi_;
   std::vector<Stage> stages_;
   std::size_t n_local_ = 0, n_ghost_ = 0;
   std::uint64_t bytes_sent_ = 0, messages_sent_ = 0;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "md/integrator.hpp"
 #include "md/lj.hpp"
@@ -80,6 +83,64 @@ TEST(Checkpoint, RejectsGarbage) {
   EXPECT_THROW(load_checkpoint(path), Error);
   std::remove(path.c_str());
   EXPECT_THROW(load_checkpoint("/nonexistent/ckpt.bin"), Error);
+}
+
+/// Writes a checkpoint header (magic, version, step, cubic box of side
+/// `box`, one type) claiming `n_atoms`, then `payload_atoms` atom records.
+void write_checkpoint_claiming(const std::string& path, std::uint64_t n_atoms,
+                               std::uint64_t payload_atoms, double box = 10.0) {
+  std::ofstream os(path, std::ios::binary);
+  auto put = [&os](const auto& v) { os.write(reinterpret_cast<const char*>(&v), sizeof v); };
+  put(std::uint32_t{0x44504d43});  // "DPMC"
+  put(std::uint32_t{1});
+  put(std::int32_t{0});
+  for (int d = 0; d < 3; ++d) put(box);
+  put(std::uint64_t{1});
+  put(63.5);
+  put(n_atoms);
+  for (std::uint64_t i = 0; i < payload_atoms; ++i) {
+    put(std::int32_t{0});
+    put(Vec3{1.0, 2.0, 3.0});
+    put(Vec3{});
+  }
+}
+
+/// The load must fail on the header bound, before any atom is read.
+void expect_header_rejected(const std::string& path) {
+  try {
+    load_checkpoint(path);
+    ADD_FAILURE() << "loaded a checkpoint whose header exceeds the file";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds the file"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Checkpoint, RejectsAtomCountBeyondFile) {
+  // A 60-byte file whose header claims 2^40 atoms must fail before the
+  // reader tries to allocate them.
+  const std::string path = ::testing::TempDir() + "/dp_ckpt_huge.bin";
+  write_checkpoint_claiming(path, std::uint64_t{1} << 40, 0);
+  EXPECT_EQ(std::ifstream(path, std::ios::binary | std::ios::ate).tellg(), 60);
+  EXPECT_THROW(load_checkpoint(path), Error);
+  expect_header_rejected(path);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, RejectsTruncatedAtomPayload) {
+  const std::string path = ::testing::TempDir() + "/dp_ckpt_short.bin";
+  write_checkpoint_claiming(path, 8, 5);
+  EXPECT_THROW(load_checkpoint(path), Error);
+  expect_header_rejected(path);
+  write_checkpoint_claiming(path, 5, 5);  // the same payload, honest about its count
+  EXPECT_EQ(load_checkpoint(path).config.atoms.size(), 5u);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, RejectsNonFiniteBox) {
+  const std::string path = ::testing::TempDir() + "/dp_ckpt_inf.bin";
+  write_checkpoint_claiming(path, 1, 1, std::numeric_limits<double>::infinity());
+  EXPECT_THROW(load_checkpoint(path), Error);
+  std::remove(path.c_str());
 }
 
 }  // namespace

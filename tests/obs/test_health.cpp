@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <thread>
 
 #include "md/lj.hpp"
 #include "md/simulation.hpp"
@@ -289,6 +292,51 @@ TEST(HealthIntegration, DistributedRunReportsFleetHealth) {
   const auto* imb = result.health.find("health.step_imbalance");
   ASSERT_NE(imb, nullptr);
   EXPECT_GE(imb->value, 1.0);  // max/mean is bounded below by 1
+}
+
+/// Forwards to Lennard-Jones; a slow instance first sleeps 50 ms per
+/// compute, standing in for a rank with far more force work than the rest.
+class SlowForceField final : public dp::md::ForceField {
+ public:
+  explicit SlowForceField(bool slow) : slow_(slow) {}
+  dp::md::ForceResult compute(const dp::md::Box& box, dp::md::Atoms& atoms,
+                              const dp::md::NeighborList& nlist, bool periodic) override {
+    if (slow_) std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return lj_.compute(box, atoms, nlist, periodic);
+  }
+  double cutoff() const override { return lj_.cutoff(); }
+
+ private:
+  dp::md::LennardJones lj_{0.4, 2.34, 4.5};
+  bool slow_;
+};
+
+TEST(HealthIntegration, StepImbalanceSeesOneSlowRank) {
+  // One of four ranks spends 50 ms more per force evaluation. Step time
+  // cannot show it (every rank waits for the slow one in the halo
+  // exchange), but the per-rank force seconds can: max/mean is ideally 4.
+  auto sys = dp::md::make_fcc(6, 6, 6, 3.7, 63.5, 0.08, 51);
+  dp::md::SimulationConfig sc;
+  sc.dt = 0.001;
+  sc.steps = 4;
+  sc.temperature = 200.0;
+  sc.skin = 1.0;
+  sc.thermo_every = 2;
+  dp::obs::HealthConfig hcfg;
+  hcfg.target_temperature = sc.temperature;
+  hcfg.imbalance_warn = 1e3;  // parked: the value is under test, not the state
+  hcfg.imbalance_fatal = 1e6;
+  dp::par::DistributedOptions opts;
+  opts.grid = {2, 2, 1};
+  opts.health = &hcfg;
+  std::atomic<int> built{0};
+  const auto result = dp::par::run_distributed_md(
+      4, sys, [&] { return std::make_unique<SlowForceField>(built.fetch_add(1) == 0); }, sc,
+      opts);
+  EXPECT_EQ(built.load(), 4);
+  const auto* imb = result.health.find("health.step_imbalance");
+  ASSERT_NE(imb, nullptr);
+  EXPECT_GE(imb->value, 2.0);
 }
 
 }  // namespace

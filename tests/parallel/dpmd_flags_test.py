@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Multi-rank `dpmd run` flag handling (run via ctest).
+"""`dpmd run` flag handling (run via ctest).
 
 A multi-rank run builds every rank's force field from --path, and refuses
 the serial-only flags with a nonzero exit and a message naming the flag
-instead of silently ignoring them:
+instead of silently ignoring them. Every command refuses an option it does
+not read the same way:
 
   * `--ranks 2 --path mixed` runs the mixed path: the header echoes it and
     the fused path's `fused.slots_processed` counter never appears in the
     metrics (a `--path fused` control run shows that it would);
-  * `--ranks 2 --thermostat langevin` exits nonzero naming --thermostat.
+  * `--ranks 2 --thermostat langevin` exits nonzero naming --thermostat;
+  * `--ranks 2 --rebalance` (a retired flag) exits nonzero naming it;
+  * a serial run with a misspelt flag exits nonzero naming it.
 """
 
 import argparse
@@ -51,7 +54,16 @@ def main():
         proc = run(base + ["--thermostat", "langevin"], tmp)
         assert proc.returncode != 0, "--thermostat was accepted on a multi-rank run"
         assert "--thermostat" in proc.stdout, "the refusal does not name --thermostat"
-    print("dpmd multi-rank flags: ok")
+
+        proc = run(base + ["--rebalance"], tmp)
+        assert proc.returncode != 0, "--rebalance was accepted on a multi-rank run"
+        assert "--rebalance" in proc.stdout, "the refusal does not name --rebalance"
+
+        serial = [args.dpmd, "run", "--model", "m.dpm", "--system", "water", "--steps", "1"]
+        proc = run(serial + ["--temprature", "300"], tmp)
+        assert proc.returncode != 0, "a misspelt flag was accepted on a serial run"
+        assert "--temprature" in proc.stdout, "the refusal does not name --temprature"
+    print("dpmd flags: ok")
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "md/lattice.hpp"
@@ -122,15 +124,75 @@ TEST(Decomp, SetCutsRejectsMalformedPlanes) {
   EXPECT_THROW(d.set_cuts(0, {0.0, 12.0, 10.0}), Error);       // non-monotone
 }
 
+/// 400 atoms spread over the lower half of a 40 A box along x.
+std::vector<Vec3> lower_half_positions() {
+  Rng rng(11);
+  std::vector<Vec3> pos;
+  for (int k = 0; k < 400; ++k)
+    pos.push_back({rng.uniform(0, 20), rng.uniform(0, 10), rng.uniform(0, 10)});
+  return pos;
+}
+
+std::vector<int> atoms_per_rank(const Decomp& d, const std::vector<Vec3>& pos) {
+  std::vector<int> counts(static_cast<std::size_t>(d.nranks()), 0);
+  for (const Vec3& p : pos) ++counts[static_cast<std::size_t>(d.owner_of(p))];
+  return counts;
+}
+
+TEST(Decomp, CountEqualizedPlanesSplitAtomsEvenly) {
+  const md::Box box(40, 10, 10);
+  const auto pos = lower_half_positions();
+  const Decomp d(box, {4, 1, 1}, pos, 2.0);
+  EXPECT_TRUE(d.has_cuts(0));
+  EXPECT_FALSE(d.has_cuts(1));
+  EXPECT_EQ(atoms_per_rank(d, pos), (std::vector<int>{100, 100, 100, 100}));
+  // The uniform grid leaves the upper two slabs empty.
+  const auto uniform = atoms_per_rank(Decomp(box, {4, 1, 1}), pos);
+  EXPECT_EQ(uniform[2] + uniform[3], 0);
+}
+
+TEST(Decomp, CountEqualizedPlanesFollowTheAxisWithMostRanks) {
+  const md::Box box(10, 40, 10);
+  std::vector<Vec3> pos = lower_half_positions();
+  for (Vec3& p : pos) std::swap(p.x, p.y);
+  const Decomp d(box, {2, 4, 1}, pos, 2.0);
+  EXPECT_FALSE(d.has_cuts(0));
+  EXPECT_TRUE(d.has_cuts(1));
+}
+
+TEST(Decomp, CountEqualizedSlabsStayWiderThanTheHalo) {
+  // 6.3 A minimum slabs cannot hold the quantile planes (~5 A apart): the
+  // planes are clamped, so the counts give way, not the width.
+  const md::Box box(40, 10, 10);
+  const auto pos = lower_half_positions();
+  const Decomp d(box, {4, 1, 1}, pos, 6.0);
+  EXPECT_TRUE(d.has_cuts(0));
+  EXPECT_GE(d.min_extent(), 6.0 * 1.05 - 1e-12);
+  EXPECT_NO_THROW(HaloExchange(box, d, 0, 6.0));
+}
+
+TEST(Decomp, CountEqualizedFallsBackToUniform) {
+  const md::Box box(40, 10, 10);
+  const auto pos = lower_half_positions();
+  // Four slabs of 1.05 x 10 A do not fit in 40 A.
+  EXPECT_FALSE(Decomp(box, {4, 1, 1}, pos, 10.0).has_cuts(0));
+  // Fewer than two atoms have no quantiles to split.
+  EXPECT_FALSE(Decomp(box, {4, 1, 1}, {pos.front()}, 2.0).has_cuts(0));
+  // One rank per axis has no plane to place.
+  const Decomp single(box, {1, 1, 1}, pos, 2.0);
+  for (int dim = 0; dim < 3; ++dim) EXPECT_FALSE(single.has_cuts(dim));
+}
+
 // ---------------------------------------------------------------------------
 
 /// Every rank's local + ghost view must reproduce the serial neighborhood:
 /// for each local atom, the set of positions within the cutoff must match
 /// the serial minimum-image result.
 void check_ghost_view(int nranks, std::array<int, 3> grid, const md::Configuration& sys,
-                      double halo) {
+                      double halo, bool count_equalized = false) {
   run_parallel(nranks, [&](Communicator& comm) {
-    const Decomp decomp(sys.box, grid);
+    const Decomp decomp = count_equalized ? Decomp(sys.box, grid, sys.atoms.pos, halo)
+                                          : Decomp(sys.box, grid);
     const int rank = comm.rank();
     md::Atoms atoms;
     atoms.mass_by_type = sys.atoms.mass_by_type;
@@ -184,6 +246,16 @@ TEST(HaloExchange, GhostViewMatchesSerial8Ranks) {
 TEST(HaloExchange, GhostViewMatchesSerialAnisotropicGrid) {
   auto sys = md::make_fcc(8, 4, 4, 3.634, 63.546, 0.1, 5);
   check_ghost_view(4, {4, 1, 1}, sys, 6.0);
+}
+
+TEST(HaloExchange, GhostViewMatchesSerialCountEqualizedSlabs) {
+  // A crystal filling half the box along x: the count-equalized planes sit
+  // inside it at unequal spacings, and the last slab spans the vacuum.
+  auto sys = md::make_fcc(6, 4, 4, 3.634, 63.546, 0.1, 8);
+  const Vec3 L = sys.box.lengths();
+  sys.box = md::Box(2.0 * L.x, L.y, L.z);
+  ASSERT_TRUE(Decomp(sys.box, {4, 1, 1}, sys.atoms.pos, 6.0).has_cuts(0));
+  check_ghost_view(4, {4, 1, 1}, sys, 6.0, /*count_equalized=*/true);
 }
 
 TEST(HaloExchange, RejectsTooWideHalo) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 
@@ -148,6 +149,8 @@ TEST(DistributedMd, ReportsLocalAndGhostCounts) {
   const auto r = run_distributed_md(
       8, sys, [] { return std::make_unique<md::LennardJones>(0.4, 2.34, 4.5); }, sc, opts);
   // 2048 atoms over 8 ranks: 256 each (perfect lattice), plus a ghost shell.
+  // The count-equalized x planes fall between lattice planes 7 and 8, the
+  // uniform split, so every rank still owns exactly 256.
   EXPECT_EQ(r.max_local_atoms, 256u);
   EXPECT_GT(r.max_ghost_atoms, 200u);
   // Perfect lattice on a commensurate grid: near-perfect balance.
@@ -155,7 +158,8 @@ TEST(DistributedMd, ReportsLocalAndGhostCounts) {
 }
 
 TEST(DistributedMd, LoadImbalanceDetectsUnevenGrid) {
-  // 3 ranks across 8 cells cannot split evenly: imbalance > 1.
+  // 3 ranks across 8 cells cannot split evenly: the 16 lattice planes of
+  // 128 atoms each land 5/5/6 on the count-equalized slabs, imbalance 1.125.
   auto sys = md::make_fcc(8, 8, 8, 3.7, 63.5, 0.0, 60);
   md::SimulationConfig sc = fast_sim(1);
   DistributedOptions opts;
@@ -224,44 +228,6 @@ TEST(DistributedMd, DisplacementTriggerKeepsParityUnderAggressiveDynamics) {
     EXPECT_LT(norm(r.final_force[i] - serial_atoms.force[i]), 1e-8) << "atom " << i;
 }
 
-TEST(DistributedMd, WithoutDisplacementTriggerAggressiveDynamicsDiverges) {
-  // Same scenario with the trigger disabled: the distributed run must go
-  // visibly wrong (stale lists let atoms slip past the skin — or an atom
-  // outruns migration entirely and the post-condition throws). This pins
-  // down that the parity test above discriminates against the old behavior.
-  auto sys = md::make_fcc(6, 6, 6, 3.7, 63.5, 0.1, 81);
-  md::SimulationConfig sc;
-  sc.dt = 0.002;
-  sc.steps = 100;
-  sc.temperature = 3000.0;
-  sc.skin = 0.2;
-  sc.rebuild_every = 1000;
-  sc.thermo_every = 100;
-  sc.seed = 82;
-
-  md::LennardJones serial_lj(0.4, 2.34, 4.5);
-  md::Simulation serial(sys, serial_lj, sc);
-  serial.run();
-  const auto& serial_atoms = serial.configuration().atoms;
-
-  DistributedOptions opts;
-  opts.grid = {2, 2, 1};
-  opts.gather_state = true;
-  opts.displacement_rebuild = false;
-  double max_err = 0.0;
-  try {
-    const auto r = run_distributed_md(
-        4, sys, [] { return std::make_unique<md::LennardJones>(0.4, 2.34, 4.5); }, sc,
-        opts);
-    EXPECT_EQ(r.early_rebuilds, 0u);
-    for (std::size_t i = 0; i < serial_atoms.size(); ++i)
-      max_err = std::max(max_err, norm(r.final_force[i] - serial_atoms.force[i]));
-  } catch (const Error&) {
-    max_err = 1.0;  // crashing on the migrate post-condition also counts
-  }
-  EXPECT_GT(max_err, 1e-3);
-}
-
 /// Forwards to Lennard-Jones and counts compute() calls into a slot the
 /// test reads after the run (each rank owns one instance, hence one slot).
 class CountingForceField final : public md::ForceField {
@@ -320,8 +286,8 @@ TEST(DistributedMd, PairModeAndMixedPathsWork) {
 
 /// A crystal next to a vacuum gap along x: the uniform slab grid leaves the
 /// upper ranks nearly empty, the canonical inhomogeneous workload the
-/// measurement-driven rebalancer exists for (paper Fig 6c's "carefully
-/// divided" sub-regions, made automatic).
+/// count-equalized planes exist for (paper Fig 6c's "carefully divided"
+/// sub-regions).
 md::Configuration make_vacuum_gap_system() {
   auto sys = md::make_fcc(6, 6, 6, 3.7, 63.5, 0.05, 77);
   const Vec3 L = sys.box.lengths();
@@ -332,56 +298,35 @@ md::Configuration make_vacuum_gap_system() {
 TEST(DistributedMd, RebalanceReducesVacuumGapImbalance) {
   auto sys = make_vacuum_gap_system();
   md::SimulationConfig sc = fast_sim(16);
-  sc.rebuild_every = 2;  // frequent rebuilds so the rebalancer gets to act
+  sc.rebuild_every = 2;  // frequent migrations across the placed planes
 
+  // The uniform grid's max/mean atoms per rank over the initial positions:
+  // half the box is empty, so about 2.
+  const Decomp uniform(sys.box, Decomp::choose_grid(sys.box, 4));
+  std::array<double, 4> counts{};
+  for (const Vec3& p : sys.atoms.pos)
+    counts[static_cast<std::size_t>(uniform.owner_of(p))] += 1.0;
+  const double uniform_imbalance = *std::max_element(counts.begin(), counts.end()) * 4.0 /
+                                   static_cast<double>(sys.atoms.size());
+  EXPECT_GT(uniform_imbalance, 1.5);
+
+  // Default options: the driver's only decomposition is the count-equalized
+  // one, and the acceptance bar is a >= 25% reduction in max/mean.
   DistributedOptions opts;
-  opts.grid = {4, 1, 1};
   opts.gather_state = true;
   const auto factory = [] { return std::make_unique<md::LennardJones>(0.4, 2.34, 4.5); };
-  const auto fixed = run_distributed_md(4, sys, factory, sc, opts);
+  const auto slabs = run_distributed_md(4, sys, factory, sc, opts);
+  EXPECT_LE(slabs.load_imbalance, 0.75 * uniform_imbalance);
 
-  opts.rebalance = true;
-  opts.rebalance_every = 2;
-  const auto balanced = run_distributed_md(4, sys, factory, sc, opts);
-
-  // Half the box is empty, so the uniform grid is badly off (>= ~2x) and the
-  // acceptance bar is a >= 25% reduction in max/mean.
-  EXPECT_GT(fixed.load_imbalance, 1.5);
-  EXPECT_LE(balanced.load_imbalance, 0.75 * fixed.load_imbalance);
-
-  // Rebalancing only moves ownership, never physics: per-atom forces agree
-  // to summation roundoff (state is gathered sorted by global id).
-  ASSERT_EQ(balanced.final_force.size(), fixed.final_force.size());
+  // The planes only move ownership, never physics: per-atom forces agree
+  // with a 1-rank run to summation roundoff (state is gathered sorted by
+  // global id).
+  const auto single = run_distributed_md(1, sys, factory, sc, opts);
+  ASSERT_EQ(slabs.final_force.size(), single.final_force.size());
   double max_diff = 0.0;
-  for (std::size_t i = 0; i < fixed.final_force.size(); ++i)
-    max_diff = std::max(max_diff, norm(balanced.final_force[i] - fixed.final_force[i]));
+  for (std::size_t i = 0; i < single.final_force.size(); ++i)
+    max_diff = std::max(max_diff, norm(slabs.final_force[i] - single.final_force[i]));
   EXPECT_LT(max_diff, 1e-12);
-}
-
-TEST(DistributedMd, RebalanceOffReproducesBitwise) {
-  // The rebalancer must be invisible when disabled: two runs are bitwise
-  // identical and no boundary ever moves.
-  auto sys = make_vacuum_gap_system();
-  md::SimulationConfig sc = fast_sim(8);
-  DistributedOptions opts;
-  opts.grid = {4, 1, 1};
-  opts.gather_state = true;
-  const auto factory = [] { return std::make_unique<md::LennardJones>(0.4, 2.34, 4.5); };
-  const auto a = run_distributed_md(4, sys, factory, sc, opts);
-  const auto b = run_distributed_md(4, sys, factory, sc, opts);
-
-  EXPECT_EQ(a.boundary_shifts, 0u);
-  EXPECT_EQ(b.boundary_shifts, 0u);
-  ASSERT_EQ(a.final_pos.size(), b.final_pos.size());
-  for (std::size_t i = 0; i < a.final_pos.size(); ++i) {
-    EXPECT_EQ(a.final_pos[i].x, b.final_pos[i].x);
-    EXPECT_EQ(a.final_force[i].x, b.final_force[i].x);
-    EXPECT_EQ(a.final_force[i].y, b.final_force[i].y);
-    EXPECT_EQ(a.final_force[i].z, b.final_force[i].z);
-  }
-  ASSERT_EQ(a.thermo.size(), b.thermo.size());
-  for (std::size_t i = 0; i < a.thermo.size(); ++i)
-    EXPECT_EQ(a.thermo[i].potential, b.thermo[i].potential);
 }
 
 }  // namespace
