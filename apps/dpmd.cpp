@@ -643,7 +643,9 @@ int cmd_run(const Args& args) {
   dp::WallTimer t;
   md.run();
   const double wall = t.seconds();
-  const double per_atom = wall / md.force_evaluations() /
+  // md.run() times the steps alone; the constructor's force evaluation is
+  // outside the timed window, so divide by steps, not force evaluations.
+  const double per_atom = wall / std::max(sc.steps, 1) /
                           static_cast<double>(md.configuration().atoms.size()) * 1e6;
   std::printf("done: %.3f us/step/atom\n", per_atom);
   print_step_breakdown(wall, 1);

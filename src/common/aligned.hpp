@@ -51,4 +51,19 @@ struct AlignedAllocator {
 template <class T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
 
+/// Sizes a per-step buffer whose consumer rewrites every element before it
+/// reads one. Within capacity this is a plain resize. Past it, the old
+/// buffer is freed BEFORE a 1.5x larger one is allocated: the stale
+/// contents are never copied, and the two buffers never coexist, so growth
+/// costs no more resident memory than the new buffer itself.
+template <class T, class A>
+void resize_discard(std::vector<T, A>& v, std::size_t n) {
+  if (n > v.capacity()) {
+    const std::size_t grown = v.capacity() + v.capacity() / 2;
+    std::vector<T, A>().swap(v);
+    v.reserve(n > grown ? n : grown);
+  }
+  v.resize(n);
+}
+
 }  // namespace dp

@@ -80,8 +80,20 @@ class BuildTeam {
       body(0, 1);
       return;
     }
-    while (static_cast<int>(workers_.size()) < T - 1)
-      workers_.emplace_back(&BuildTeam::worker, this, static_cast<int>(workers_.size()) + 1);
+    if (static_cast<int>(workers_.size()) < T - 1) {
+      // A worker spawned now must wait for THIS job, not take the retired
+      // one still published as job_gen_: a stale check-in would count
+      // toward this job's done_ and let run() return while a participant
+      // is still inside the body.
+      std::uint64_t retired = 0;
+      {
+        MutexLock lk(mu_);
+        retired = job_gen_;
+      }
+      while (static_cast<int>(workers_.size()) < T - 1)
+        workers_.emplace_back(&BuildTeam::worker, this,
+                              static_cast<int>(workers_.size()) + 1, retired);
+    }
     {
       MutexLock lk(mu_);
       body_ = &body;
@@ -121,8 +133,7 @@ class BuildTeam {
   }
 
  private:
-  void worker(int idx) {
-    std::uint64_t seen = 0;
+  void worker(int idx, std::uint64_t seen) {
     for (;;) {
       const BodyRef* body = nullptr;
       int T = 0;

@@ -16,7 +16,7 @@ void BaselineDP::prepare(std::size_t n) {
   const std::size_t m = cfg.m();
   const std::size_t nt = static_cast<std::size_t>(cfg.ntypes);
   atom_energy_.resize(n);
-  g_rmat_.resize(env_.stored_slots() * 4);
+  resize_discard(g_rmat_, env_.stored_slots() * 4);
   g_by_type_.resize(nt);
   ws_by_type_.resize(nt);
   g_g_by_type_.resize(nt);

@@ -3,9 +3,10 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 
+#include "common/error.hpp"
 #include "common/team.hpp"
 #include "dp/switch_fn.hpp"
 #include "obs/metrics.hpp"
@@ -87,31 +88,29 @@ void EnvMat::reset_compact_header(std::size_t n, const ModelConfig& cfg) {
 }
 
 void EnvMat::grow_compact_slots(std::size_t total) {
-  // resize, never assign: no O(slots) zeroing, and capacity only grows.
-  rmat.resize(total * 4);
-  deriv.resize(total * 12);
-  diff.resize(total * 3);
-  slot_atom.resize(total);
+  // Every compact build rewrites all `total` slots, so growth may discard:
+  // no stale copy, and no O(slots) zeroing once capacity suffices.
+  resize_discard(rmat, total * 4);
+  resize_discard(deriv, total * 12);
+  resize_discard(diff, total * 3);
+  resize_discard(slot_atom, total);
 }
 
-void EnvMatWorkspace::Slab::ensure(std::size_t slot_cap, int ntypes) {
-  if (rmat.size() < slot_cap * 4) {
-    rmat.resize(slot_cap * 4);
-    deriv.resize(slot_cap * 12);
-    diff.resize(slot_cap * 3);
-    atom.resize(slot_cap);
+void EnvMatWorkspace::Scratch::ensure(std::size_t max_nbrs, int ntypes) {
+  if (key.size() < max_nbrs) {
+    d.resize(max_nbrs);
+    key.resize(max_nbrs);
+    sorted.resize(max_nbrs);
+    bucket.resize(max_nbrs + 1);
   }
-  if (counts.size() < static_cast<std::size_t>(ntypes)) {
-    counts.resize(static_cast<std::size_t>(ntypes));
-    cursor.resize(static_cast<std::size_t>(ntypes));
-  }
+  const auto nt = static_cast<std::size_t>(ntypes);
+  if (seen.size() < nt) seen.resize(nt);
 }
 
-std::size_t EnvMatWorkspace::Slab::bytes() const {
-  return cand.capacity() * sizeof(EnvCandidate) + rmat.capacity() * sizeof(double) +
-         deriv.capacity() * sizeof(double) + diff.capacity() * sizeof(double) +
-         atom.capacity() * sizeof(int) + counts.capacity() * sizeof(int) +
-         cursor.capacity() * sizeof(int);
+std::size_t EnvMatWorkspace::Scratch::bytes() const {
+  return d.capacity() * sizeof(Vec3) +
+         (key.capacity() + sorted.capacity()) * sizeof(EnvSortKey) +
+         bucket.capacity() * sizeof(std::uint32_t) + seen.capacity() * sizeof(int);
 }
 
 void EnvMatWorkspace::ensure_threads(int team_size) {
@@ -120,8 +119,8 @@ void EnvMatWorkspace::ensure_threads(int team_size) {
 }
 
 std::size_t EnvMatWorkspace::bytes() const {
-  std::size_t b = tl.capacity() * sizeof(Slab);
-  for (const Slab& s : tl) b += s.bytes();
+  std::size_t b = tl.capacity() * sizeof(Scratch);
+  for (const Scratch& s : tl) b += s.bytes();
   return b;
 }
 
@@ -202,24 +201,71 @@ void build_dense_reference(const ModelConfig& cfg, const md::Box& box, const md:
   }
 }
 
-/// Compact CSR build: count -> scan -> fill, parallel over contiguous atom
-/// chunks with per-thread staging slabs (paper Sec 3.4.2's redundancy
-/// removal applied to the operator's OUTPUT, not just its inner loops).
+/// Displacement d = r_j - r_i (minimum image when periodic) and r^2 = |d|^2
+/// of one listed neighbor; true when j lies inside the cutoff. Both passes
+/// of the compact build decide through this one routine, so the fill pass
+/// meets exactly the candidates the count pass counted.
+inline bool env_candidate(const md::Box& box, const md::Atoms& atoms, const Vec3& ri, int j,
+                          bool periodic, double rc2, Vec3& d, double& r2) {
+  d = atoms.pos[static_cast<std::size_t>(j)] - ri;
+  if (periodic) d = box.min_image(d);
+  r2 = norm2(d);
+  return r2 < rc2 && r2 > 0.0;
+}
+
+inline bool key_less(const EnvSortKey& a, const EnvSortKey& b) {
+  return a.r2 != b.r2 ? a.r2 < b.r2 : a.atom < b.atom;
+}
+
+/// Orders sc.key[0, n) into sc.sorted[0, n) by (r2, atom): a counting pass
+/// over n buckets of equal r^2 width, then an insertion sort. The bucket
+/// index is monotone in r^2 (a multiply by a positive constant, truncated),
+/// so a key never has to cross a bucket boundary and the insertion sort
+/// only reorders the few keys of one bucket — ties included, which a
+/// perfect lattice's shells put all into one bucket.
+void sort_candidates(EnvMatWorkspace::Scratch& sc, std::size_t n, double rc2) {
+  if (n == 0) return;
+  const double scale = static_cast<double>(n) / rc2;
+  const auto bucket_of = [&](const EnvSortKey& k) {
+    const auto b = static_cast<std::size_t>(std::bit_cast<double>(k.r2) * scale);
+    return b < n ? b : n - 1;
+  };
+  std::uint32_t* off = sc.bucket.data();
+  std::fill(off, off + n + 1, 0u);
+  for (std::size_t k = 0; k < n; ++k) ++off[bucket_of(sc.key[k]) + 1];
+  for (std::size_t b = 0; b < n; ++b) off[b + 1] += off[b];
+  for (std::size_t k = 0; k < n; ++k) sc.sorted[off[bucket_of(sc.key[k])]++] = sc.key[k];
+  for (std::size_t a = 1; a < n; ++a) {
+    const EnvSortKey k = sc.sorted[a];
+    std::size_t b = a;
+    for (; b > 0 && key_less(k, sc.sorted[b - 1]); --b) sc.sorted[b] = sc.sorted[b - 1];
+    sc.sorted[b] = k;
+  }
+}
+
+/// Compact CSR build, parallel over contiguous atom chunks (paper Sec
+/// 3.4.2's redundancy removal applied to the operator's OUTPUT, not just its
+/// inner loops):
+///   * pass A counts each atom's in-cutoff neighbors per type, caps them at
+///     sel[] and counts the overflow;
+///   * thread 0 scans the counts into block_start and sizes the slot arrays;
+///   * pass B gathers one atom's candidates into the thread's scratch, sorts
+///     them and writes rmat/deriv/diff/slot_atom straight into the CSR.
+/// Nothing is staged across atoms.
 ///
-/// Happens-before / determinism argument (see docs/STATIC_ANALYSIS.md): the
-/// count-and-stage phase writes disjoint count_by_type rows and
-/// thread-private slabs; a barrier orders every count before the thread-0
-/// prefix scan; a second barrier orders the scan (and the slot-array resize)
-/// before the slab copies, which target disjoint [block_start[begin * nt],
-/// block_start[end * nt]) ranges by chunk contiguity. Slot CONTENT depends
-/// only on per-atom data, and the concatenation in atom order is what the
-/// scan encodes — so the output is byte-identical at any thread count.
+/// Happens-before / determinism argument (see docs/STATIC_ANALYSIS.md):
+/// pass A writes disjoint count_by_type rows and thread-private scratch; a
+/// barrier orders every count before the thread-0 prefix scan; a second
+/// barrier orders the scan (and the slot-array growth) before pass B, whose
+/// writes target disjoint [block_start[begin * nt], block_start[end * nt])
+/// ranges by chunk contiguity. Slot content and position depend only on
+/// per-atom data and the scan, so the output is byte-identical at any
+/// thread count.
 void build_compact(const ModelConfig& cfg, const md::Box& box, const md::Atoms& atoms,
                    const md::NeighborList& nlist, EnvMat& out, EnvMatWorkspace& ws,
                    bool periodic) {
   const std::size_t n = nlist.n_centers();
   const std::size_t nt = static_cast<std::size_t>(cfg.ntypes);
-  const std::size_t nm = static_cast<std::size_t>(cfg.nm());
   const double rc2 = cfg.rcut * cfg.rcut;
   const int team_size = std::max(1, omp_get_max_threads());
   ws.ensure_threads(team_size);
@@ -227,61 +273,32 @@ void build_compact(const ModelConfig& cfg, const md::Box& box, const md::Atoms& 
 
   BuildTeam& team = BuildTeam::team();
   auto body = [&](int t, int T) {
-    EnvMatWorkspace::Slab& slab = ws.tl[static_cast<std::size_t>(t)];
+    EnvMatWorkspace::Scratch& sc = ws.tl[static_cast<std::size_t>(t)];
     const std::size_t begin = chunk_bound(n, t, T);
     const std::size_t end = chunk_bound(n, t + 1, T);
-    // Stage capacity: each atom fills at most min(|nbrs|, nm) slots.
-    std::size_t cap = 0;
-    for (std::size_t i = begin; i < end; ++i)
-      cap += std::min(nlist.neighbors(i).size(), nm);
-    slab.ensure(cap, cfg.ntypes);
-    slab.n_slots = 0;
-    slab.overflow = 0;
+    sc.overflow = 0;
+    sc.mismatched = 0;
 
+    // ---- Pass A: capped per-type counts --------------------------------
+    std::size_t max_nbrs = 0;
     for (std::size_t i = begin; i < end; ++i) {
       const Vec3 ri = atoms.pos[i];
-      slab.cand.clear();
+      int* count = out.count_by_type.data() + i * nt;
+      std::fill(count, count + nt, 0);
       for (int j : nlist.neighbors(i)) {
-        Vec3 d = atoms.pos[static_cast<std::size_t>(j)] - ri;
-        if (periodic) d = box.min_image(d);
-        const double r2 = norm2(d);
-        if (r2 < rc2 && r2 > 0.0) slab.cand.push_back({r2, j, d});
+        Vec3 d;
+        double r2;
+        if (env_candidate(box, atoms, ri, j, periodic, rc2, d, r2))
+          ++count[static_cast<std::size_t>(atoms.type[static_cast<std::size_t>(j)])];
       }
-      std::sort(slab.cand.begin(), slab.cand.end());
-
-      // Count per type, cap at sel[], scan into atom-local block offsets.
-      std::fill(slab.counts.begin(), slab.counts.end(), 0);
-      for (const EnvCandidate& c : slab.cand)
-        ++slab.counts[static_cast<std::size_t>(atoms.type[static_cast<std::size_t>(c.atom)])];
-      int fill_total = 0;
       for (std::size_t ty = 0; ty < nt; ++ty) {
-        const int capped = std::min(slab.counts[ty], cfg.sel[ty]);
-        slab.overflow += static_cast<std::size_t>(slab.counts[ty] - capped);
-        slab.counts[ty] = capped;  // remaining per-type quota for the fill walk
-        slab.cursor[ty] = fill_total;
-        fill_total += capped;
-        out.count_by_type[i * nt + ty] = capped;
+        const int capped = std::min(count[ty], cfg.sel[ty]);
+        sc.overflow += static_cast<std::size_t>(count[ty] - capped);
+        count[ty] = capped;
       }
-
-      // Fill: candidates arrive distance-sorted, so the first `capped` of
-      // each type land in the block — the nearest ones, exactly the dense
-      // reference's insertion order.
-      for (const EnvCandidate& c : slab.cand) {
-        const std::size_t ty =
-            static_cast<std::size_t>(atoms.type[static_cast<std::size_t>(c.atom)]);
-        if (slab.counts[ty] == 0) continue;  // quota spent: farthest are dropped
-        --slab.counts[ty];
-        const std::size_t s =
-            slab.n_slots + static_cast<std::size_t>(slab.cursor[ty]++);
-        fill_slot(slab.rmat.data() + 4 * s, slab.deriv.data() + 12 * s, c.d, c.r2,
-                  cfg.rcut_smth, cfg.rcut);
-        slab.atom[s] = c.atom;
-        slab.diff[3 * s + 0] = c.d.x;
-        slab.diff[3 * s + 1] = c.d.y;
-        slab.diff[3 * s + 2] = c.d.z;
-      }
-      slab.n_slots += static_cast<std::size_t>(fill_total);
+      max_nbrs = std::max(max_nbrs, nlist.neighbors(i).size());
     }
+    sc.ensure(max_nbrs, cfg.ntypes);
 
     team.barrier();
     if (t == 0) {
@@ -293,22 +310,56 @@ void build_compact(const ModelConfig& cfg, const md::Box& box, const md::Atoms& 
       out.block_start[n * nt] = run;
       out.grow_compact_slots(run);
     }
-    team.barrier();  // scan + resize visible to every slab copy below
-    if (slab.n_slots > 0) {
-      const std::size_t dst = out.block_start[begin * nt];
-      std::memcpy(out.rmat.data() + dst * 4, slab.rmat.data(),
-                  slab.n_slots * 4 * sizeof(double));
-      std::memcpy(out.deriv.data() + dst * 12, slab.deriv.data(),
-                  slab.n_slots * 12 * sizeof(double));
-      std::memcpy(out.diff.data() + dst * 3, slab.diff.data(),
-                  slab.n_slots * 3 * sizeof(double));
-      std::memcpy(out.slot_atom.data() + dst, slab.atom.data(), slab.n_slots * sizeof(int));
+    team.barrier();  // scan + growth visible to every fill below
+
+    // ---- Pass B: gather, sort, fill in place ---------------------------
+    for (std::size_t i = begin; i < end; ++i) {
+      const Vec3 ri = atoms.pos[i];
+      std::size_t nc = 0;
+      for (int j : nlist.neighbors(i)) {
+        double r2;
+        if (!env_candidate(box, atoms, ri, j, periodic, rc2, sc.d[nc], r2)) continue;
+        sc.key[nc] = {std::bit_cast<std::uint64_t>(r2), j, static_cast<std::uint32_t>(nc)};
+        ++nc;
+      }
+      sort_candidates(sc, nc, rc2);
+
+      // The first count[ty] candidates of each type, nearest first, land in
+      // the type's block — exactly the dense reference's insertion order.
+      const std::size_t* start = out.block_start.data() + i * nt;
+      const int* count = out.count_by_type.data() + i * nt;
+      std::fill(sc.seen.begin(), sc.seen.begin() + static_cast<std::ptrdiff_t>(nt), 0);
+      for (std::size_t k = 0; k < nc; ++k) {
+        const EnvSortKey& key = sc.sorted[k];
+        const auto ty =
+            static_cast<std::size_t>(atoms.type[static_cast<std::size_t>(key.atom)]);
+        const int rank = sc.seen[ty]++;
+        if (rank >= count[ty]) continue;  // quota spent: the farthest are dropped
+        const std::size_t s = start[ty] + static_cast<std::size_t>(rank);
+        const Vec3& d = sc.d[key.idx];
+        fill_slot(out.rmat.data() + 4 * s, out.deriv.data() + 12 * s, d,
+                  std::bit_cast<double>(key.r2), cfg.rcut_smth, cfg.rcut);
+        double* diff = out.diff.data() + 3 * s;
+        diff[0] = d.x;
+        diff[1] = d.y;
+        diff[2] = d.z;
+        out.slot_atom[s] = key.atom;
+      }
+      // A block filled short of pass A's count would leave slots unwritten.
+      for (std::size_t ty = 0; ty < nt; ++ty)
+        if (std::min(sc.seen[ty], cfg.sel[ty]) != count[ty]) ++sc.mismatched;
     }
   };
   team.run(team_size, BodyRef(body));
 
   std::size_t overflow_total = 0;
-  for (int t = 0; t < team_size; ++t) overflow_total += ws.tl[static_cast<std::size_t>(t)].overflow;
+  std::size_t mismatched = 0;
+  for (int t = 0; t < team_size; ++t) {
+    overflow_total += ws.tl[static_cast<std::size_t>(t)].overflow;
+    mismatched += ws.tl[static_cast<std::size_t>(t)].mismatched;
+  }
+  DP_CHECK_MSG(mismatched == 0, "env-mat fill pass disagrees with its count pass on "
+                                    << mismatched << " blocks");
   out.overflow = overflow_total;
 }
 

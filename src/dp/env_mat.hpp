@@ -19,7 +19,8 @@
 //     zeroing traffic is ever issued. It also carries the minimum-image
 //     displacement per slot (`diff`), so the force/virial scatter never
 //     recomputes it. The build is thread-parallel and byte-identical at any
-//     thread count (count -> scan -> disjoint slab copies, the same
+//     thread count: a count pass, a prefix scan, then a fill pass that
+//     writes each atom's slots in place (the same count -> scan -> fill
 //     discipline as the neighbor-list CSR build).
 //
 // Both layouts are walked through the same accessors: global slot indices
@@ -29,6 +30,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -117,43 +119,43 @@ struct EnvMat {
   // assign/resize (tools/dplint `env-hot-alloc` keeps it that way). All are
   // grow-only in steady state: resize never shrinks capacity, and only
   // reset_dense pays zero-fill traffic (deliberately — that IS the dense
-  // baseline being measured).
+  // baseline being measured). grow_compact_slots never copies: every build
+  // rewrites every slot, so growth frees the stale arrays before allocating
+  // larger ones (resize_discard).
   void reset_dense(std::size_t n, const ModelConfig& cfg);
   void reset_compact_header(std::size_t n, const ModelConfig& cfg);
   void grow_compact_slots(std::size_t total);
 };
 
-/// One neighbor candidate of the compact build: squared distance, index and
-/// minimum-image displacement, ordered the way slots are (distance, then
-/// index, inside each type block).
-struct EnvCandidate {
-  double r2;
-  int atom;
-  Vec3 d;
-  bool operator<(const EnvCandidate& o) const {
-    return r2 != o.r2 ? r2 < o.r2 : atom < o.atom;
-  }
+/// Sort key of one compact-build candidate: the bits of r^2 (positive and
+/// finite, so the bits order like the value), the neighbor's index, and the
+/// candidate's gather position, where its displacement waits. Slots follow
+/// (r2, atom) order inside each type block; an atom is listed once, so the
+/// order is strict and every correct sort yields the same slots.
+struct EnvSortKey {
+  std::uint64_t r2;
+  std::int32_t atom;
+  std::uint32_t idx;
 };
 
-/// Persistent scratch of the compact parallel build: per-thread slabs stage
-/// each thread's contiguous atom chunk before one memcpy into the global
-/// arrays. Grow-only, so steady-state builds allocate nothing (the same
-/// discipline as md::NeighborWorkspace).
+/// Persistent scratch of the compact build: one entry per thread, sized by
+/// the longest neighbor list of the thread's atom chunk and never by the
+/// slot count — slots are written straight into the CSR. Grow-only, so
+/// steady-state builds allocate nothing (the same discipline as
+/// md::NeighborWorkspace).
 struct EnvMatWorkspace {
-  struct Slab {
-    std::vector<EnvCandidate> cand;    ///< per-atom candidate gather
-    AlignedVector<double> rmat;        ///< staged slots: 4 per slot
-    AlignedVector<double> deriv;       ///< 12 per slot
-    AlignedVector<double> diff;        ///< 3 per slot
-    std::vector<int> atom;             ///< 1 per slot
-    std::vector<int> counts;           ///< ntypes: per-type quota scratch
-    std::vector<int> cursor;           ///< ntypes: per-type write cursor
-    std::size_t n_slots = 0;           ///< slots staged by the current build
-    std::size_t overflow = 0;          ///< drops counted by the current build
-    void ensure(std::size_t slot_cap, int ntypes);
+  struct Scratch {
+    std::vector<Vec3> d;                ///< gathered displacements r_j - r_i
+    std::vector<EnvSortKey> key;        ///< candidates in gather order
+    std::vector<EnvSortKey> sorted;     ///< candidates in slot order
+    std::vector<std::uint32_t> bucket;  ///< r^2 bucket offsets of the counting pass
+    std::vector<int> seen;              ///< ntypes: candidates met per type
+    std::size_t overflow = 0;           ///< drops counted by the current build
+    std::size_t mismatched = 0;         ///< blocks the fill pass could not fill to count
+    void ensure(std::size_t max_nbrs, int ntypes);
     std::size_t bytes() const;
   };
-  std::vector<Slab> tl;
+  std::vector<Scratch> tl;
   void ensure_threads(int team_size);
   std::size_t bytes() const;
 };

@@ -22,7 +22,7 @@ void FusedDP::prepare(std::size_t n) {
   const ModelConfig& cfg = tab_.model().config();
   const std::size_t m = cfg.m();
   atom_energy_.resize(n);
-  g_rmat_.resize(env_.stored_slots() * 4);
+  resize_discard(g_rmat_, env_.stored_slots() * 4);
   scratch_.resize(static_cast<std::size_t>(std::max(1, omp_get_max_threads())));
   for (ThreadScratch& sc : scratch_) {
     sc.g_row.resize(m);
@@ -81,7 +81,10 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
       // "registers" of the CUDA kernel) and the pending fitting blocks —
       // persistent members, nothing allocated per call.
       ThreadScratch& sc = scratch_[static_cast<std::size_t>(tid)];
-      sc.slots_partial = 0;
+      // Counted in a register and stored once: a store per slot into the
+      // shared scratch_ array cost the descriptor up to a third, depending on
+      // where the heap placed that array.
+      std::size_t slots = 0;
       sc.energy_partial = 0.0;
       const std::size_t i_begin = chunk_bound(n, tid, T);
       const std::size_t i_end = chunk_bound(n, tid + 1, T);
@@ -153,8 +156,8 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
               table.eval(rrow[0], sc.g_row.data());
             // outer-product update: A_c += rrow[c] * row (Fig 4 (c))
             rank1_update(rrow, row, m, a_mat);
-            ++sc.slots_partial;
           }
+          slots += static_cast<std::size_t>(limit);
         }
         for (std::size_t k = 0; k < 4 * m; ++k) a_mat[k] *= scale;
 
@@ -166,6 +169,7 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
         sc.fit.flush(t, model.fitting(t), m_sub, scale, atom_energy_.data(), pass2);
       // Energies in ascending atom order, as the one-atom loop summed them.
       for (std::size_t i = i_begin; i < i_end; ++i) sc.energy_partial += atom_energy_[i];
+      sc.slots_partial = slots;
     };
     team.run(team_size, BodyRef(body));
     for (const ThreadScratch& sc : scratch_) {

@@ -45,7 +45,7 @@ void MixedFusedDP::prepare(std::size_t n) {
   const std::size_t m = cfg.m();
   const std::size_t nm = static_cast<std::size_t>(cfg.nm());
   atom_energy_.resize(n);
-  g_rmat_.resize(env_.stored_slots() * 4);
+  resize_discard(g_rmat_, env_.stored_slots() * 4);
   scratch_.resize(static_cast<std::size_t>(std::max(1, omp_get_max_threads())));
   for (ThreadScratch& sc : scratch_) {
     sc.s_col.resize(nm);

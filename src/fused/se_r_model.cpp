@@ -32,13 +32,15 @@ void SeRFusedDP::prepare(std::size_t n) {
   const std::size_t m = cfg.m();
   const auto ntypes = static_cast<std::size_t>(cfg.ntypes);
   atom_energy_.resize(n);
-  g_rmat_.resize(env_.stored_slots() * 4);
+  resize_discard(g_rmat_, env_.stored_slots() * 4);
   scratch_.resize(static_cast<std::size_t>(std::max(1, omp_get_max_threads())));
+  const auto nm = static_cast<std::size_t>(cfg.nm());
   for (ThreadScratch& sc : scratch_) {
-    sc.g_row.resize(m);
-    sc.dg_row.resize(m);
+    sc.g_rows.resize(nm * m);
     sc.d_rows.resize(ntypes);
     for (auto& d : sc.d_rows) d.resize(nn::kFitBlock * m);
+    sc.dg_rows.resize(ntypes);
+    for (auto& dg : sc.dg_rows) dg.resize(nn::kFitBlock * nm * m);
     sc.row_atom.resize(ntypes);
     sc.rows.assign(ntypes, 0);
     sc.blocks = 0;
@@ -71,21 +73,26 @@ md::ForceResult SeRFusedDP::compute(const md::Box& box, md::Atoms& atoms,
     const std::size_t i_begin = chunk_bound(n, tid, T);
     const std::size_t i_end = chunk_bound(n, tid + 1, T);
 
-    // ---- Pass 2: dE/ds_j = (1/N_m) <g_D, g'(s_j)> into column 0; the
-    // directional columns are written as explicit zeros (g_rmat_ is a
-    // persistent buffer that is never bulk-zeroed) ------------------------
-    const auto pass2 = [&](std::size_t i, const double* g_d) {
+    // Derivative rows staged by pass 1 for row r of center type t's block.
+    const auto staged = [&](std::size_t t, std::size_t r) {
+      return sc.dg_rows[t].data() + r * static_cast<std::size_t>(nm) * m;
+    };
+
+    // ---- Pass 2: dE/ds_j = (1/N_m) <g_D, g'(s_j)> into column 0, from the
+    // derivative rows pass 1 staged; the directional columns are written as
+    // explicit zeros (g_rmat_ is a persistent buffer that is never
+    // bulk-zeroed) ---------------------------------------------------------
+    const auto pass2 = [&](std::size_t i, const double* dg_atom, const double* g_d) {
       for (int ty = 0; ty < cfg.ntypes; ++ty) {
-        const TabulatedEmbedding& table = tab_.table_pair(atoms.type[i], ty);
         const std::size_t base = env_.block_begin(i, ty);
+        const double* dg0 = dg_atom + static_cast<std::size_t>(cfg.type_offset(ty)) * m;
         const int limit = env_.count(i, ty);
         for (int k = 0; k < limit; ++k) {
-          const std::size_t slot = base + static_cast<std::size_t>(k);
-          table.eval_with_deriv(env_.rmat_at(slot)[0], sc.g_row.data(), sc.dg_row.data());
+          const double* dg = dg0 + static_cast<std::size_t>(k) * m;
           double acc = 0.0;
 #pragma omp simd reduction(+ : acc)
-          for (std::size_t b = 0; b < m; ++b) acc += g_d[b] * sc.dg_row[b];
-          double* grow = g_rmat_.data() + slot * 4;
+          for (std::size_t b = 0; b < m; ++b) acc += g_d[b] * dg[b];
+          double* grow = g_rmat_.data() + (base + static_cast<std::size_t>(k)) * 4;
           grow[0] = acc * scale;
           grow[1] = 0.0;
           grow[2] = 0.0;
@@ -110,7 +117,7 @@ md::ForceResult SeRFusedDP::compute(const md::Box& box, md::Atoms& atoms,
       for (std::size_t r = 0; r < rows; ++r) {
         const std::size_t i = sc.row_atom[ut][r];
         atom_energy_[i] = sc.energy[r];
-        pass2(i, d + r * m);
+        pass2(i, staged(ut, r), d + r * m);
       }
     };
 
@@ -120,18 +127,25 @@ md::ForceResult SeRFusedDP::compute(const md::Box& box, md::Atoms& atoms,
       const std::size_t r = sc.rows[uct]++;
       sc.row_atom[uct][r] = i;
       double* d_vec = sc.d_rows[uct].data() + r * m;
+      double* dg_atom = staged(uct, r);
 
-      // ---- Pass 1: D = (1/N_m) sum over ALL slots of g(s_j); real slots
-      // are walked, padded ones contribute the cached g(0) analytically ----
+      // ---- Pass 1: D = (1/N_m) sum over ALL slots of g(s_j). Real slots
+      // take one batched table walk per (atom, type) run, which also stages
+      // g'(s_j) for pass 2; padded ones contribute the cached g(0)
+      // analytically ----------------------------------------------------
       std::memset(d_vec, 0, m * sizeof(double));
       for (int ty = 0; ty < cfg.ntypes; ++ty) {
         const TabulatedEmbedding& table = tab_.table_pair(ct, ty);
         const std::size_t base = env_.block_begin(i, ty);
         const int limit = env_.count(i, ty);
+        if (limit > 0)
+          table.eval_with_deriv_batch(
+              env_.rmat_at(base), 4, static_cast<std::size_t>(limit), sc.g_rows.data(),
+              dg_atom + static_cast<std::size_t>(cfg.type_offset(ty)) * m, m);
         for (int k = 0; k < limit; ++k) {
-          table.eval(env_.rmat_at(base + static_cast<std::size_t>(k))[0], sc.g_row.data());
+          const double* g = sc.g_rows.data() + static_cast<std::size_t>(k) * m;
 #pragma omp simd
-          for (std::size_t b = 0; b < m; ++b) d_vec[b] += sc.g_row[b];
+          for (std::size_t b = 0; b < m; ++b) d_vec[b] += g[b];
         }
         const double n_padded =
             static_cast<double>(cfg.sel[static_cast<std::size_t>(ty)] - limit);

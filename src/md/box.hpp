@@ -1,6 +1,8 @@
 // Orthorhombic periodic simulation box.
 #pragma once
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "common/types.hpp"
 
@@ -32,9 +34,20 @@ class Box {
   Vec3 min_image(Vec3 d) const {
     for (int k = 0; k < 3; ++k) {
       double& c = d[k];
-      c -= std::round(c * inv_[k]) * l_[k];
+      c -= round_half_away(c * inv_[k]) * l_[k];
     }
     return d;
+  }
+
+  /// std::round (halfway cases away from zero), bitwise, for every double,
+  /// without the libm call GCC emits for it: trunc inlines to one rounding
+  /// instruction, x - trunc(x) is exact (Sterbenz), and t +- 1 is exact
+  /// wherever a fraction exists (|x| < 2^52). Signed zeros, infinities and
+  /// NaNs pass through trunc unchanged (inf - inf is NaN, and NaN >= 0.5 is
+  /// false).
+  static double round_half_away(double x) {
+    const double t = std::trunc(x);
+    return std::fabs(x - t) >= 0.5 ? t + std::copysign(1.0, x) : t;
   }
 
   /// True if a cutoff sphere fits: rc < L/2 in every dimension (required for

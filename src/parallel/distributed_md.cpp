@@ -287,12 +287,17 @@ DistributedRunResult run_distributed_md_rank(Communicator& comm,
       // Bookkeeping a post-mortem can cross-check: the step counter and
       // the synced metrics rewrite land *before* the test-only injection
       // hook, so a crash raised there finds flightrec last_step equal to
-      // the logged md.steps.
+      // the logged md.steps. The barrier extends that to every rank: no
+      // rank runs the hook (rank 0 may crash in it) until each one has
+      // recorded this step.
       if (rank == 0 && !opts.metrics_rewrite_path.empty()) {
         obs::MetricsRegistry::instance().write_jsonl_file_sync(
             opts.metrics_rewrite_path);
       }
-      if (opts.on_sample) opts.on_sample(rank, step);
+      if (opts.on_sample) {
+        comm.barrier();
+        opts.on_sample(rank, step);
+      }
     }
   }
 

@@ -81,7 +81,8 @@ struct DistributedOptions {
   /// a log whose `md.steps` matches the flight recorders' `last_step`.
   std::string metrics_rewrite_path;
   /// Test hook, invoked on every rank after a sample step's bookkeeping
-  /// (sample + flight record + metrics rewrite have all landed).
+  /// (sample + flight record + metrics rewrite have all landed, on every
+  /// rank: the ranks meet at a barrier before any of them calls it).
   /// Crash-injection tests raise their signal from here.
   std::function<void(int rank, int step)> on_sample;
 };

@@ -20,7 +20,7 @@ void CompressedDP::prepare(std::size_t n) {
   const std::size_t m = cfg.m();
   const std::size_t nt = static_cast<std::size_t>(cfg.ntypes);
   atom_energy_.resize(n);
-  g_rmat_.resize(env_.stored_slots() * 4);
+  resize_discard(g_rmat_, env_.stored_slots() * 4);
   g_by_type_.resize(nt);
   dg_by_type_.resize(nt);
   row_off_.resize(nt * (n + 1));

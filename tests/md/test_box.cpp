@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace dp::md {
 namespace {
 
@@ -46,6 +54,54 @@ TEST(Box, MinImageBoundedByHalfBox) {
     EXPECT_LE(std::abs(d.x), 3.0 + 1e-12);
     EXPECT_LE(std::abs(d.y), 4.0 + 1e-12);
     EXPECT_LE(std::abs(d.z), 5.0 + 1e-12);
+  }
+}
+
+TEST(Box, MinImageRoundsLikeStdRound) {
+  // min_image rounds without libm; it must reproduce x - round(x * inv) * L
+  // bit for bit, at every halfway case and at the edges of the doubles.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const double max = std::numeric_limits<double>::max();
+  std::vector<double> xs = {0.5, 1.5, 2.5, 0.49999999999999994, 0.0, 0.3, 7.75};
+  for (double x : {0x1p52, 0x1p53 - 1, 0x1p52 - 0.5, 1e300, max}) xs.push_back(x);
+  for (double x : {sub, 4 * sub, 0x1p-1022, inf, nan}) xs.push_back(x);
+  for (std::size_t k = 0, n = xs.size(); k < n; ++k) xs.push_back(-xs[k]);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (double l : {1.0, 3.7, 10.0}) {
+    const Box box(l, 2 * l, 0.5 * l);
+    const Vec3 inv{1.0 / l, 1.0 / (2 * l), 1.0 / (0.5 * l)};
+    const Vec3 len{l, 2 * l, 0.5 * l};
+    for (double x : xs) {
+      // Scale by L so the rounding argument is x itself when L = 1.
+      const Vec3 d{x * l, x, x};
+      const Vec3 got = box.min_image(d);
+      for (std::size_t c = 0; c < 3; ++c)
+        EXPECT_EQ(bits(got[c]), bits(d[c] - std::round(d[c] * inv[c]) * len[c]))
+            << "x=" << x << " L=" << len[c];
+    }
+  }
+  for (double x : xs) {
+    if (std::isnan(x))
+      EXPECT_TRUE(std::isnan(Box::round_half_away(x)));
+    else
+      EXPECT_EQ(bits(Box::round_half_away(x)), bits(std::round(x))) << x;
+  }
+  // Random bit patterns cover every exponent (NaNs only need to stay NaN);
+  // random magnitudes up to 2^54 and exact halves cover the fractions.
+  Rng rng(17);
+  for (int k = 0; k < 200000; ++k) {
+    const double x = std::bit_cast<double>(rng.next_u64());
+    if (std::isnan(x))
+      EXPECT_TRUE(std::isnan(Box::round_half_away(x)));
+    else
+      ASSERT_EQ(bits(Box::round_half_away(x)), bits(std::round(x))) << x;
+    const double y =
+        std::ldexp(rng.uniform(-1.0, 1.0), static_cast<int>(rng.uniform_index(58)) - 4);
+    ASSERT_EQ(bits(Box::round_half_away(y)), bits(std::round(y))) << y;
+    const double h = std::floor(rng.uniform(-1e6, 1e6)) + 0.5;
+    ASSERT_EQ(bits(Box::round_half_away(h)), bits(std::round(h))) << h;
   }
 }
 
