@@ -7,8 +7,8 @@
 //   dpmd run --model model.dpm --system water|copper [--cells N] [--steps N]
 //            [--path baseline|tabulated|fused|mixed] [--dt FS] [--temp K]
 //            [--rebuild-every N] [--ranks N] [--interval H]
-//            serial only: [--thermostat none|langevin|berendsen]
-//            [--dump traj.xyz] [--thermo thermo.csv]
+//            [--thermostat none|langevin|berendsen|nose-hoover]
+//            [--pressure BAR] [--dump traj.xyz] [--thermo thermo.csv]
 //            [--trace out.trace.json] [--metrics out.metrics.jsonl]
 #include <fcntl.h>
 #include <unistd.h>
@@ -425,7 +425,7 @@ int cmd_run(const Args& args) {
 
   std::string path = args.get("path", "fused");
   if (model.config().descriptor == dp::core::DescriptorKind::SeR) path = "se_r";
-  // The serial run builds one force field, a distributed run one per rank.
+  // Every rank builds its own force field.
   const auto make_ff = [&]() -> std::unique_ptr<dp::md::ForceField> {
     if (path == "se_r") return std::make_unique<dp::fused::SeRFusedDP>(tabulated);
     if (path == "baseline") return std::make_unique<dp::core::BaselineDP>(model);
@@ -446,7 +446,8 @@ int cmd_run(const Args& args) {
   if (args.has("rendezvous")) tcfg.rendezvous = args.get("rendezvous");
   if (args.has("timeout")) tcfg.timeout_seconds = args.get_double("timeout", 60.0);
   const bool multiprocess = tcfg.kind != dp::par::TransportKind::Threads;
-  const bool distributed = multiprocess || args.get_int("ranks", 1) > 1;
+  const int thread_ranks = args.get_int("ranks", 1);
+  const bool distributed = multiprocess || thread_ranks > 1;
 
   dp::md::SimulationConfig sc;
   sc.steps = args.get_int("steps", 99);
@@ -454,117 +455,9 @@ int cmd_run(const Args& args) {
   sc.temperature = args.get_double("temp", 330.0);
   sc.skin = args.get_double("skin", 1.0);
   sc.thermo_every = args.get_int("thermo-every", 10);
-  // Distributed rebuilds also migrate atoms between ranks, so they default
+  // Multi-rank rebuilds also migrate atoms between ranks, so they default
   // to a shorter period.
   sc.rebuild_every = args.get_int("rebuild-every", distributed ? 10 : sc.rebuild_every);
-
-  // Run-health watchdogs + crash black box. The fatal hook routes every
-  // DP_CHECK failure through obs::notify_fatal before it throws.
-  const bool health_on = args.has("health");
-  const bool flight_on = args.has("flight-recorder");
-  std::string flight_dir = args.get("flight-recorder", ".");
-  if (flight_dir == "1") flight_dir = ".";  // bare flag, no directory value
-  if (health_on || flight_on) dp::set_fatal_hook(&fatal_bridge);
-  if (flight_on) {
-    dp::obs::install_crash_handlers();
-    if (!obs_out.metrics_path.empty()) {
-      std::snprintf(g_metrics_sync_path, sizeof g_metrics_sync_path, "%s",
-                    obs_out.metrics_path.c_str());
-      dp::obs::set_fatal_flush_hook(&fsync_metrics_hook);
-    }
-  }
-  // Deterministic fault injection for the crash-path ctests (undocumented).
-  const int inject_segv = args.get_int("inject-segv", -1);
-  const int inject_fatal = args.get_int("inject-fatal", -1);
-
-  // Domain-decomposed run — in-process rank threads (--ranks N) or one rank
-  // of a multi-process world (--transport shm|tcp), on any --path. The
-  // distributed driver is NVE only and writes no trajectory, thermo CSV or
-  // checkpoint, so the flags asking for those are refused, not ignored.
-  if (distributed) {
-    if (args.get("thermostat", "none") != "none")
-      throw dp::Error("--thermostat is serial-only; multi-rank runs are NVE");
-    for (const char* flag : {"pressure", "dump", "thermo", "save-checkpoint"})
-      if (args.has(flag))
-        throw dp::Error(std::string("--") + flag + " is not supported on multi-rank runs");
-    dp::TimerRegistry::instance().clear();
-    dp::par::DistributedOptions dopts;
-    dopts.init_velocities = !restarted;  // a restart keeps the checkpointed velocities
-    dp::obs::HealthConfig hcfg;
-    if (health_on) {
-      hcfg.target_temperature = sc.temperature;
-      dopts.health = &hcfg;
-    }
-    if (flight_on) {
-      dopts.flight_recorder = true;
-      dopts.flight_dir = flight_dir;
-      dopts.metrics_rewrite_path = obs_out.metrics_path;
-    }
-    const std::string force_dump = args.get("force-dump");
-    dopts.gather_state = !force_dump.empty();
-    if (inject_segv >= 0 || inject_fatal >= 0) {
-      dopts.on_sample = [inject_segv, inject_fatal](int rank, int step) {
-        if (rank != 0) return;
-        if (inject_segv >= 0 && step >= inject_segv) ::raise(SIGSEGV);
-        if (inject_fatal >= 0 && step >= inject_fatal) {
-          // Exercise the DP_CHECK fatal route (hook fires: message + flight
-          // dump + metrics fsync), then abort: with sibling ranks parked in
-          // collectives the exception could never unwind past the rank
-          // thread anyway, and abort() hands control to the SIGABRT handler
-          // exactly as an uncaught failure would.
-          try {
-            DP_CHECK_MSG(false, "injected fatal at step " << step);
-          } catch (const dp::Error&) {
-            std::abort();
-          }
-        }
-      };
-    }
-    dp::par::DistributedRunResult result;
-    int ranks = 0;
-    bool print_results = true;
-    if (multiprocess) {
-      dp::par::ProcessGroup pg(tcfg);
-      ranks = pg.size();
-      print_results = pg.rank() == 0;
-      if (print_results)
-        std::printf("%s | %zu atoms | distributed on %d %s ranks | path=%s | %d steps\n",
-                    system.c_str(), sys.atoms.size(), ranks,
-                    tcfg.kind == dp::par::TransportKind::Shm ? "shm" : "tcp", path.c_str(),
-                    sc.steps);
-      result = dp::par::run_distributed_md_rank(pg.comm(), sys, make_ff, sc, dopts);
-    } else {
-      ranks = args.get_int("ranks", 1);
-      std::printf("%s | %zu atoms | distributed on %d ranks | path=%s | %d steps\n",
-                  system.c_str(), sys.atoms.size(), ranks, path.c_str(), sc.steps);
-      result = dp::par::run_distributed_md(ranks, sys, make_ff, sc, dopts);
-    }
-    if (print_results) {
-      std::printf("%6s %14s %10s\n", "step", "E_tot [eV]", "T [K]");
-      for (const auto& s : result.thermo)
-        std::printf("%6d %14.6f %10.2f\n", s.step, s.total(), s.temperature);
-      std::printf(
-          "comm[%s]: %.1f KB in %llu messages (%.1f KB wire); max ghosts/rank %zu; "
-          "wall %.2f s\n",
-          result.comm.transport, result.comm.bytes / 1024.0,
-          static_cast<unsigned long long>(result.comm.messages),
-          result.comm.wire_bytes / 1024.0, result.max_ghost_atoms, result.wall_seconds);
-      std::printf("rebuilds %llu (early %llu); load imbalance %.4f\n",
-                  static_cast<unsigned long long>(result.neighbor_rebuilds),
-                  static_cast<unsigned long long>(result.early_rebuilds),
-                  result.load_imbalance);
-      if (!force_dump.empty()) write_force_dump(force_dump, result.final_force);
-      print_step_breakdown(result.wall_seconds, multiprocess ? 1 : ranks);
-      if (health_on) print_health_summary(result.health);
-    }
-    write_observability(obs_out);
-    return 0;
-  }
-
-  const std::unique_ptr<dp::md::ForceField> ff = make_ff();
-  // A restart must keep the checkpointed velocities: the driver
-  // re-thermalizes at sc.temperature, so stash and restore them.
-  const auto restart_velocities = sys.atoms.vel;
 
   std::unique_ptr<dp::md::Thermostat> thermostat;
   const std::string tname = args.get("thermostat", "none");
@@ -577,7 +470,6 @@ int cmd_run(const Args& args) {
   else if (tname != "none")
     throw dp::Error("unknown --thermostat '" + tname + "'");
   sc.thermostat = thermostat.get();
-
   std::unique_ptr<dp::md::BerendsenBarostat> barostat;
   if (args.has("pressure")) {
     barostat = std::make_unique<dp::md::BerendsenBarostat>(args.get_double("pressure", 0.0),
@@ -585,84 +477,135 @@ int cmd_run(const Args& args) {
     sc.barostat = barostat.get();
   }
 
-  std::unique_ptr<dp::obs::HealthMonitor> health;
-  if (health_on) {
-    dp::obs::HealthConfig hcfg;
-    hcfg.target_temperature = sc.temperature;
-    health = std::make_unique<dp::obs::HealthMonitor>(
-        hcfg, &dp::obs::MetricsRegistry::instance());
-    sc.health = health.get();
+  // Run-health watchdogs + crash black box. The fatal hook routes every
+  // DP_CHECK failure through obs::notify_fatal before it throws.
+  dp::par::DistributedOptions dopts;
+  dopts.init_velocities = !restarted;  // a restart keeps the checkpointed velocities
+  dp::obs::HealthConfig hcfg;
+  hcfg.target_temperature = sc.temperature;
+  const bool health_on = args.has("health");
+  if (health_on) dopts.health = &hcfg;
+  if (health_on || args.has("flight-recorder")) dp::set_fatal_hook(&fatal_bridge);
+  if (args.has("flight-recorder")) {
+    dopts.flight_recorder = true;
+    dopts.flight_dir = args.get("flight-recorder", ".");
+    if (dopts.flight_dir == "1") dopts.flight_dir = ".";  // bare flag, no directory value
+    dopts.metrics_rewrite_path = obs_out.metrics_path;
+    if (!obs_out.metrics_path.empty()) {
+      std::snprintf(g_metrics_sync_path, sizeof g_metrics_sync_path, "%s",
+                    obs_out.metrics_path.c_str());
+      dp::obs::set_fatal_flush_hook(&fsync_metrics_hook);
+    }
   }
-  std::unique_ptr<dp::obs::FlightRecorder> flight;
-  if (flight_on) {
-    flight = std::make_unique<dp::obs::FlightRecorder>(0);
-    flight->set_output_dir(flight_dir.c_str());
-    flight->register_for_crash_dump();
-    sc.flight = flight.get();
+  // Deterministic fault injection for the crash-path ctests (undocumented).
+  const int inject_segv = args.get_int("inject-segv", -1);
+  const int inject_fatal = args.get_int("inject-fatal", -1);
+  if (inject_segv >= 0 || inject_fatal >= 0) {
+    dopts.on_sample = [inject_segv, inject_fatal](int rank, int step) {
+      if (rank != 0) return;
+      if (inject_segv >= 0 && step >= inject_segv) ::raise(SIGSEGV);
+      if (inject_fatal >= 0 && step >= inject_fatal) {
+        // Exercise the DP_CHECK fatal route (hook fires: message + flight
+        // dump + metrics fsync), then abort: with sibling ranks parked in
+        // collectives the exception could never unwind past the rank
+        // thread anyway, and abort() hands control to the SIGABRT handler
+        // exactly as an uncaught failure would.
+        try {
+          DP_CHECK_MSG(false, "injected fatal at step " << step);
+        } catch (const dp::Error&) {
+          std::abort();
+        }
+      }
+    };
   }
+
+  // Trajectory, thermo log and end-of-run files, written by rank 0 from a
+  // gather by atom id. Nothing rank 0 does in the sample hook may throw: the
+  // other ranks would wait for it in the next collective. So the dump's
+  // element symbols are checked here and the end-of-run files are written
+  // after the run.
+  std::unique_ptr<dp::md::XyzWriter> dump;
+  std::unique_ptr<dp::md::ThermoCsvWriter> thermo_csv;
+  const std::string force_dump = args.get("force-dump");
+  const std::string checkpoint = args.get("save-checkpoint");
+  std::unique_ptr<dp::par::ProcessGroup> group;
+  if (multiprocess) group = std::make_unique<dp::par::ProcessGroup>(tcfg);
+  const int ranks = multiprocess ? group->size() : thread_ranks;
+  const bool root = !multiprocess || group->rank() == 0;
+  if (root) {
+    if (args.has("dump")) {
+      const std::vector<std::string> symbols =
+          system == "water" ? std::vector<std::string>{"O", "H"}
+                            : std::vector<std::string>{"Cu"};
+      for (const int t : sys.atoms.type)
+        DP_CHECK_MSG(static_cast<std::size_t>(t) < symbols.size(),
+                     "--dump: atom type " << t << " has no element symbol");
+      dump = std::make_unique<dp::md::XyzWriter>(args.get("dump"), symbols);
+    }
+    if (args.has("thermo"))
+      thermo_csv = std::make_unique<dp::md::ThermoCsvWriter>(args.get("thermo"));
+    std::string where;
+    if (distributed)
+      where = "distributed on " + std::to_string(ranks) + " " +
+              (multiprocess ? std::string(group->comm().transport_name()) + " " : "") +
+              "ranks | ";
+    std::printf("%s | %zu atoms | %spath=%s | dt=%.3g fs | %d steps | thermostat=%s\n",
+                system.c_str(), sys.atoms.size(), where.c_str(), path.c_str(), sc.dt * 1e3,
+                sc.steps, tname.c_str());
+    std::printf("%6s %14s %10s %12s\n", "step", "E_tot [eV]", "T [K]", "P [bar]");
+  }
+  dp::WallTimer steps_timer;  // restarted at the step-0 sample: times the steps alone
+  dp::md::Configuration final_state;  // rank 0's gather after the last step
+  const auto on_thermo = [&](dp::par::DistributedMd& md, const dp::md::ThermoSample& s) {
+    const bool last = s.step == sc.steps;
+    dp::md::Configuration state;  // collective: every rank takes part
+    if (args.has("dump") || (last && (!force_dump.empty() || !checkpoint.empty())))
+      state = md.gather();
+    if (md.rank() != 0) return;
+    if (s.step == 0) steps_timer.reset();
+    std::printf("%6d %14.6f %10.2f %12.1f\n", s.step, s.total(), s.temperature,
+                s.pressure_bar);
+    if (thermo_csv) thermo_csv->write(s);
+    if (dump) dump->write_frame(state.box, state.atoms, "step=" + std::to_string(s.step));
+    if (last) final_state = std::move(state);
+  };
 
   // Timers from model setup must not dilute the run breakdown: everything
   // after this point is either construction (reported per force eval by the
   // cost table) or the timed run itself.
   dp::TimerRegistry::instance().clear();
   dp::CostRegistry::instance().clear();
-
-  dp::md::Simulation md(sys, *ff, sc);
-  if (restarted) md.configuration().atoms.vel = restart_velocities;
-
-  std::unique_ptr<dp::md::XyzWriter> dump;
-  if (args.has("dump")) {
-    const std::vector<std::string> symbols =
-        system == "water" ? std::vector<std::string>{"O", "H"}
-                          : std::vector<std::string>{"Cu"};
-    dump = std::make_unique<dp::md::XyzWriter>(args.get("dump"), symbols);
-  }
-  std::unique_ptr<dp::md::ThermoCsvWriter> thermo_csv;
-  if (args.has("thermo")) thermo_csv = std::make_unique<dp::md::ThermoCsvWriter>(args.get("thermo"));
-
-  std::printf("%s | %zu atoms | path=%s | dt=%.3g fs | %d steps | thermostat=%s\n",
-              system.c_str(), md.configuration().atoms.size(), path.c_str(), sc.dt * 1e3,
-              sc.steps, tname.c_str());
-  std::printf("%6s %14s %10s %12s\n", "step", "E_tot [eV]", "T [K]", "P [bar]");
-  md.on_thermo = [&](int step, const dp::md::ThermoSample& s) {
-    std::printf("%6d %14.6f %10.2f %12.1f\n", step, s.total(), s.temperature,
-                s.pressure_bar);
-    if (thermo_csv) thermo_csv->write(s);
-    if (dump) dump->write_frame(md.configuration().box, md.configuration().atoms,
-                                "step=" + std::to_string(step));
-    // With the black box armed, keep the on-disk metrics log in lockstep
-    // with it (synced rewrite each sample), so a post-mortem can match
-    // flightrec last_step against the logged md.steps.
-    if (flight && !obs_out.metrics_path.empty())
-      dp::obs::MetricsRegistry::instance().write_jsonl_file_sync(obs_out.metrics_path);
-    if (inject_segv >= 0 && step >= inject_segv) ::raise(SIGSEGV);
-    if (inject_fatal >= 0 && step >= inject_fatal)
-      DP_CHECK_MSG(false, "injected fatal at step " << step);
-  };
-
-  dp::WallTimer t;
-  md.run();
-  const double wall = t.seconds();
-  // md.run() times the steps alone; the constructor's force evaluation is
-  // outside the timed window, so divide by steps, not force evaluations.
-  const double per_atom = wall / std::max(sc.steps, 1) /
-                          static_cast<double>(md.configuration().atoms.size()) * 1e6;
-  std::printf("done: %.3f us/step/atom\n", per_atom);
-  print_step_breakdown(wall, 1);
-  print_cost_model_table(path, model, md.configuration().atoms.size(),
-                         md.configuration().box.volume(),
-                         static_cast<std::uint64_t>(md.force_evaluations()));
-  print_fit_block_cost(md.configuration().atoms.size(),
-                       static_cast<std::uint64_t>(md.force_evaluations()));
-  if (health) {
-    health->publish_gauges(dp::obs::MetricsRegistry::instance());
-    print_health_summary(health->report());
+  const dp::par::DistributedRunResult result =
+      multiprocess
+          ? dp::par::run_distributed_md_rank(group->comm(), sys, make_ff, sc, dopts, on_thermo)
+          : dp::par::run_distributed_md(ranks, sys, make_ff, sc, dopts, on_thermo);
+  const double wall = steps_timer.seconds();
+  if (root) {
+    std::printf(
+        "comm[%s]: %.1f KB in %llu messages (%.1f KB wire); max ghosts/rank %zu; "
+        "wall %.2f s\n",
+        result.comm.transport, result.comm.bytes / 1024.0,
+        static_cast<unsigned long long>(result.comm.messages),
+        result.comm.wire_bytes / 1024.0, result.max_ghost_atoms, result.wall_seconds);
+    std::printf("rebuilds %llu (early %llu); load imbalance %.4f\n",
+                static_cast<unsigned long long>(result.neighbor_rebuilds),
+                static_cast<unsigned long long>(result.early_rebuilds), result.load_imbalance);
+    if (!force_dump.empty()) write_force_dump(force_dump, final_state.atoms.force);
+    std::printf("done: %.3f us/step/atom\n",
+                wall / std::max(sc.steps, 1) / static_cast<double>(sys.atoms.size()) * 1e6);
+    print_step_breakdown(wall, multiprocess ? 1 : ranks);
+    if (!multiprocess) {
+      // Every rank's sections are in this process: per atom of the world.
+      print_cost_model_table(path, model, sys.atoms.size(), sys.box.volume(),
+                             result.force_evals);
+      print_fit_block_cost(sys.atoms.size(), result.force_evals);
+    }
+    if (health_on) print_health_summary(result.health);
   }
   write_observability(obs_out);
-  if (args.has("save-checkpoint")) {
-    dp::md::save_checkpoint(args.get("save-checkpoint"), md.configuration(),
-                            md.current_step());
-    std::printf("checkpoint written to %s\n", args.get("save-checkpoint").c_str());
+  if (root && !checkpoint.empty()) {
+    dp::md::save_checkpoint(checkpoint, final_state, sc.steps);
+    std::printf("checkpoint written to %s\n", checkpoint.c_str());
   }
   return 0;
 }
@@ -721,7 +664,7 @@ int usage() {
       "  run       molecular dynamics        (--model F | --compressed F) --system S\n"
       "            [--path baseline|tabulated|fused|mixed] [--cells N] [--steps N]\n"
       "            [--dt FS] [--temp K] [--rebuild-every N] [--ranks N]\n"
-      "            serial only: [--thermostat none|langevin|berendsen|nose-hoover]\n"
+      "            [--thermostat none|langevin|berendsen|nose-hoover]\n"
       "            [--pressure BAR] [--dump traj.xyz] [--thermo out.csv]\n"
       "            [--save-checkpoint ckpt]\n"
       "            [--transport threads|shm|tcp --rank K --world N\n"

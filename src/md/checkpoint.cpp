@@ -1,7 +1,12 @@
 #include "md/checkpoint.hpp"
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "common/error.hpp"
@@ -13,8 +18,9 @@ constexpr std::uint32_t kMagic = 0x44504d43;  // "DPMC"
 constexpr std::uint32_t kVersion = 1;
 
 template <class T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
+void write_pod(std::FILE* f, const T& v) {
+  // Errors are sticky: save_checkpoint checks ferror() once, after fflush.
+  (void)std::fwrite(&v, sizeof(T), 1, f);
 }
 template <class T>
 T read_pod(std::istream& is) {
@@ -36,22 +42,33 @@ std::uint64_t bytes_left(std::istream& is) {
 }  // namespace
 
 void save_checkpoint(const std::string& path, const Configuration& cfg, int step) {
-  std::ofstream os(path, std::ios::binary);
-  DP_CHECK_MSG(os.is_open(), "cannot open " << path << " for writing");
-  write_pod(os, kMagic);
-  write_pod(os, kVersion);
-  write_pod<std::int32_t>(os, step);
+  // Write <path>.tmp, make it durable, then rename it over <path>: a save
+  // that fails or dies half-way leaves the previous checkpoint as it was.
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  DP_CHECK_MSG(f != nullptr, "cannot open " << tmp << " for writing: " << std::strerror(errno));
+  write_pod(f, kMagic);
+  write_pod(f, kVersion);
+  write_pod<std::int32_t>(f, step);
   const Vec3 L = cfg.box.lengths();
-  write_pod(os, L.x);
-  write_pod(os, L.y);
-  write_pod(os, L.z);
-  write_pod<std::uint64_t>(os, cfg.atoms.mass_by_type.size());
-  for (double m : cfg.atoms.mass_by_type) write_pod(os, m);
-  write_pod<std::uint64_t>(os, cfg.atoms.size());
+  write_pod(f, L.x);
+  write_pod(f, L.y);
+  write_pod(f, L.z);
+  write_pod<std::uint64_t>(f, cfg.atoms.mass_by_type.size());
+  for (double m : cfg.atoms.mass_by_type) write_pod(f, m);
+  write_pod<std::uint64_t>(f, cfg.atoms.size());
   for (std::size_t i = 0; i < cfg.atoms.size(); ++i) {
-    write_pod<std::int32_t>(os, cfg.atoms.type[i]);
-    write_pod(os, cfg.atoms.pos[i]);
-    write_pod(os, cfg.atoms.vel[i]);
+    write_pod<std::int32_t>(f, cfg.atoms.type[i]);
+    write_pod(f, cfg.atoms.pos[i]);
+    write_pod(f, cfg.atoms.vel[i]);
+  }
+  const bool written = std::fflush(f) == 0 && std::ferror(f) == 0 && ::fsync(::fileno(f)) == 0;
+  const int err = errno;  // of the first failure; fclose must not overwrite it
+  const bool closed = std::fclose(f) == 0;
+  if (!written || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const char* why = std::strerror(written ? errno : err);
+    (void)std::remove(tmp.c_str());
+    DP_CHECK_MSG(false, "cannot write checkpoint " << path << ": " << why);
   }
 }
 

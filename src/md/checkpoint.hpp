@@ -8,7 +8,9 @@
 
 namespace dp::md {
 
-/// Writes a restart file (includes the step counter for bookkeeping).
+/// Writes a restart file (includes the step counter for bookkeeping)
+/// through `<path>.tmp`, fsynced and renamed over `path`. Throws on any
+/// failure, leaving an existing `path` unchanged.
 void save_checkpoint(const std::string& path, const Configuration& cfg, int step = 0);
 
 struct Checkpoint {

@@ -35,12 +35,13 @@ void SuttonChen::gate(double r, double& w, double& dw) const {
 
 ForceResult SuttonChen::compute(const Box& box, Atoms& atoms, const NeighborList& nlist,
                                 bool periodic) {
-  DP_CHECK_MSG(nlist.n_centers() == atoms.size(),
-               "SuttonChen needs densities for every atom (no ghost-only atoms)");
-  const std::size_t n = atoms.size();
+  const std::size_t n = nlist.n_centers();
+  DP_CHECK_MSG(n == atoms.size() || forward_,
+               "SuttonChen needs F'(rho) on ghosts: without a forward pass every atom must "
+               "be a center");
   const double rc2 = p_.rcut * p_.rcut;
 
-  // ---- Pass 1: densities ---------------------------------------------
+  // ---- Pass 1: densities of the centers -------------------------------
   rho_.assign(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     double acc = 0.0;
@@ -57,14 +58,21 @@ ForceResult SuttonChen::compute(const Box& box, Atoms& atoms, const NeighborList
     rho_[i] = std::max(acc, 0.0);
   }
 
+  // dF/drho = -c / (2 sqrt(rho)) of every center (0 for isolated atoms),
+  // forwarded onto the ghosts.
+  f_prime_.assign(atoms.size(), 0.0);
+  for (std::size_t i = 0; i < n; ++i)
+    if (rho_[i] > 0.0) f_prime_[i] = -p_.c / (2.0 * std::sqrt(rho_[i]));
+  if (n < atoms.size()) forward_(f_prime_);
+
   // ---- Pass 2: energy + forces ----------------------------------------
+  // Each center takes its whole force from its own list, so ghosts receive
+  // none and every pair is visited once from each side.
   ForceResult out;
   atoms.zero_forces();
   double e_pair = 0.0, e_embed = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     e_embed -= p_.c * std::sqrt(rho_[i]);
-    // dF/drho = -c / (2 sqrt(rho)); guard isolated atoms (rho = 0).
-    const double f_prime = rho_[i] > 0.0 ? -p_.c / (2.0 * std::sqrt(rho_[i])) : 0.0;
     Vec3 fi{};
     for (int j : nlist.neighbors(i)) {
       Vec3 d = atoms.pos[static_cast<std::size_t>(j)] - atoms.pos[i];
@@ -80,14 +88,14 @@ ForceResult SuttonChen::compute(const Box& box, Atoms& atoms, const NeighborList
       // d(pair * w)/dr and d(dens * w)/dr
       const double dpair = -p_.n / r * pair * w + pair * dw;
       const double ddens = -p_.m / r * dens * w + dens * dw;
-      // dE/dd for this ordered pair: 1/2 phi' + F'(rho_i) * rho'.
-      const double g = p_.epsilon * (0.5 * dpair + f_prime * ddens);
-      const Vec3 fpair = d * (g / r);  // dE/dd
-      fi += fpair;                     // F_i = +dE/dd, F_j = -dE/dd
-      atoms.force[static_cast<std::size_t>(j)] -= fpair;
-      out.virial += outer(d, fpair) * (-1.0);
+      // dE/dd of the pair: phi' plus the embedding terms of both atoms.
+      const double g =
+          p_.epsilon * (dpair + (f_prime_[i] + f_prime_[static_cast<std::size_t>(j)]) * ddens);
+      const Vec3 fpair = d * (g / r);  // F_i = +dE/dd
+      fi += fpair;
+      out.virial += outer(d, fpair) * (-0.5);  // half per visit
     }
-    atoms.force[i] += fi;
+    atoms.force[i] = fi;
   }
   out.energy = p_.epsilon * e_pair + p_.epsilon * e_embed;
   return out;

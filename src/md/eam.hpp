@@ -11,6 +11,8 @@
 // at the cutoff.
 #pragma once
 
+#include <vector>
+
 #include "md/force_field.hpp"
 
 namespace dp::md {
@@ -30,15 +32,17 @@ class SuttonChen final : public ForceField {
   SuttonChen() : SuttonChen(Params{}) {}
   explicit SuttonChen(Params params);
 
-  /// Many-body: ghost densities would need an extra halo pass, so this
-  /// potential requires full (serial/periodic) neighbor coverage:
-  /// nlist.n_centers() == atoms.size().
+  /// Many-body: the force on a center needs F'(rho) of every neighbor. The
+  /// centers' densities come from their full lists; ghosts (atoms past
+  /// nlist.n_centers()) get theirs through the forward pass the driver
+  /// handed over, so without one every atom must be a center.
   ForceResult compute(const Box& box, Atoms& atoms, const NeighborList& nlist,
                       bool periodic = true) override;
   double cutoff() const override { return p_.rcut; }
+  void set_ghost_forward(GhostForward forward) override { forward_ = std::move(forward); }
 
   const Params& params() const { return p_; }
-  /// Density of atom i from the last compute().
+  /// Density of each center from the last compute().
   const std::vector<double>& densities() const { return rho_; }
 
  private:
@@ -46,7 +50,9 @@ class SuttonChen final : public ForceField {
   void gate(double r, double& w, double& dw) const;
 
   Params p_;
+  GhostForward forward_;
   std::vector<double> rho_;
+  std::vector<double> f_prime_;  ///< F'(rho) of every atom, ghosts included
 };
 
 }  // namespace dp::md

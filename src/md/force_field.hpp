@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -23,13 +24,24 @@ class ForceField {
 
   /// Computes forces for the first `nlist.n_centers()` atoms into
   /// atoms.force (overwritten) and returns total energy + virial.
-  /// Positions beyond the centers are ghosts (parallel runs) and receive
-  /// force contributions too when `nlocal < pos.size()`.
+  /// Positions beyond the centers are ghosts (the MD driver's periodic
+  /// images and neighbor-rank atoms) and may receive force contributions,
+  /// which the driver folds back onto their owners. `periodic` selects
+  /// minimum-image distances instead, for callers without ghosts.
   virtual ForceResult compute(const Box& box, Atoms& atoms, const NeighborList& nlist,
                               bool periodic = true) = 0;
 
   /// Cutoff radius the neighbor list must cover.
   virtual double cutoff() const = 0;
+
+  /// Forward halo pass of one per-atom scalar: fills the ghost slots of
+  /// `values` (one value per atom of the compute() call, centers first)
+  /// with the values of the atoms they image.
+  using GhostForward = std::function<void(std::vector<double>& values)>;
+  /// The distributed driver hands its forward pass over before the first
+  /// compute(). Many-body potentials that need a per-atom scalar on ghosts
+  /// (EAM's F'(rho)) keep it; the rest ignore it.
+  virtual void set_ghost_forward(GhostForward forward) { (void)forward; }
 
   /// Cumulative out-of-domain model evaluations (tabulated paths count
   /// table extrapolations; analytic potentials have none). Telemetry for

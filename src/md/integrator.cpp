@@ -37,18 +37,15 @@ void init_velocities(Atoms& atoms, double temperature_k, std::uint64_t seed) {
   }
 }
 
-void verlet_first_half(Atoms& atoms, const Box& box, double dt, bool wrap) {
-  const std::size_t n = atoms.size();
+void verlet_first_half(Atoms& atoms, double dt, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const double s = 0.5 * dt * kForceToAccel / atoms.mass(i);
     atoms.vel[i] += atoms.force[i] * s;
     atoms.pos[i] += atoms.vel[i] * dt;
-    if (wrap) atoms.pos[i] = box.wrap(atoms.pos[i]);
   }
 }
 
-void verlet_second_half(Atoms& atoms, double dt) {
-  const std::size_t n = atoms.size();
+void verlet_second_half(Atoms& atoms, double dt, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const double s = 0.5 * dt * kForceToAccel / atoms.mass(i);
     atoms.vel[i] += atoms.force[i] * s;
@@ -63,10 +60,13 @@ double kinetic_energy(const Atoms& atoms) {
 }
 
 double temperature(const Atoms& atoms) {
-  const std::size_t n = atoms.size();
+  return temperature(kinetic_energy(atoms), atoms.size());
+}
+
+double temperature(double kinetic, std::size_t n) {
   if (n < 2) return 0.0;
   const double dof = 3.0 * static_cast<double>(n) - 3.0;
-  return 2.0 * kinetic_energy(atoms) / (dof * kBoltzmann);
+  return 2.0 * kinetic / (dof * kBoltzmann);
 }
 
 }  // namespace dp::md

@@ -53,8 +53,8 @@ class NeighborList {
 
   /// Builds full lists for the first `n_centers` atoms (default: all) against
   /// every atom in `pos` (which may include ghost atoms after the centers).
-  /// `periodic` selects minimum-image distances (serial runs) or plain
-  /// Cartesian differences (domain-decomposed runs with explicit ghosts).
+  /// `periodic` selects minimum-image distances (component tests, benches)
+  /// or plain Cartesian differences (the MD driver's explicit ghosts).
   void build(const Box& box, const std::vector<Vec3>& pos, std::size_t n_centers = SIZE_MAX,
              bool periodic = true);
 

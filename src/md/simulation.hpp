@@ -1,9 +1,15 @@
-// Serial MD driver implementing the paper's measurement protocol (Sec 4):
+// Serial MD runs with the paper's measurement protocol (Sec 4):
 // velocity-Verlet, 99 MD steps = 100 force evaluations, neighbor list with a
 // 2 A skin rebuilt every 50 steps, thermodynamic data sampled every 50 steps.
+//
+// A serial run is a one-rank world of the distributed driver
+// (parallel/distributed_md.hpp) on the caller's thread, with periodic-image
+// ghosts: Simulation has no step loop of its own and is implemented in
+// parallel/simulation.cpp.
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "md/force_field.hpp"
@@ -12,10 +18,10 @@
 #include "md/thermostat.hpp"
 #include "md/units.hpp"
 
-namespace dp::obs {
-class HealthMonitor;
-class FlightRecorder;
-}  // namespace dp::obs
+namespace dp::par {
+class ProcessGroup;
+class DistributedMd;
+}  // namespace dp::par
 
 namespace dp::md {
 
@@ -27,14 +33,10 @@ struct SimulationConfig {
   int rebuild_every = 50;      ///< neighbor rebuild period [steps]
   int thermo_every = 50;       ///< thermo sampling period [steps]
   std::uint64_t seed = 2022;
-  Thermostat* thermostat = nullptr;        ///< optional NVT coupling (not owned)
+  /// Optional NVT coupling (not owned): each rank couples through its own
+  /// copy (Thermostat::for_rank), so this object's state does not advance.
+  Thermostat* thermostat = nullptr;
   BerendsenBarostat* barostat = nullptr;   ///< optional NPT coupling (not owned)
-  /// Optional run-health watchdogs (not owned). Cheap signals (neighbor
-  /// occupancy, extrapolation rate) are fed every step; energetics
-  /// (drift, temperature, max force) at each thermo sample.
-  obs::HealthMonitor* health = nullptr;
-  /// Optional black box (not owned): one FlightRecord per step.
-  obs::FlightRecorder* flight = nullptr;
 };
 
 struct ThermoSample {
@@ -48,7 +50,12 @@ struct ThermoSample {
 
 class Simulation {
  public:
+  /// Distributes `cfg` over a one-rank world and makes the first force
+  /// evaluation.
   Simulation(Configuration cfg, ForceField& ff, SimulationConfig sim = {});
+  ~Simulation();
+  Simulation(const Simulation&) = delete;
+  Simulation& operator=(const Simulation&) = delete;
 
   /// Runs cfg.steps MD steps; returns the thermo trace (always includes
   /// step 0 and the final step).
@@ -57,36 +64,25 @@ class Simulation {
   /// Advance exactly one step (used by tests probing conservation).
   void step();
 
-  const Configuration& configuration() const { return cfg_; }
-  Configuration& configuration() { return cfg_; }
-  const std::vector<ThermoSample>& thermo_trace() const { return trace_; }
-  int current_step() const { return step_; }
+  /// The N input atoms in input order (never the ghosts), positions wrapped
+  /// into the box.
+  const Configuration& configuration() const;
+  const std::vector<ThermoSample>& thermo_trace() const;
+  int current_step() const;
   /// Number of force evaluations so far (steps + the initial one).
-  int force_evaluations() const { return force_evals_; }
+  int force_evaluations() const;
   /// The driver's neighbor list (tests and benches probe its steady-state
   /// workspace footprint through this).
-  const NeighborList& neighbor_list() const { return nlist_; }
+  const NeighborList& neighbor_list() const;
 
   /// Optional per-step observer (step index, sample of the current state).
   std::function<void(int, const ThermoSample&)> on_thermo;
 
  private:
-  ThermoSample sample() const;
-  void compute_forces();
-  /// Feeds the energetics watchdogs from a thermo sample (max-force scan
-  /// is O(N), so it runs at sample cadence, not every step).
-  void observe_sample(const ThermoSample& s);
-
-  Configuration cfg_;
-  ForceField& ff_;
-  SimulationConfig sim_;
-  NeighborList nlist_;
-  ForceResult last_force_;
-  std::vector<ThermoSample> trace_;
-  int step_ = 0;
-  int force_evals_ = 0;
-  int steps_since_rebuild_ = 0;
-  std::uint32_t rebuilds_ = 0;
+  std::unique_ptr<par::ProcessGroup> world_;
+  std::unique_ptr<par::DistributedMd> md_;
+  mutable Configuration view_;  ///< configuration(), refreshed after each step
+  mutable bool view_current_ = false;
 };
 
 }  // namespace dp::md

@@ -10,16 +10,16 @@
 namespace dp::md {
 
 LangevinThermostat::LangevinThermostat(double temperature, double damping, std::uint64_t seed)
-    : t_target_(temperature), damping_(damping), rng_(seed) {
+    : t_target_(temperature), damping_(damping), seed_(seed), rng_(seed) {
   DP_CHECK(temperature >= 0.0 && damping > 0.0);
 }
 
-void LangevinThermostat::apply(Atoms& atoms, double dt) {
+void LangevinThermostat::couple(Atoms& atoms, std::size_t n, double, double dt) {
   // BBK-style velocity update: v <- c v + sqrt((1 - c^2) kT / m) xi,
   // c = exp(-dt / tau). Exact for the Ornstein-Uhlenbeck part.
   const double c = std::exp(-dt / damping_);
   const double noise = std::sqrt(1.0 - c * c);
-  for (std::size_t i = 0; i < atoms.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const double sigma =
         std::sqrt(kBoltzmann * t_target_ / (atoms.mass(i) * kMv2ToEv));
     Vec3& v = atoms.vel[i];
@@ -27,16 +27,25 @@ void LangevinThermostat::apply(Atoms& atoms, double dt) {
   }
 }
 
+std::unique_ptr<Thermostat> LangevinThermostat::for_rank(int rank) const {
+  const auto r = static_cast<std::uint64_t>(rank);
+  return std::make_unique<LangevinThermostat>(t_target_, damping_,
+                                              seed_ ^ (r * 0x9e3779b97f4a7c15ULL));
+}
+
 BerendsenThermostat::BerendsenThermostat(double temperature, double tau)
     : t_target_(temperature), tau_(tau) {
   DP_CHECK(temperature >= 0.0 && tau > 0.0);
 }
 
-void BerendsenThermostat::apply(Atoms& atoms, double dt) {
-  const double t_now = temperature(atoms);
+void BerendsenThermostat::couple(Atoms& atoms, std::size_t n, double t_now, double dt) {
   if (t_now <= 0.0) return;
   const double lambda = std::sqrt(1.0 + dt / tau_ * (t_target_ / t_now - 1.0));
-  for (auto& v : atoms.vel) v *= lambda;
+  for (std::size_t i = 0; i < n; ++i) atoms.vel[i] *= lambda;
+}
+
+std::unique_ptr<Thermostat> BerendsenThermostat::for_rank(int) const {
+  return std::make_unique<BerendsenThermostat>(*this);
 }
 
 NoseHooverThermostat::NoseHooverThermostat(double temperature, double tau)
@@ -44,16 +53,20 @@ NoseHooverThermostat::NoseHooverThermostat(double temperature, double tau)
   DP_CHECK(temperature > 0.0 && tau > 0.0);
 }
 
-void NoseHooverThermostat::apply(Atoms& atoms, double dt) {
+void NoseHooverThermostat::couple(Atoms& atoms, std::size_t n, double t_now, double dt) {
   // Half-step friction update, velocity scaling, half-step update again —
-  // the standard operator splitting for a single Nose-Hoover chain.
-  const double t_now = temperature(atoms);
+  // the standard operator splitting for a single Nose-Hoover chain. Scaling
+  // every velocity by s scales the temperature by s^2, so the second half
+  // needs no second reduction.
   const double q = tau_ * tau_;  // thermostat "mass" in reduced form
   xi_ += 0.5 * dt / q * (t_now / t_target_ - 1.0);
   const double s = std::exp(-xi_ * dt);
-  for (auto& v : atoms.vel) v *= s;
-  const double t_after = temperature(atoms);
-  xi_ += 0.5 * dt / q * (t_after / t_target_ - 1.0);
+  for (std::size_t i = 0; i < n; ++i) atoms.vel[i] *= s;
+  xi_ += 0.5 * dt / q * (t_now * s * s / t_target_ - 1.0);
+}
+
+std::unique_ptr<Thermostat> NoseHooverThermostat::for_rank(int) const {
+  return std::make_unique<NoseHooverThermostat>(*this);
 }
 
 BerendsenBarostat::BerendsenBarostat(double pressure_bar, double tau, double compressibility)

@@ -4,18 +4,30 @@
 // provided.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "common/rng.hpp"
 #include "md/atoms.hpp"
 
 namespace dp::md {
 
+/// The coupling runs inside the distributed step loop, on every rank over
+/// its local atoms: velocity rescalers read the whole system's temperature
+/// (one allreduce per step), Langevin draws its noise per rank.
 class Thermostat {
  public:
   virtual ~Thermostat() = default;
-  /// Adjust velocities after the force update of a step of length dt [ps].
-  virtual void apply(Atoms& atoms, double dt) = 0;
+
+  /// Adjusts the first n velocities after the force update of a step of
+  /// length dt [ps]; `t_now` is the instantaneous temperature of the whole
+  /// system.
+  virtual void couple(Atoms& atoms, std::size_t n, double t_now, double dt) = 0;
+  /// This coupling for one rank of a world: the same parameters and state,
+  /// and for stochastic couplings a noise stream of that rank's own (rank 0
+  /// keeps this one's seed).
+  virtual std::unique_ptr<Thermostat> for_rank(int rank) const = 0;
 };
 
 /// Langevin dynamics: velocity friction + matched Gaussian noise
@@ -23,12 +35,14 @@ class Thermostat {
 class LangevinThermostat final : public Thermostat {
  public:
   LangevinThermostat(double temperature, double damping, std::uint64_t seed = 7);
-  void apply(Atoms& atoms, double dt) override;
+  void couple(Atoms& atoms, std::size_t n, double t_now, double dt) override;
+  std::unique_ptr<Thermostat> for_rank(int rank) const override;
   double temperature() const { return t_target_; }
 
  private:
   double t_target_;
   double damping_;
+  std::uint64_t seed_;
   Rng rng_;
 };
 
@@ -38,7 +52,8 @@ class LangevinThermostat final : public Thermostat {
 class BerendsenThermostat final : public Thermostat {
  public:
   BerendsenThermostat(double temperature, double tau);
-  void apply(Atoms& atoms, double dt) override;
+  void couple(Atoms& atoms, std::size_t n, double t_now, double dt) override;
+  std::unique_ptr<Thermostat> for_rank(int rank) const override;
 
  private:
   double t_target_;
@@ -52,7 +67,8 @@ class NoseHooverThermostat final : public Thermostat {
  public:
   /// `tau` is the coupling period [ps] (sets the thermostat mass).
   NoseHooverThermostat(double temperature, double tau);
-  void apply(Atoms& atoms, double dt) override;
+  void couple(Atoms& atoms, std::size_t n, double t_now, double dt) override;
+  std::unique_ptr<Thermostat> for_rank(int rank) const override;
   double xi() const { return xi_; }
 
  private:
@@ -62,8 +78,9 @@ class NoseHooverThermostat final : public Thermostat {
 };
 
 /// Berendsen barostat: isotropic box/coordinate rescaling toward a target
-/// pressure. Applied by the Simulation driver (it must rescale the box);
-/// exposed as a separate interface because it changes the volume.
+/// pressure. Applied by the distributed driver, which scales the box, the
+/// cut planes and every position by one factor; exposed as a separate
+/// interface because it changes the volume.
 class BerendsenBarostat {
  public:
   /// target pressure [bar]; tau [ps]; compressibility [1/bar]

@@ -100,9 +100,8 @@ struct HealthReport {
 };
 
 /// Raw per-step signals a driver feeds the monitor. NaN means "not
-/// measured this step" — that watchdog is simply skipped, so serial runs
-/// (no imbalance), pair potentials (no extrapolation) and non-sample steps
-/// all share one code path.
+/// measured this step" — that watchdog is simply skipped, so pair
+/// potentials (no extrapolation) and non-sample steps share one code path.
 struct StepSignals {
   std::int64_t step = 0;
   double n_atoms = 0.0;           ///< normalizes the extrapolation rate

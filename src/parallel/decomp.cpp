@@ -144,6 +144,13 @@ void Decomp::set_cuts(int dim, const std::vector<double>& cuts) {
   cuts_[d] = cuts;
 }
 
+void Decomp::scale(double mu) {
+  box_ = md::Box(box_.lengths() * mu);
+  cell_ *= mu;
+  for (auto& cuts : cuts_)
+    for (double& c : cuts) c *= mu;
+}
+
 Vec3 Decomp::lo(int rank) const {
   const auto c = coords_of(rank);
   return {cut(0, c[0]), cut(1, c[1]), cut(2, c[2])};

@@ -5,7 +5,8 @@
 // sub-regions "carefully divided to avoid load-balance problems" (Fig 6c):
 // along the axis with the most ranks, the cut planes split the initial atom
 // positions into equal counts; the other axes keep the uniform grid. The
-// planes are placed once, at construction, and never move. The plain
+// planes are placed once, at construction; only a barostat moves them, by
+// scaling them with the box (scale()). The plain
 // (box, grid) constructor is the uniform grid, whose queries divide instead
 // of searching.
 #pragma once
@@ -36,6 +37,7 @@ class Decomp {
   /// Picks the grid with the most-cubic sub-domains for nranks ranks.
   static std::array<int, 3> choose_grid(const md::Box& box, int nranks);
 
+  const md::Box& box() const { return box_; }
   int nranks() const { return grid_[0] * grid_[1] * grid_[2]; }
   const std::array<int, 3>& grid() const { return grid_; }
 
@@ -66,6 +68,10 @@ class Decomp {
   /// HaloExchange, which reads its bounds once.
   void set_cuts(int dim, const std::vector<double>& cuts);
   bool has_cuts(int dim) const { return !cuts_[static_cast<std::size_t>(dim)].empty(); }
+
+  /// Scales the box and every plane by mu (one isotropic barostat step):
+  /// positions scaled by the same mu keep their owners.
+  void scale(double mu);
 
   /// Face neighbor in dimension d, direction dir (+1/-1), periodic wrap.
   int neighbor(int rank, int dim, int dir) const;

@@ -1,5 +1,6 @@
 #include "parallel/halo.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/timer.hpp"
@@ -80,25 +81,27 @@ std::vector<double> HaloExchange::pack_ghost_forces(const Stage& st,
   return payload;
 }
 
-HaloExchange::HaloExchange(const md::Box& box, const Decomp& decomp, int rank,
-                           double halo_width)
-    : box_(box),
-      decomp_(decomp),
-      rank_(rank),
-      halo_(halo_width),
-      lo_(decomp.lo(rank)),
-      hi_(decomp.hi(rank)) {
+namespace {
+void check_halo_fits(const Decomp& decomp, double halo_width) {
   DP_CHECK_MSG(halo_width <= decomp.min_extent(),
                "halo width " << halo_width << " exceeds sub-domain extent "
                              << decomp.min_extent() << " — use fewer ranks");
 }
+}  // namespace
+
+HaloExchange::HaloExchange(const Decomp& decomp, int rank, double halo_width)
+    : decomp_(decomp), rank_(rank), halo_(halo_width) {
+  check_halo_fits(decomp, halo_width);
+}
 
 void HaloExchange::exchange_ghosts(Communicator& comm, md::Atoms& atoms) {
   ScopedTimer timer("halo.exchange", "halo");
+  check_halo_fits(decomp_, halo_);  // a shrinking barostat box may break it
   n_local_ = atoms.size();
   stages_.clear();
   const auto coords = decomp_.coords_of(rank_);
-  const Vec3 L = box_.lengths();
+  const Vec3 L = decomp_.box().lengths();
+  const Vec3 lo = decomp_.lo(rank_), hi = decomp_.hi(rank_);
 
   int tag = 0;
   for (int dim = 0; dim < 3; ++dim) {
@@ -119,8 +122,8 @@ void HaloExchange::exchange_ghosts(Communicator& comm, md::Atoms& atoms) {
 
       // Slab selection over everything currently held (locals + prior
       // ghosts): that is what propagates edge/corner ghosts.
-      const double edge = (dir > 0) ? hi_[static_cast<std::size_t>(dim)] - halo_
-                                    : lo_[static_cast<std::size_t>(dim)] + halo_;
+      const double edge = (dir > 0) ? hi[static_cast<std::size_t>(dim)] - halo_
+                                    : lo[static_cast<std::size_t>(dim)] + halo_;
       std::vector<double> payload;
       for (std::size_t a = 0; a < candidates; ++a) {
         const double c = atoms.pos[a][static_cast<std::size_t>(dim)];
@@ -151,23 +154,23 @@ void HaloExchange::exchange_ghosts(Communicator& comm, md::Atoms& atoms) {
 
 void HaloExchange::update_ghost_positions(Communicator& comm, md::Atoms& atoms) {
   ScopedTimer timer("halo.update", "halo");
-  // One dimension at a time (stage pairs {0,1} = x, {2,3} = y, {4,5} = z).
-  // A pair's send_idx predate its own receives, so neither payload depends
-  // on the other: both sends are posted before waiting on either. The y and
-  // z payloads read ghosts unpacked by the earlier dimensions.
-  for (std::size_t s = 0; s < stages_.size(); s += 2) {
-    for (std::size_t t : {s, s + 1})
-      post_send(comm, stages_[t].send_to, 200 + stages_[t].tag,
-                pack_positions(stages_[t], atoms));
-    for (std::size_t t : {s, s + 1}) {
-      const Stage& st = stages_[t];
-      const auto incoming = wait_recv(comm, st.recv_from, 200 + st.tag);
-      DP_CHECK(incoming.size() == 3 * st.recv_count);
-      for (std::size_t k = 0; k < st.recv_count; ++k)
-        atoms.pos[st.recv_begin + k] = {incoming[3 * k], incoming[3 * k + 1],
-                                        incoming[3 * k + 2]};
-    }
-  }
+  forward_along_plan(
+      comm, 200, 3, [&](const Stage& st) { return pack_positions(st, atoms); },
+      [&](std::size_t slot, const double* v) { atoms.pos[slot] = {v[0], v[1], v[2]}; });
+}
+
+void HaloExchange::forward(Communicator& comm, std::vector<double>& values) {
+  ScopedTimer timer("halo.forward", "halo");
+  DP_CHECK(values.size() == n_local_ + n_ghost_);
+  forward_along_plan(
+      comm, 800, 1,
+      [&](const Stage& st) {
+        std::vector<double> payload;
+        payload.reserve(st.send_idx.size());
+        for (int a : st.send_idx) payload.push_back(values[static_cast<std::size_t>(a)]);
+        return payload;
+      },
+      [&](std::size_t slot, const double* v) { values[slot] = v[0]; });
 }
 
 void HaloExchange::reduce_forces(Communicator& comm, md::Atoms& atoms) {

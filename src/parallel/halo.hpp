@@ -23,8 +23,10 @@ namespace dp::par {
 class HaloExchange {
  public:
   /// halo_width = model cutoff + neighbor skin; must fit in one sub-domain.
-  /// The rank's bounds are read here, once: the planes never move.
-  HaloExchange(const md::Box& box, const Decomp& decomp, int rank, double halo_width);
+  /// The box and the rank's bounds are read from `decomp` (which must
+  /// outlive the exchanger) at every exchange_ghosts(), so a barostat that
+  /// scales the decomposition between rebuilds is followed.
+  HaloExchange(const Decomp& decomp, int rank, double halo_width);
 
   /// Appends ghost atoms to `atoms` (positions possibly outside the box) and
   /// records the exchange plan. `atoms` must hold exactly the local atoms.
@@ -33,6 +35,11 @@ class HaloExchange {
   /// Re-sends current positions along the recorded plan (between neighbor
   /// list rebuilds, when membership hasn't changed).
   void update_ghost_positions(Communicator& comm, md::Atoms& atoms);
+
+  /// Forward pass of one per-atom scalar along the recorded plan: every
+  /// ghost slot of `values` (n_local() + n_ghost() long) receives the value
+  /// of the atom it images — what LAMMPS's EAM does for F'(rho).
+  void forward(Communicator& comm, std::vector<double>& values);
 
   /// Sends ghost forces back along the reversed plan, accumulating into the
   /// owners' force arrays in a fixed stage order; ghost forces are consumed.
@@ -58,6 +65,27 @@ class HaloExchange {
     std::size_t recv_begin = 0, recv_count = 0;
   };
 
+  /// Sends `pack(stage)` along the recorded plan, one dimension at a time
+  /// (stage pairs {0,1} = x, {2,3} = y, {4,5} = z), and hands each ghost
+  /// slot's `width` received values to `unpack(slot, values)`. A pair's
+  /// send_idx predate its own receives, so neither payload depends on the
+  /// other: both sends are posted before waiting on either. The y and z
+  /// payloads read ghosts unpacked by the earlier dimensions.
+  template <class Pack, class Unpack>
+  void forward_along_plan(Communicator& comm, int tag_base, std::size_t width, Pack pack,
+                          Unpack unpack) {
+    for (std::size_t s = 0; s < stages_.size(); s += 2) {
+      for (std::size_t t : {s, s + 1})
+        post_send(comm, stages_[t].send_to, tag_base + stages_[t].tag, pack(stages_[t]));
+      for (std::size_t t : {s, s + 1}) {
+        const Stage& st = stages_[t];
+        const auto incoming = wait_recv(comm, st.recv_from, tag_base + st.tag);
+        DP_CHECK(incoming.size() == width * st.recv_count);
+        for (std::size_t k = 0; k < st.recv_count; ++k)
+          unpack(st.recv_begin + k, incoming.data() + width * k);
+      }
+    }
+  }
   /// isend of one stage payload, updating the communication counters.
   void post_send(Communicator& comm, int dest, int tag, const std::vector<double>& payload);
   /// Timed receive of one stage payload, charged to wait_seconds_.
@@ -69,11 +97,9 @@ class HaloExchange {
   std::vector<double> pack_positions(const Stage& st, const md::Atoms& atoms) const;
   std::vector<double> pack_ghost_forces(const Stage& st, const md::Atoms& atoms) const;
 
-  md::Box box_;
   const Decomp& decomp_;
   int rank_;
   double halo_;
-  const Vec3 lo_, hi_;
   std::vector<Stage> stages_;
   std::size_t n_local_ = 0, n_ghost_ = 0;
   std::uint64_t bytes_sent_ = 0, messages_sent_ = 0;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <exception>
+#include <memory>
 #include <thread>
 
 #include "common/thread_annotations.hpp"
@@ -230,6 +231,10 @@ double Communicator::allreduce_max(double x) {
 CommStats Communicator::stats() const { return transport_->stats(); }
 
 const char* Communicator::transport_name() const { return transport_->name(); }
+
+std::unique_ptr<Transport> make_threads_transport(int nranks) {
+  return std::make_unique<World>(nranks);
+}
 
 CommStats run_parallel(int nranks, const std::function<void(Communicator&)>& fn) {
   World world(nranks);

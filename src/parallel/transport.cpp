@@ -113,9 +113,10 @@ ProcessGroup::ProcessGroup(const TransportConfig& cfg) : rank_(cfg.rank) {
       transport_ = make_tcp_transport(cfg);
       break;
     case TransportKind::Threads:
-      DP_CHECK_MSG(false,
-                   "threads transport has no process bootstrap — use "
-                   "run_parallel()");
+      // More than one threads rank needs a thread per rank: run_parallel().
+      DP_CHECK_MSG(cfg.world == 1, "a threads world of " << cfg.world
+                                                         << " ranks runs under run_parallel()");
+      transport_ = make_threads_transport(1);
       break;
   }
   comm_.reset(new Communicator(transport_.get(), cfg.rank));

@@ -142,6 +142,8 @@ TransportKind parse_transport_kind(const std::string& s);
 /// (seconds); unset variables keep the defaults above.
 TransportConfig transport_config_from_env();
 
+/// The in-process mailbox world of `nranks` ranks (minimpi.cpp).
+std::unique_ptr<Transport> make_threads_transport(int nranks);
 std::unique_ptr<Transport> make_shm_transport(const TransportConfig& cfg);
 std::unique_ptr<Transport> make_tcp_transport(const TransportConfig& cfg);
 
@@ -154,7 +156,9 @@ int pick_free_tcp_port();
 
 /// One process's membership in a multi-process world: connects the
 /// configured backend (blocking until every rank has joined) and exposes
-/// the rank's Communicator. Destroying the group disconnects.
+/// the rank's Communicator. Destroying the group disconnects. A threads
+/// config of world 1 (the default TransportConfig) is the one-rank world
+/// on the caller's thread that a serial run is.
 class ProcessGroup {
  public:
   explicit ProcessGroup(const TransportConfig& cfg);

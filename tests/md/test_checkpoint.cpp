@@ -4,13 +4,19 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 
 #include "md/integrator.hpp"
 #include "md/lj.hpp"
 #include "md/simulation.hpp"
+#include "parallel/distributed_md.hpp"
+
+#include "../parallel/final_state.hpp"
 
 namespace dp::md {
 namespace {
@@ -58,19 +64,51 @@ TEST(Checkpoint, RestartContinuesTrajectoryExactly) {
 
   const Checkpoint ck = load_checkpoint(path);
   EXPECT_EQ(ck.step, 10);
-  SimulationConfig sc2 = sc;
-  sc2.temperature = 0.0;  // restart must NOT re-thermalize...
-  Simulation run_b2(ck.config, lj, sc2);
-  // ...but Simulation's constructor zeroes velocities at T=0; restore them.
-  run_b2.configuration().atoms.vel = ck.config.atoms.vel;
-  run_b2.run();
+  // A restart keeps the checkpointed velocities (no re-thermalization), as
+  // `dpmd run --restart` does.
+  par::DistributedOptions keep;
+  keep.init_velocities = false;
+  Configuration b;
+  par::run_distributed_md(1, ck.config, [&] { return std::make_unique<LennardJones>(lj); }, sc,
+                          keep, par::keep_final_state(sc.steps, b));
 
-  const auto& a = run_a.configuration().atoms;
-  const auto& b = run_b2.configuration().atoms;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_LT(norm(a.pos[i] - b.pos[i]), 1e-12) << "atom " << i;
-    EXPECT_LT(norm(a.vel[i] - b.vel[i]), 1e-12);
+  const auto& a = run_a.configuration();
+  ASSERT_EQ(b.atoms.size(), a.atoms.size());
+  for (std::size_t i = 0; i < a.atoms.size(); ++i) {
+    EXPECT_LT(norm(a.box.min_image(a.atoms.pos[i] - b.atoms.pos[i])), 1e-12) << "atom " << i;
+    EXPECT_LT(norm(a.atoms.vel[i] - b.atoms.vel[i]), 1e-12);
   }
+  std::remove(path.c_str());
+}
+
+/// The bytes of a file, for byte-identity checks.
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+TEST(Checkpoint, FailedSaveKeepsThePreviousFile) {
+  // The save writes <path>.tmp and renames it over <path> only once the
+  // bytes are down: pointing the temp file at /dev/full (every write fails
+  // with ENOSPC) must throw and leave the old checkpoint byte-identical.
+  const std::string path = ::testing::TempDir() + "/dp_ckpt_atomic.bin";
+  const std::string tmp = path + ".tmp";
+  auto cfg = make_fcc(2, 2, 2, 3.7);
+  save_checkpoint(path, cfg, 1);
+  EXPECT_FALSE(std::filesystem::exists(tmp)) << "a good save left its temp file";
+  const std::string before = file_bytes(path);
+  ASSERT_FALSE(before.empty());
+
+  std::filesystem::create_symlink("/dev/full", tmp);
+  init_velocities(cfg.atoms, 300.0, 5);
+  EXPECT_THROW(save_checkpoint(path, cfg, 2), Error);
+  EXPECT_TRUE(file_bytes(path) == before) << "the failed save changed " << path;
+  EXPECT_EQ(load_checkpoint(path).step, 1);
+
+  std::filesystem::remove(tmp);
+  save_checkpoint(path, cfg, 3);
+  EXPECT_EQ(load_checkpoint(path).step, 3);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
   std::remove(path.c_str());
 }
 

@@ -35,11 +35,10 @@ TEST(Integrator, FreeParticleDriftsLinearly) {
   atoms.add({5.0, 5.0, 5.0}, 0);
   atoms.vel[0] = {1.0, -2.0, 0.5};  // A/ps
   atoms.force[0] = {};
-  Box box(100, 100, 100);
   const double dt = 0.001;
   for (int i = 0; i < 1000; ++i) {
-    verlet_first_half(atoms, box, dt);
-    verlet_second_half(atoms, dt);
+    verlet_first_half(atoms, dt, atoms.size());
+    verlet_second_half(atoms, dt, atoms.size());
   }
   EXPECT_NEAR(atoms.pos[0].x, 6.0, 1e-9);
   EXPECT_NEAR(atoms.pos[0].y, 3.0, 1e-9);
@@ -51,16 +50,15 @@ TEST(Integrator, ConstantForceMatchesKinematics) {
   Atoms atoms;
   atoms.mass_by_type = {5.0};
   atoms.add({0.0, 0.0, 0.0}, 0);
-  Box box(1000, 1000, 1000);
   const double f = 2.0;  // eV/A
   const double a = f * kForceToAccel / 5.0;
   const double dt = 1e-4;
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
     atoms.force[0] = {f, 0, 0};
-    verlet_first_half(atoms, box, dt, /*wrap=*/false);
+    verlet_first_half(atoms, dt, atoms.size());
     atoms.force[0] = {f, 0, 0};
-    verlet_second_half(atoms, dt);
+    verlet_second_half(atoms, dt, atoms.size());
   }
   const double t = n * dt;
   EXPECT_NEAR(atoms.pos[0].x, 0.5 * a * t * t, 1e-6);
@@ -89,16 +87,15 @@ TEST(Integrator, HarmonicOscillatorConservesEnergy) {
   Atoms atoms;
   atoms.mass_by_type = {1.0};
   atoms.add({1.0, 0.0, 0.0}, 0);
-  Box box(1000, 1000, 1000);
   const double k = 1.0;
   auto spring = [&] { atoms.force[0] = atoms.pos[0] * (-k); };
   spring();
   const double e0 = kinetic_energy(atoms) + 0.5 * k * norm2(atoms.pos[0]);
   const double dt = 1e-4;
   for (int i = 0; i < 20000; ++i) {
-    verlet_first_half(atoms, box, dt, false);
+    verlet_first_half(atoms, dt, atoms.size());
     spring();
-    verlet_second_half(atoms, dt);
+    verlet_second_half(atoms, dt, atoms.size());
   }
   const double e1 = kinetic_energy(atoms) + 0.5 * k * norm2(atoms.pos[0]);
   EXPECT_NEAR(e1, e0, 1e-4 * std::max(1.0, std::abs(e0)));  // O((w*dt)^2) bound

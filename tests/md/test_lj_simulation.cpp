@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "md/lj.hpp"
 #include "md/simulation.hpp"
 
@@ -147,6 +149,34 @@ TEST(Simulation, TemperatureStaysPhysical) {
   for (const auto& s : sim.run()) {
     EXPECT_GT(s.temperature, 50.0);
     EXPECT_LT(s.temperature, 700.0);
+  }
+}
+
+TEST(Simulation, ConfigurationHidesTheGhosts) {
+  // A serial run is a one-rank world with periodic-image ghosts: the
+  // neighbor list reaches past the N input atoms, configuration() does not.
+  auto cfg = make_fcc(3, 3, 3, 3.7);
+  auto lj = make_lj_short();
+  SimulationConfig sc;
+  sc.skin = 1.0;
+  sc.steps = 5;
+  Simulation sim(cfg, lj, sc);
+  sim.run();
+  const std::size_t n = cfg.atoms.size();
+  const NeighborList& nl = sim.neighbor_list();
+  ASSERT_EQ(nl.n_centers(), n);
+  std::size_t max_j = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    for (int j : nl.neighbors(i)) max_j = std::max(max_j, static_cast<std::size_t>(j));
+  EXPECT_GE(max_j, n);  // the driver holds ghosts
+  const Configuration& view = sim.configuration();
+  ASSERT_EQ(view.atoms.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(view.atoms.type[i], cfg.atoms.type[i]);
+    for (std::size_t d = 0; d < 3; ++d) {
+      EXPECT_GE(view.atoms.pos[i][d], 0.0);
+      EXPECT_LT(view.atoms.pos[i][d], view.box.lengths()[d]);
+    }
   }
 }
 

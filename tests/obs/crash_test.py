@@ -9,10 +9,10 @@ the black box actually survives the death it was built for:
                 flightrec.rank<k>.json whose last recorded step matches the
                 fsynced metrics log (md.steps), and dpblackbox --check must
                 accept the set (rank skew <= 1 step).
-  --mode fatal  serial run failing a DP_CHECK at a sample step: the fatal
-                hook routes through notify_fatal, so the dump and the
-                synced metrics must exist even though the process exits
-                through the normal error path.
+  --mode fatal  one-rank run failing a DP_CHECK at a sample step: the
+                fatal hook routes through notify_fatal, so the dump and the
+                synced metrics must exist although the injection then
+                aborts the process (as it does on every rank count).
 
 Sanitizer interplay: ASan/TSan install their own SIGSEGV handlers unless
 told otherwise; the child env gets handle_segv=0 so the product's handler

@@ -252,11 +252,11 @@ TEST(HealthIntegration, BrokenDtTripsDriftWatchdogWithinWindow) {
     sc.thermo_every = 2;  // drift is observed at sample cadence
     dp::obs::HealthConfig hcfg;
     hcfg.drift_window = 8;
-    dp::obs::HealthMonitor mon(hcfg, nullptr);
-    sc.health = &mon;
-    dp::md::Simulation sim(cfg, lj, sc);
-    sim.run();
-    return mon.find("health.energy_drift")->state();
+    dp::par::DistributedOptions opts;
+    opts.health = &hcfg;
+    const auto result = dp::par::run_distributed_md(
+        1, cfg, [&] { return std::make_unique<dp::md::LennardJones>(lj); }, sc, opts);
+    return result.health.find("health.energy_drift")->state;
   };
   EXPECT_EQ(run_with_dt(0.002), HealthState::kOk);
   EXPECT_NE(run_with_dt(0.02), HealthState::kOk);

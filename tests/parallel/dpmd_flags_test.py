@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
 """`dpmd run` flag handling (run via ctest).
 
-A multi-rank run builds every rank's force field from --path, and refuses
-the serial-only flags with a nonzero exit and a message naming the flag
-instead of silently ignoring them. Every command refuses an option it does
-not read the same way:
+A multi-rank run builds every rank's force field from --path and takes
+every run option a one-rank run takes. Every command refuses an option it
+does not read with a nonzero exit and a message naming the flag, instead of
+silently ignoring it:
 
   * `--ranks 2 --path mixed` runs the mixed path: the header echoes it and
     the fused path's `fused.slots_processed` counter never appears in the
     metrics (a `--path fused` control run shows that it would);
-  * `--ranks 2 --thermostat langevin` exits nonzero naming --thermostat;
+  * `--ranks 2 --thermostat langevin` is accepted and thermostatted: the
+    header echoes it, and from the same step-0 state its thermo rows part
+    from the NVE run's;
+  * a `--ranks 2 --save-checkpoint` run restarts on 1 rank and on 2 ranks
+    from the state it saved;
+  * a `--ranks 2` run whose `--save-checkpoint` or `--force-dump` cannot be
+    written exits nonzero instead of hanging;
   * `--ranks 2 --rebalance` (a retired flag) exits nonzero naming it;
   * a serial run with a misspelt flag exits nonzero naming it.
 """
@@ -21,11 +27,21 @@ import sys
 import tempfile
 
 
-def run(cmd, cwd):
+def run(cmd, cwd, timeout=600):
     proc = subprocess.run(cmd, cwd=cwd, stdout=subprocess.PIPE,
-                          stderr=subprocess.STDOUT, text=True, timeout=600)
+                          stderr=subprocess.STDOUT, text=True, timeout=timeout)
     sys.stdout.write(proc.stdout)
     return proc
+
+
+def thermo_rows(stdout):
+    """{step: (E_tot, T)} from the thermo table."""
+    rows = {}
+    for line in stdout.splitlines():
+        parts = line.split()
+        if len(parts) == 4 and parts[0].isdigit():
+            rows[int(parts[0])] = (float(parts[1]), parts[2])
+    return rows
 
 
 def metrics_text(tmp, name):
@@ -51,9 +67,32 @@ def main():
             assert fused_ran == (path == "fused"), \
                 f"--path {path}: fused path {'did not run' if path == 'fused' else 'ran'}"
 
-        proc = run(base + ["--thermostat", "langevin"], tmp)
-        assert proc.returncode != 0, "--thermostat was accepted on a multi-rank run"
-        assert "--thermostat" in proc.stdout, "the refusal does not name --thermostat"
+        rows = {}
+        for coupling in ("none", "langevin"):
+            proc = run(base + ["--thermostat", coupling, "--thermo-every", "1"], tmp)
+            assert proc.returncode == 0, f"--ranks 2 --thermostat {coupling} failed"
+            assert f"thermostat={coupling}" in proc.stdout, f"header does not echo {coupling}"
+            rows[coupling] = thermo_rows(proc.stdout)
+        assert rows["none"][0] == rows["langevin"][0], "the step-0 states differ"
+        assert rows["none"][2] != rows["langevin"][2], "--thermostat langevin did not act"
+
+        proc = run(base + ["--save-checkpoint", "c.bin"], tmp)
+        assert proc.returncode == 0, "--ranks 2 --save-checkpoint failed"
+        saved = thermo_rows(proc.stdout)[2]
+        for ranks in ("1", "2"):
+            proc = run(base[:-1] + [ranks, "--restart", "c.bin", "--steps", "1"], tmp)
+            assert proc.returncode == 0, f"restart on {ranks} rank(s) failed"
+            restarted = thermo_rows(proc.stdout)[0]
+            assert abs(restarted[0] - saved[0]) < 1e-5 and restarted[1] == saved[1], (
+                f"restart on {ranks} rank(s) does not continue the saved state: "
+                f"{restarted} vs {saved}")
+
+        # Rank 0 writes the end-of-run files once every rank has left the
+        # step loop, so a failed write is an error exit, not a deadlock.
+        for flag in ("--save-checkpoint", "--force-dump"):
+            proc = run(base + [flag, os.path.join("no-such-dir", "out.bin")], tmp,
+                       timeout=120)
+            assert proc.returncode != 0, f"{flag} into a missing directory exited 0"
 
         proc = run(base + ["--rebalance"], tmp)
         assert proc.returncode != 0, "--rebalance was accepted on a multi-rank run"

@@ -168,7 +168,7 @@ TEST(Decomp, CountEqualizedSlabsStayWiderThanTheHalo) {
   const Decomp d(box, {4, 1, 1}, pos, 6.0);
   EXPECT_TRUE(d.has_cuts(0));
   EXPECT_GE(d.min_extent(), 6.0 * 1.05 - 1e-12);
-  EXPECT_NO_THROW(HaloExchange(box, d, 0, 6.0));
+  EXPECT_NO_THROW(HaloExchange(d, 0, 6.0));
 }
 
 TEST(Decomp, CountEqualizedFallsBackToUniform) {
@@ -203,7 +203,7 @@ void check_ghost_view(int nranks, std::array<int, 3> grid, const md::Configurati
         ids.push_back(a);
       }
     const std::size_t n_local = atoms.size();
-    HaloExchange halo_ex(sys.box, decomp, rank, halo);
+    HaloExchange halo_ex(decomp, rank, halo);
     halo_ex.exchange_ghosts(comm, atoms);
 
     // Serial reference neighborhoods.
@@ -261,7 +261,7 @@ TEST(HaloExchange, GhostViewMatchesSerialCountEqualizedSlabs) {
 TEST(HaloExchange, RejectsTooWideHalo) {
   md::Box box(20, 20, 20);
   Decomp decomp(box, {4, 1, 1});  // 5 A sub-domains
-  EXPECT_THROW(HaloExchange(box, decomp, 0, 6.0), Error);
+  EXPECT_THROW(HaloExchange(decomp, 0, 6.0), Error);
 }
 
 TEST(HaloExchange, ForceReductionConservesTotal) {
@@ -280,7 +280,7 @@ TEST(HaloExchange, ForceReductionConservesTotal) {
       if (decomp.owner_of(sys.atoms.pos[a]) == rank)
         atoms.add(sys.box.wrap(sys.atoms.pos[a]), sys.atoms.type[a]);
     const std::size_t n_local = atoms.size();
-    HaloExchange halo_ex(sys.box, decomp, rank, 6.0);
+    HaloExchange halo_ex(decomp, rank, 6.0);
     halo_ex.exchange_ghosts(comm, atoms);
 
     Rng rng(100 + static_cast<std::uint64_t>(rank));

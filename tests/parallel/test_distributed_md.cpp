@@ -5,13 +5,21 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
+#include <optional>
 
+#include "common/thread_annotations.hpp"
 #include "dp/baseline_model.hpp"
 #include "fused/fused_model.hpp"
 #include "fused/mixed_model.hpp"
+#include "md/eam.hpp"
 #include "md/lj.hpp"
 #include "md/simulation.hpp"
+#include "obs/metrics.hpp"
+#include "parallel/minimpi.hpp"
 #include "tab/tabulated_model.hpp"
+
+#include "final_state.hpp"
 
 namespace dp::par {
 namespace {
@@ -40,14 +48,15 @@ TEST(DistributedMd, SingleStepForcesMatchSerialLJ) {
 
   DistributedOptions opts;
   opts.grid = {2, 2, 2};
-  opts.gather_state = true;
   opts.init_velocities = false;
+  md::Configuration state;
   const auto result = run_distributed_md(
-      8, sys, [] { return std::make_unique<md::LennardJones>(0.4, 2.34, 4.5); }, sc, opts);
+      8, sys, [] { return std::make_unique<md::LennardJones>(0.4, 2.34, 4.5); }, sc, opts,
+      keep_final_state(sc.steps, state));
 
-  ASSERT_EQ(result.final_force.size(), sys.atoms.size());
+  ASSERT_EQ(state.atoms.size(), sys.atoms.size());
   for (std::size_t i = 0; i < sys.atoms.size(); ++i)
-    EXPECT_LT(norm(result.final_force[i] - serial_atoms.force[i]), 1e-9) << "atom " << i;
+    EXPECT_LT(norm(state.atoms.force[i] - serial_atoms.force[i]), 1e-9) << "atom " << i;
   EXPECT_NEAR(result.thermo.front().potential, serial_res.energy, 1e-8);
 }
 
@@ -67,13 +76,15 @@ TEST(DistributedMd, SingleStepForcesMatchSerialFusedDP) {
 
   DistributedOptions opts;
   opts.grid = {2, 2, 1};
-  opts.gather_state = true;
   opts.init_velocities = false;
+  md::Configuration state;
   const auto result = run_distributed_md(
-      4, sys, [&] { return std::make_unique<fused::FusedDP>(tabulated); }, sc, opts);
+      4, sys, [&] { return std::make_unique<fused::FusedDP>(tabulated); }, sc, opts,
+      keep_final_state(sc.steps, state));
 
+  ASSERT_EQ(state.atoms.size(), sys.atoms.size());
   for (std::size_t i = 0; i < sys.atoms.size(); ++i)
-    EXPECT_LT(norm(result.final_force[i] - serial_atoms.force[i]), 1e-8) << "atom " << i;
+    EXPECT_LT(norm(state.atoms.force[i] - serial_atoms.force[i]), 1e-8) << "atom " << i;
   EXPECT_NEAR(result.thermo.front().potential, serial_res.energy,
               1e-9 * static_cast<double>(sys.atoms.size()));
 }
@@ -89,20 +100,20 @@ TEST(DistributedMd, TrajectoryIndependentOfRankCount) {
 
   DistributedOptions o1;
   o1.grid = {1, 1, 1};
-  o1.gather_state = true;
   DistributedOptions o4;
   o4.grid = {2, 2, 1};
-  o4.gather_state = true;
 
   auto factory = [&] { return std::make_unique<fused::FusedDP>(tabulated); };
-  const auto r1 = run_distributed_md(1, sys, factory, sc, o1);
-  const auto r4 = run_distributed_md(4, sys, factory, sc, o4);
+  md::Configuration s1, s4;
+  run_distributed_md(1, sys, factory, sc, o1, keep_final_state(sc.steps, s1));
+  run_distributed_md(4, sys, factory, sc, o4, keep_final_state(sc.steps, s4));
 
-  ASSERT_EQ(r1.final_pos.size(), r4.final_pos.size());
-  for (std::size_t i = 0; i < r1.final_pos.size(); ++i) {
-    EXPECT_LT(norm(sys.box.min_image(r1.final_pos[i] - r4.final_pos[i])), 1e-7)
+  ASSERT_EQ(s1.atoms.size(), sys.atoms.size());
+  ASSERT_EQ(s4.atoms.size(), sys.atoms.size());
+  for (std::size_t i = 0; i < sys.atoms.size(); ++i) {
+    EXPECT_LT(norm(sys.box.min_image(s1.atoms.pos[i] - s4.atoms.pos[i])), 1e-7)
         << "atom " << i;
-    EXPECT_LT(norm(r1.final_vel[i] - r4.final_vel[i]), 1e-7);
+    EXPECT_LT(norm(s1.atoms.vel[i] - s4.atoms.vel[i]), 1e-7);
   }
 }
 
@@ -186,12 +197,14 @@ TEST(DistributedMd, WaterTwoTypesMatchSerial) {
 
   DistributedOptions opts;
   opts.grid = {2, 2, 1};
-  opts.gather_state = true;
   opts.init_velocities = false;
-  const auto result = run_distributed_md(
-      4, sys, [&] { return std::make_unique<fused::FusedDP>(tabulated); }, sc, opts);
+  md::Configuration state;
+  run_distributed_md(
+      4, sys, [&] { return std::make_unique<fused::FusedDP>(tabulated); }, sc, opts,
+      keep_final_state(sc.steps, state));
+  ASSERT_EQ(state.atoms.size(), sys.atoms.size());
   for (std::size_t i = 0; i < sys.atoms.size(); ++i)
-    EXPECT_LT(norm(result.final_force[i] - serial_atoms.force[i]), 1e-8) << "atom " << i;
+    EXPECT_LT(norm(state.atoms.force[i] - serial_atoms.force[i]), 1e-8) << "atom " << i;
 }
 
 TEST(DistributedMd, DisplacementTriggerKeepsParityUnderAggressiveDynamics) {
@@ -216,16 +229,17 @@ TEST(DistributedMd, DisplacementTriggerKeepsParityUnderAggressiveDynamics) {
 
   DistributedOptions opts;
   opts.grid = {2, 2, 1};
-  opts.gather_state = true;
+  md::Configuration state;
   const auto r = run_distributed_md(
-      4, sys, [] { return std::make_unique<md::LennardJones>(0.4, 2.34, 4.5); }, sc, opts);
+      4, sys, [] { return std::make_unique<md::LennardJones>(0.4, 2.34, 4.5); }, sc, opts,
+      keep_final_state(sc.steps, state));
 
   // The trigger must actually fire — otherwise this test proves nothing.
   EXPECT_GE(r.early_rebuilds, 1u);
   EXPECT_GE(r.neighbor_rebuilds, r.early_rebuilds);
-  ASSERT_EQ(r.final_force.size(), serial_atoms.size());
+  ASSERT_EQ(state.atoms.size(), serial_atoms.size());
   for (std::size_t i = 0; i < serial_atoms.size(); ++i)
-    EXPECT_LT(norm(r.final_force[i] - serial_atoms.force[i]), 1e-8) << "atom " << i;
+    EXPECT_LT(norm(state.atoms.force[i] - serial_atoms.force[i]), 1e-8) << "atom " << i;
 }
 
 /// Forwards to Lennard-Jones and counts compute() calls into a slot the
@@ -312,21 +326,207 @@ TEST(DistributedMd, RebalanceReducesVacuumGapImbalance) {
 
   // Default options: the driver's only decomposition is the count-equalized
   // one, and the acceptance bar is a >= 25% reduction in max/mean.
-  DistributedOptions opts;
-  opts.gather_state = true;
   const auto factory = [] { return std::make_unique<md::LennardJones>(0.4, 2.34, 4.5); };
-  const auto slabs = run_distributed_md(4, sys, factory, sc, opts);
+  md::Configuration slab_state, single_state;
+  const auto slabs = run_distributed_md(4, sys, factory, sc, {},
+                                        keep_final_state(sc.steps, slab_state));
   EXPECT_LE(slabs.load_imbalance, 0.75 * uniform_imbalance);
 
   // The planes only move ownership, never physics: per-atom forces agree
   // with a 1-rank run to summation roundoff (state is gathered sorted by
   // global id).
-  const auto single = run_distributed_md(1, sys, factory, sc, opts);
-  ASSERT_EQ(slabs.final_force.size(), single.final_force.size());
+  run_distributed_md(1, sys, factory, sc, {}, keep_final_state(sc.steps, single_state));
+  ASSERT_EQ(slab_state.atoms.size(), sys.atoms.size());
+  ASSERT_EQ(single_state.atoms.size(), sys.atoms.size());
   double max_diff = 0.0;
-  for (std::size_t i = 0; i < single.final_force.size(); ++i)
-    max_diff = std::max(max_diff, norm(slabs.final_force[i] - single.final_force[i]));
+  for (std::size_t i = 0; i < sys.atoms.size(); ++i)
+    max_diff =
+        std::max(max_diff, norm(slab_state.atoms.force[i] - single_state.atoms.force[i]));
   EXPECT_LT(max_diff, 1e-12);
+}
+
+/// Step-0 state of a world: energy and virial summed over ranks (each rank
+/// records what its force field returned), forces gathered by atom id.
+struct Step0 {
+  double energy = 0.0;
+  Mat3 virial{};
+  std::vector<Vec3> force;
+};
+
+/// Wraps a force field and records the first ForceResult it returns; the
+/// ghost forward pass is passed through to the wrapped field.
+class RecordingForceField final : public md::ForceField {
+ public:
+  explicit RecordingForceField(std::unique_ptr<md::ForceField> inner)
+      : inner_(std::move(inner)) {}
+  md::ForceResult compute(const md::Box& box, md::Atoms& atoms, const md::NeighborList& nlist,
+                          bool periodic) override {
+    const md::ForceResult r = inner_->compute(box, atoms, nlist, periodic);
+    if (!first_) first_ = r;
+    return r;
+  }
+  double cutoff() const override { return inner_->cutoff(); }
+  void set_ghost_forward(GhostForward forward) override {
+    inner_->set_ghost_forward(std::move(forward));
+  }
+  md::ForceResult first() const { return first_.value(); }
+
+ private:
+  std::unique_ptr<md::ForceField> inner_;
+  std::optional<md::ForceResult> first_;
+};
+
+Step0 world_step0(int nranks, const md::Configuration& sys, const ForceFieldFactory& factory) {
+  Step0 out;
+  Mutex mu;
+  run_parallel(nranks, [&](Communicator& comm) {
+    RecordingForceField ff(factory());
+    DistributedOptions opts;
+    opts.init_velocities = false;
+    DistributedMd md(comm, sys, ff, fast_sim(0), opts);
+    const md::ForceResult r = ff.first();
+    std::vector<double> parts{r.energy};
+    parts.insert(parts.end(), r.virial.m.begin(), r.virial.m.end());
+    const auto total = comm.allreduce_sum(parts);
+    md::Configuration state = md.gather();
+    if (comm.rank() != 0) return;
+    MutexLock lock(mu);
+    out.energy = total[0];
+    std::copy(total.begin() + 1, total.end(), out.virial.m.begin());
+    out.force = std::move(state.atoms.force);
+  });
+  return out;
+}
+
+/// Step 0 of an `nranks` world against the independent reference: the
+/// force field's own minimum-image compute() over the whole box.
+void expect_step0_matches_min_image(int nranks, const md::Configuration& sys,
+                                    const ForceFieldFactory& factory, double rel_tol) {
+  SCOPED_TRACE(testing::Message() << nranks << " rank(s)");
+  const auto ref_ff = factory();
+  md::NeighborList nl(ref_ff->cutoff(), fast_sim(0).skin);
+  nl.build(sys.box, sys.atoms.pos);
+  md::Atoms ref_atoms = sys.atoms;
+  const md::ForceResult ref = ref_ff->compute(sys.box, ref_atoms, nl);
+
+  const Step0 got = world_step0(nranks, sys, factory);
+  EXPECT_NEAR(got.energy, ref.energy, rel_tol * std::abs(ref.energy));
+  double w_scale = 0.0, f_scale = 0.0;
+  for (double w : ref.virial.m) w_scale = std::max(w_scale, std::abs(w));
+  for (std::size_t k = 0; k < 9; ++k)
+    EXPECT_NEAR(got.virial.m[k], ref.virial.m[k], rel_tol * w_scale) << "virial " << k;
+  for (const Vec3& f : ref_atoms.force) f_scale = std::max(f_scale, norm(f));
+  ASSERT_EQ(got.force.size(), ref_atoms.force.size());
+  for (std::size_t i = 0; i < got.force.size(); ++i)
+    EXPECT_LT(norm(got.force[i] - ref_atoms.force[i]), rel_tol * f_scale) << "atom " << i;
+}
+
+TEST(DistributedMd, EamForwardPassMatchesMinImageOnCopperSlab) {
+  // The force on a center needs F'(rho) of its ghost neighbors: the world
+  // forwards it along the halo plan. A copper crystal next to a vacuum gap,
+  // on 1, 2 and 4 ranks, against SuttonChen's own minimum-image compute.
+  auto sys = md::make_fcc(6, 6, 6, 3.61, 63.546, 0.08, 91);
+  const Vec3 L = sys.box.lengths();
+  sys.box = md::Box(2.0 * L.x, L.y, L.z);
+  const auto factory = [] { return std::make_unique<md::SuttonChen>(); };
+  for (int nranks : {1, 2, 4}) expect_step0_matches_min_image(nranks, sys, factory, 1e-12);
+}
+
+TEST(DistributedMd, OneRankWorldMatchesMinImageForEveryFamily) {
+  // A serial run is a one-rank world with periodic-image ghosts; each
+  // force-field family keeps its minimum-image compute() as the reference.
+  const auto cu = md::make_fcc(6, 6, 6, 3.634, 63.546, 0.08, 92);
+  expect_step0_matches_min_image(
+      1, cu, [] { return std::make_unique<md::LennardJones>(0.4, 2.34, 4.5); }, 1e-12);
+  expect_step0_matches_min_image(
+      1, cu, [] { return std::make_unique<md::SuttonChen>(); }, 1e-12);
+
+  core::ModelConfig cfg = core::ModelConfig::tiny(2);
+  core::DPModel model(cfg, 93);
+  tab::TabulatedDP tabulated(model, {0.0, tab::TabulatedDP::s_max(cfg, 0.9), 0.01});
+  const auto water = md::make_water(2, 2, 2, 94);
+  expect_step0_matches_min_image(
+      1, water, [&] { return std::make_unique<fused::FusedDP>(tabulated); }, 1e-12);
+  expect_step0_matches_min_image(
+      1, water, [&] { return std::make_unique<fused::MixedFusedDP>(tabulated); }, 1e-12);
+}
+
+TEST(DistributedMd, CountersCountEachWorldEventOnce) {
+  // Rank threads share the process's registry: rank 0 alone counts, so the
+  // md.* names mean the same on threads as on shm/tcp.
+  auto sys = md::make_fcc(8, 8, 8, 3.7, 63.5, 0.05, 95);
+  md::SimulationConfig sc = fast_sim(12);
+  sc.rebuild_every = 4;
+  DistributedOptions opts;
+  opts.grid = {2, 2, 1};
+  auto& reg = obs::MetricsRegistry::instance();
+  reg.clear();
+  const auto r = run_distributed_md(
+      4, sys, [] { return std::make_unique<md::LennardJones>(0.4, 2.34, 4.5); }, sc, opts);
+  EXPECT_GE(r.neighbor_rebuilds, 3u);
+  EXPECT_EQ(reg.counter("md.steps").value(), static_cast<std::uint64_t>(sc.steps));
+  EXPECT_EQ(reg.counter("md.neighbor_rebuilds").value(), r.neighbor_rebuilds);
+  EXPECT_EQ(reg.counter("md.early_rebuilds").value(), r.early_rebuilds);
+  EXPECT_EQ(reg.counter("md.force_evals").value(), static_cast<std::uint64_t>(sc.steps + 1));
+  EXPECT_EQ(reg.histogram("md.step_seconds").count(), static_cast<std::uint64_t>(sc.steps));
+}
+
+/// NVT/NPT on a 4-rank world, with the bounds the serial tests hold
+/// (test_thermostat_dump.cpp) on the same systems.
+md::SimulationConfig coupled_sim(int steps, double temperature) {
+  md::SimulationConfig sc;
+  sc.skin = 1.0;
+  sc.dt = 0.002;
+  sc.steps = steps;
+  sc.temperature = temperature;
+  sc.thermo_every = 50;
+  return sc;
+}
+
+DistributedRunResult run_lj_4ranks(const md::Configuration& sys, const md::SimulationConfig& sc,
+                                   const SampleHook& hook = {}) {
+  DistributedOptions opts;
+  opts.grid = {2, 2, 1};
+  return run_distributed_md(
+      4, sys, [] { return std::make_unique<md::LennardJones>(0.4, 2.34, 4.5); }, sc, opts,
+      hook);
+}
+
+TEST(DistributedMd, LangevinHoldsTemperatureOn4Ranks) {
+  md::LangevinThermostat thermostat(330.0, 0.1, 7);
+  md::SimulationConfig sc = coupled_sim(300, 330.0);
+  sc.thermostat = &thermostat;
+  const auto r = run_lj_4ranks(md::make_fcc(3, 3, 3, 3.7), sc);
+  EXPECT_NEAR(r.thermo.back().temperature, 330.0, 100.0);
+}
+
+TEST(DistributedMd, NoseHooverHoldsTargetTemperatureOn4Ranks) {
+  md::NoseHooverThermostat thermostat(330.0, 0.05);
+  md::SimulationConfig sc = coupled_sim(1500, 330.0);
+  sc.thermostat = &thermostat;
+  const auto r = run_lj_4ranks(md::make_fcc(3, 3, 3, 3.7), sc);
+  double avg = 0.0;
+  int count = 0;
+  for (const auto& s : r.thermo)
+    if (s.step > 750) {
+      avg += s.temperature;
+      ++count;
+    }
+  EXPECT_NEAR(avg / count, 330.0, 90.0);
+}
+
+TEST(DistributedMd, NptRelaxesPressureTowardTargetOn4Ranks) {
+  md::BerendsenBarostat barostat(0.0, 0.05, 1e-5);
+  md::SimulationConfig sc = coupled_sim(150, 100.0);
+  sc.thermo_every = 150;
+  sc.barostat = &barostat;
+  double volume = 0.0;
+  const auto r = run_lj_4ranks(md::make_fcc(4, 4, 4, 3.55), sc,
+                               [&](DistributedMd& md, const md::ThermoSample&) {
+                                 if (md.rank() == 0) volume = md.box().volume();
+                               });
+  EXPECT_GT(volume, std::pow(3.55 * 4, 3));  // box expanded
+  EXPECT_LT(std::abs(r.thermo.back().pressure_bar), std::abs(r.thermo.front().pressure_bar));
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include "md/lj.hpp"
 #include "parallel/distributed_md.hpp"
 
+#include "final_state.hpp"
+
 namespace dp::par {
 namespace {
 
@@ -30,15 +32,16 @@ TEST_P(GridSweep, ForcesMatchSerial) {
   sc.skin = 1.0;
   DistributedOptions opts;
   opts.grid = grid;
-  opts.gather_state = true;
   opts.init_velocities = false;
+  md::Configuration state;
   const auto result = run_distributed_md(
       ranks, sys, [] { return std::make_unique<md::LennardJones>(0.4, 2.34, 4.5); }, sc,
-      opts);
+      opts, keep_final_state(sc.steps, state));
 
   EXPECT_NEAR(result.thermo.front().potential, serial_res.energy, 1e-8);
+  ASSERT_EQ(state.atoms.size(), sys.atoms.size());
   for (std::size_t i = 0; i < sys.atoms.size(); ++i)
-    EXPECT_LT(norm(result.final_force[i] - serial_atoms.force[i]), 1e-9) << "atom " << i;
+    EXPECT_LT(norm(state.atoms.force[i] - serial_atoms.force[i]), 1e-9) << "atom " << i;
 }
 
 TEST_P(GridSweep, ShortTrajectoryEnergyConserved) {

@@ -20,6 +20,8 @@
 #include "parallel/minimpi.hpp"
 #include "parallel/transport.hpp"
 
+#include "final_state.hpp"
+
 namespace dp::par {
 namespace {
 
@@ -206,29 +208,33 @@ void parity_vs_threads(TransportKind kind, const char* test) {
 
   DistributedOptions opts;
   opts.grid = {2, 1, 1};
-  opts.gather_state = true;
 
   const auto factory = [] { return std::make_unique<md::LennardJones>(0.4, 2.34, 4.5); };
-  const auto reference = run_distributed_md(2, sys, factory, sc, opts);
-  ASSERT_EQ(reference.final_force.size(), sys.atoms.size());
+  md::Configuration reference_state, cross_state;
+  const auto reference = run_distributed_md(2, sys, factory, sc, opts,
+                                            keep_final_state(sc.steps, reference_state));
+  ASSERT_EQ(reference_state.atoms.size(), sys.atoms.size());
 
   const TransportConfig base = backend_config(kind, 2, test);
   DistributedRunResult cross;
   Mutex cross_mu;
   run_world(base, [&](Communicator& comm) {
-    auto r = run_distributed_md_rank(comm, sys, factory, sc, opts);
+    auto r = run_distributed_md_rank(comm, sys, factory, sc, opts,
+                                     keep_final_state(sc.steps, cross_state));
     if (comm.rank() == 0) {
       MutexLock lock(cross_mu);
       cross = std::move(r);
     }
   });
 
-  ASSERT_EQ(cross.final_force.size(), reference.final_force.size());
-  for (std::size_t i = 0; i < reference.final_force.size(); ++i) {
+  const auto& want = reference_state.atoms.force;
+  const auto& got = cross_state.atoms.force;
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
     // Bitwise: EXPECT_EQ on doubles is exact equality, which is the claim.
-    EXPECT_EQ(cross.final_force[i].x, reference.final_force[i].x) << "atom " << i;
-    EXPECT_EQ(cross.final_force[i].y, reference.final_force[i].y) << "atom " << i;
-    EXPECT_EQ(cross.final_force[i].z, reference.final_force[i].z) << "atom " << i;
+    EXPECT_EQ(got[i].x, want[i].x) << "atom " << i;
+    EXPECT_EQ(got[i].y, want[i].y) << "atom " << i;
+    EXPECT_EQ(got[i].z, want[i].z) << "atom " << i;
   }
   EXPECT_EQ(cross.neighbor_rebuilds, reference.neighbor_rebuilds);
   ASSERT_EQ(cross.thermo.size(), reference.thermo.size());

@@ -4,11 +4,13 @@
 Spawns real OS processes — one per rank — connected by the shm or tcp
 transport, and checks the three promises the transport layer makes:
 
-  --mode parity    the physics is transport-invariant: forces from a
-                   2-process (and 4-process) shm/tcp world are bitwise
-                   identical to the in-process threads world (the dump is
-                   %a hex floats, compared as text), and the neighbor
-                   rebuild counts match.
+  --mode parity    the physics is transport-invariant: forces and thermo
+                   rows from a 2-process (and 4-process) shm/tcp world are
+                   bitwise identical to the in-process threads world (the
+                   dump is %a hex floats, compared as text), and the
+                   neighbor rebuild counts match. The same holds for 2-rank
+                   NVT (langevin, berendsen, nose-hoover) and NPT worlds,
+                   whose threads runs also agree at OMP_NUM_THREADS 1/2/4.
   --mode fault     a SIGKILLed peer must not hang the world: the survivor
                    exits nonzero through a DP_CHECK fatal (dumping its
                    flight recorder), not a deadlock.
@@ -99,39 +101,57 @@ def rebuilds_line(text):
     raise AssertionError(f"no 'rebuilds' line in output:\n{text}")
 
 
-def check_parity(dpmd, tmp, env, system, world):
+def thermo_rows(text):
+    """The thermo table rows, as printed."""
+    return [line for line in text.splitlines()
+            if len(line.split()) == 4 and line.split()[0].isdigit()]
+
+
+def threads_run(dpmd, tmp, env, run_args, world, dump):
+    """One in-process world; returns (forces, thermo rows, rebuilds line)."""
+    proc = run([dpmd, "run"] + run_args + ["--ranks", str(world), "--force-dump", dump],
+               tmp, env)
+    assert proc.returncode == 0, f"threads run failed ({' '.join(run_args)})"
+    with open(os.path.join(tmp, dump)) as f:
+        forces = f.read()
+    assert forces, f"{dump} is empty"
+    return forces, thermo_rows(proc.stdout), rebuilds_line(proc.stdout)
+
+
+def check_parity(dpmd, tmp, env, system, world, coupling=()):
     base = [
         "--model", f"{system}.dpm", "--system", system,
-        "--steps", "8", "--thermo-every", "4", "--rebuild-every", "5"]
+        "--steps", "8", "--thermo-every", "4", "--rebuild-every", "5", *coupling]
+    label = f"{system} x{world} {' '.join(coupling) or 'nve'}"
+    tag = "".join(c for c in label if c.isalnum())
 
-    ref_dump = f"forces_{system}_{world}_threads.txt"
-    proc = run([dpmd, "run"] + base + ["--ranks", str(world),
-                "--force-dump", ref_dump], tmp, env)
-    assert proc.returncode == 0, f"threads run failed ({system}, {world} ranks)"
-    ref_rebuilds = rebuilds_line(proc.stdout)
-    with open(os.path.join(tmp, ref_dump)) as f:
-        ref_forces = f.read()
-    assert ref_forces, f"{ref_dump} is empty"
+    ref = threads_run(dpmd, tmp, env, base, world, f"forces_{tag}_threads.txt")
+    if coupling:
+        # Ranks x OpenMP threads: the OpenMP team size must not move a bit.
+        for omp in ("1", "2", "4"):
+            got = threads_run(dpmd, tmp, dict(env, OMP_NUM_THREADS=omp), base, world,
+                              f"forces_{tag}_omp{omp}.txt")
+            assert got == ref, f"OMP_NUM_THREADS={omp} differs from the default ({label})"
 
     for transport in ("shm", "tcp"):
-        dump = f"forces_{system}_{world}_{transport}.txt"
-        # Every rank passes --force-dump (gather_state must match across the
-        # world); only rank 0 writes the file.
+        dump = f"forces_{tag}_{transport}.txt"
+        # Every rank passes --force-dump (the gather is collective); only
+        # rank 0 writes the file.
         procs = spawn_world(dpmd, transport, world,
-                            base + ["--force-dump", dump], tmp, env,
-                            f"{system}{world}")
+                            base + ["--force-dump", dump], tmp, env, tag)
         outs = wait_world(procs)
         for rank, (p, out) in enumerate(zip(procs, outs)):
             assert p.returncode == 0, (
-                f"{transport} rank {rank} failed ({system}):\n{out}")
+                f"{transport} rank {rank} failed ({label}):\n{out}")
         with open(os.path.join(tmp, dump)) as f:
             forces = f.read()
-        assert forces == ref_forces, (
-            f"{transport} forces differ from threads ({system}, {world} ranks)")
-        assert rebuilds_line(outs[0]) == ref_rebuilds, (
-            f"{transport} rebuild counts differ ({system}, {world} ranks)")
-        print(f"parity ok: {system} x{world} {transport} == threads "
-              f"({len(ref_forces.splitlines())} atoms, bitwise)")
+        assert forces == ref[0], f"{transport} forces differ from threads ({label})"
+        assert thermo_rows(outs[0]) == ref[1], (
+            f"{transport} thermo rows differ from threads ({label})")
+        assert rebuilds_line(outs[0]) == ref[2], (
+            f"{transport} rebuild counts differ ({label})")
+        print(f"parity ok: {label} {transport} == threads "
+              f"({len(ref[0].splitlines())} atoms, bitwise)")
 
 
 def mode_parity(dpmd, tmp, env):
@@ -142,6 +162,9 @@ def mode_parity(dpmd, tmp, env):
     check_parity(dpmd, tmp, env, "copper", 2)
     check_parity(dpmd, tmp, env, "copper", 4)
     check_parity(dpmd, tmp, env, "water", 2)
+    for coupling in (["--thermostat", "langevin"], ["--thermostat", "berendsen"],
+                     ["--thermostat", "nose-hoover"], ["--pressure", "0"]):
+        check_parity(dpmd, tmp, env, "water", 2, coupling)
 
 
 def mode_fault(dpmd, tmp, env):
