@@ -52,10 +52,11 @@ void verlet_second_half(Atoms& atoms, double dt, std::size_t n) {
   }
 }
 
-double kinetic_energy(const Atoms& atoms) {
+double kinetic_energy(const Atoms& atoms) { return kinetic_energy(atoms, atoms.size()); }
+
+double kinetic_energy(const Atoms& atoms, std::size_t n) {
   double ke = 0.0;
-  for (std::size_t i = 0; i < atoms.size(); ++i)
-    ke += 0.5 * atoms.mass(i) * norm2(atoms.vel[i]);
+  for (std::size_t i = 0; i < n; ++i) ke += 0.5 * atoms.mass(i) * norm2(atoms.vel[i]);
   return ke * kMv2ToEv;
 }
 

@@ -23,6 +23,8 @@ void verlet_second_half(Atoms& atoms, double dt, std::size_t n);
 
 /// Kinetic energy [eV].
 double kinetic_energy(const Atoms& atoms);
+/// Kinetic energy of the first n atoms [eV].
+double kinetic_energy(const Atoms& atoms, std::size_t n);
 
 /// Instantaneous temperature [K] of n atoms (3n - 3 COM-free dof).
 double temperature(const Atoms& atoms);

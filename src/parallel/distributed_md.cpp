@@ -212,7 +212,7 @@ void DistributedMd::couple() {
   {
     ScopedTimer t("md.thermostat", "md");
     if (thermostat_) {
-      const double ke = comm_.allreduce_sum(local_kinetic());
+      const double ke = comm_.allreduce_sum(md::kinetic_energy(atoms_, n_local_));
       thermostat_->couple(atoms_, n_local_, md::temperature(ke, n_global_), sim_.dt);
     }
     if (sim_.barostat != nullptr)
@@ -230,16 +230,10 @@ void DistributedMd::couple() {
   evaluate_forces();
 }
 
-double DistributedMd::local_kinetic() const {
-  double ke = 0.0;
-  for (std::size_t a = 0; a < n_local_; ++a) ke += 0.5 * atoms_.mass(a) * norm2(atoms_.vel[a]);
-  return ke * md::kMv2ToEv;
-}
-
 md::ThermoSample DistributedMd::measure() {
   // Local contributions -> one fused allreduce.
   std::vector<double> contrib(12, 0.0);
-  contrib[0] = local_kinetic();
+  contrib[0] = md::kinetic_energy(atoms_, n_local_);
   contrib[1] = force_.energy;
   contrib[2] = static_cast<double>(n_local_);
   for (std::size_t k = 0; k < 9; ++k) contrib[3 + k] = force_.virial.m[k];

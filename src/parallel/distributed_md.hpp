@@ -148,8 +148,6 @@ class DistributedMd {
   void evaluate_forces();
   /// Thermostat, then barostat, after the second half-kick.
   void couple();
-  /// Kinetic energy of the owned atoms [eV].
-  double local_kinetic() const;
   /// Allreduced energies, temperature and pressure of the current state.
   md::ThermoSample measure();
   void sample(const SampleHook& on_thermo);
