@@ -213,22 +213,57 @@ void write_observability(const ObsOutputs& out) {
   }
 }
 
-/// End-of-run table: each step phase's share of the measured wall time.
-/// With in-process ranks the phase totals accumulate across all rank
-/// threads, so the budget is wall * nranks.
-void print_step_breakdown(double wall_seconds, int nranks) {
-  static const char* kPhases[] = {"md.force",      "md.neighbor", "md.halo",
-                                  "md.integrate",  "md.thermostat", "md.sample"};
+using SectionTimes = std::map<std::string, dp::TimerStats>;
+
+/// The step phases of the one step loop, in the order the tables print them.
+constexpr const char* kPhases[] = {"md.force",     "md.neighbor",   "md.halo",
+                                   "md.integrate", "md.thermostat", "md.sample"};
+
+/// Sections and costs recorded since `base` (a snapshot of the same
+/// registry): what the timed steps alone spent.
+SectionTimes timers_since(const SectionTimes& base) {
+  SectionTimes out = dp::TimerRegistry::instance().snapshot();
+  for (auto& [name, st] : out) {
+    const auto it = base.find(name);
+    if (it == base.end()) continue;
+    st.total_seconds -= it->second.total_seconds;
+    st.calls -= it->second.calls;
+  }
+  return out;
+}
+dp::KernelCost cost_since(const std::map<std::string, dp::KernelCost>& base,
+                          const std::string& name) {
+  dp::KernelCost c = dp::CostRegistry::instance().get(name);
+  const auto it = base.find(name);
+  if (it != base.end()) c += it->second * -1.0;
+  return c;
+}
+
+/// The setup line: what ran before the step-0 sample (construction, the
+/// first neighbor build and force evaluation), kept out of the tables.
+void print_setup_line(const SectionTimes& setup) {
+  std::printf("\nsetup before step 1 (not in the tables below):");
+  for (const char* name : kPhases) {
+    const auto it = setup.find(name);
+    if (it != setup.end())
+      std::printf(" %s %.3f s", name, it->second.total_seconds);
+  }
+  std::printf("\n");
+}
+
+/// End-of-run table: each step phase's share of the measured wall time of
+/// the timed steps. With in-process ranks the phase totals accumulate
+/// across all rank threads, so the budget is wall * nranks.
+void print_step_breakdown(double wall_seconds, int nranks, const SectionTimes& timed) {
   if (wall_seconds <= 0.0) return;
-  const auto snap = dp::TimerRegistry::instance().snapshot();
   const double budget = wall_seconds * std::max(nranks, 1);
   std::printf("\nstep-phase breakdown (%.3f s wall%s):\n", wall_seconds,
               nranks > 1 ? ", summed over ranks" : "");
   std::printf("  %-14s %10s %9s %7s\n", "phase", "seconds", "calls", "share");
   double covered = 0.0;
   for (const char* name : kPhases) {
-    const auto it = snap.find(name);
-    if (it == snap.end()) continue;
+    const auto it = timed.find(name);
+    if (it == timed.end()) continue;
     covered += it->second.total_seconds;
     std::printf("  %-14s %10.3f %9llu %6.1f%%\n", name, it->second.total_seconds,
                 static_cast<unsigned long long>(it->second.calls),
@@ -238,84 +273,94 @@ void print_step_breakdown(double wall_seconds, int nranks) {
               100.0 * covered / budget);
 }
 
-/// Measured force-kernel sections next to the analytic cost model's per-atom
-/// FLOP counts (perf/cost_model) — the roofline sanity check the paper's
-/// Sec 5 tables make at machine scale.
+/// Measured force-kernel sections of the timed steps, next to the analytic
+/// cost model's per-atom FLOP counts (perf/cost_model) where the path has
+/// one — the roofline sanity check the paper's Sec 5 tables make at machine
+/// scale. The mixed and se_r paths print measured rows only.
 void print_cost_model_table(const std::string& path, const DPModel& model,
-                            std::size_t n_atoms, double volume,
-                            std::uint64_t force_evals) {
-  dp::perf::Path ppath;
-  if (path == "baseline")
-    ppath = dp::perf::Path::Baseline;
-  else if (path == "tabulated")
-    ppath = dp::perf::Path::Tabulated;
-  else if (path == "fused")
-    ppath = dp::perf::Path::Fused;
-  else
-    return;  // mixed / se_r have no analytic model
-  if (force_evals == 0 || n_atoms == 0) return;
-
-  dp::perf::WorkloadSpec w;
-  w.config = model.config();
-  w.density = volume > 0.0 ? static_cast<double>(n_atoms) / volume : 0.1;
-  constexpr double kPi = 3.14159265358979323846;
-  w.real_neighbors =
-      w.density * (4.0 / 3.0) * kPi * w.config.rcut * w.config.rcut * w.config.rcut;
-  const auto costs = dp::perf::per_atom_costs(w, ppath);
-
+                            std::size_t n_atoms, double volume, std::uint64_t evals,
+                            const SectionTimes& timed) {
+  if (evals == 0 || n_atoms == 0) return;
   struct Row {
     const char* label;
     dp::KernelCost modeled;
     std::vector<std::string> sections;
   };
   std::vector<Row> rows;
-  if (path == "fused") {
-    rows = {{"env_mat", costs.env_mat, {"fused.env_mat"}},
-            {"descriptor", costs.embedding + costs.descriptor_fit, {"fused.descriptor"}},
-            {"prod_force", costs.prod_force, {"fused.prod_force"}}};
-  } else if (path == "tabulated") {
-    rows = {{"env_mat", costs.env_mat, {"compressed.env_mat"}},
-            {"embedding", costs.embedding, {"compressed.tabulation"}},
-            {"descriptor_fit", costs.descriptor_fit, {"compressed.descriptor_fit"}},
-            {"prod_force", costs.prod_force, {"compressed.prod_force"}}};
+  const bool modeled = path == "baseline" || path == "tabulated" || path == "fused";
+  if (modeled) {
+    dp::perf::WorkloadSpec w;
+    w.config = model.config();
+    w.density = volume > 0.0 ? static_cast<double>(n_atoms) / volume : 0.1;
+    constexpr double kPi = 3.14159265358979323846;
+    w.real_neighbors =
+        w.density * (4.0 / 3.0) * kPi * w.config.rcut * w.config.rcut * w.config.rcut;
+    const auto ppath = path == "baseline"    ? dp::perf::Path::Baseline
+                       : path == "tabulated" ? dp::perf::Path::Tabulated
+                                             : dp::perf::Path::Fused;
+    const auto costs = dp::perf::per_atom_costs(w, ppath);
+    if (path == "fused") {
+      rows = {{"env_mat", costs.env_mat, {"fused.env_mat"}},
+              {"descriptor", costs.embedding + costs.descriptor_fit, {"fused.descriptor"}},
+              {"prod_force", costs.prod_force, {"fused.prod_force"}},
+              {"total", costs.total(), {}}};
+    } else if (path == "tabulated") {
+      rows = {{"env_mat", costs.env_mat, {"compressed.env_mat"}},
+              {"embedding", costs.embedding, {"compressed.tabulation"}},
+              {"descriptor_fit", costs.descriptor_fit, {"compressed.descriptor_fit"}},
+              {"prod_force", costs.prod_force, {"compressed.prod_force"}},
+              {"total", costs.total(), {}}};
+    } else {
+      rows = {{"env_mat", costs.env_mat, {"baseline.env_mat"}},
+              {"embedding", costs.embedding,
+               {"baseline.embedding_fwd", "baseline.embedding_bwd"}},
+              {"descriptor_fit", costs.descriptor_fit, {"baseline.descriptor_fit"}},
+              {"prod_force", costs.prod_force, {"baseline.prod_force"}},
+              {"total", costs.total(), {}}};
+    }
+  } else if (path == "mixed" || path == "se_r") {
+    for (const char* stage : {"env_mat", "descriptor", "prod_force"})
+      rows.push_back({stage, {}, {path + "." + stage}});
   } else {
-    rows = {{"env_mat", costs.env_mat, {"baseline.env_mat"}},
-            {"embedding", costs.embedding,
-             {"baseline.embedding_fwd", "baseline.embedding_bwd"}},
-            {"descriptor_fit", costs.descriptor_fit, {"baseline.descriptor_fit"}},
-            {"prod_force", costs.prod_force, {"baseline.prod_force"}}};
+    return;
   }
 
-  const auto snap = dp::TimerRegistry::instance().snapshot();
   const double per_eval_atom =
-      1.0 / (static_cast<double>(force_evals) * static_cast<double>(n_atoms));
-  std::printf("\nforce-kernel sections vs cost model (per atom per evaluation):\n");
-  std::printf("  %-15s %12s %14s %14s\n", "stage", "measured", "modeled", "intensity");
-  std::printf("  %-15s %12s %14s %14s\n", "", "[us]", "[kFLOP]", "[FLOP/B]");
+      1.0 / (static_cast<double>(evals) * static_cast<double>(n_atoms));
+  std::printf("\nforce-kernel sections%s (per atom per evaluation, timed steps):\n",
+              modeled ? " vs cost model" : "");
+  if (modeled) {
+    std::printf("  %-15s %12s %14s %14s\n", "stage", "measured", "modeled", "intensity");
+    std::printf("  %-15s %12s %14s %14s\n", "", "[us]", "[kFLOP]", "[FLOP/B]");
+  } else {
+    std::printf("  %-15s %12s\n", "stage", "measured");
+    std::printf("  %-15s %12s\n", "", "[us]");
+  }
   for (const auto& row : rows) {
     double seconds = 0.0;
     for (const auto& s : row.sections) {
-      const auto it = snap.find(s);
-      if (it != snap.end()) seconds += it->second.total_seconds;
+      const auto it = timed.find(s);
+      if (it != timed.end()) seconds += it->second.total_seconds;
     }
-    std::printf("  %-15s %12.3f %14.2f %14.2f\n", row.label,
-                seconds * per_eval_atom * 1e6, row.modeled.flops / 1e3,
-                row.modeled.intensity());
+    if (row.sections.empty())
+      std::printf("  %-15s %12s", row.label, "");
+    else
+      std::printf("  %-15s %12.3f", row.label, seconds * per_eval_atom * 1e6);
+    if (modeled)
+      std::printf(" %14.2f %14.2f", row.modeled.flops / 1e3, row.modeled.intensity());
+    std::printf("\n");
   }
-  const auto total = costs.total();
-  std::printf("  %-15s %12s %14.2f %14.2f\n", "total", "", total.flops / 1e3,
-              total.intensity());
 }
 
-/// The fitting net's recorded cost per atom per evaluation (CostRegistry
-/// "fit.block", booked by every DP path's compute()): forward + backward
-/// FLOPs over the weight bytes its blocks streamed. Batching the atoms of a
-/// center type into blocks is what lifts this intensity above one row's.
-void print_fit_block_cost(std::size_t n_atoms, std::uint64_t force_evals) {
-  const dp::KernelCost c = dp::CostRegistry::instance().get("fit.block");
-  if (c.flops <= 0.0 || force_evals == 0 || n_atoms == 0) return;
+/// The fitting net's recorded cost per atom per evaluation of the timed
+/// steps (CostRegistry "fit.block", booked by every DP path's compute()):
+/// forward + backward FLOPs over the weight bytes its blocks streamed.
+/// Batching the atoms of a center type into blocks is what lifts this
+/// intensity above one row's.
+void print_fit_block_cost(std::size_t n_atoms, std::uint64_t evals, const dp::KernelCost& c) {
+  if (c.flops <= 0.0 || evals == 0 || n_atoms == 0) return;
   const double per_eval_atom =
-      1.0 / (static_cast<double>(force_evals) * static_cast<double>(n_atoms));
+      1.0 / (static_cast<double>(evals) * static_cast<double>(n_atoms));
   std::printf("fitting net (fit.block): %.1f kFLOP, %.2f kB weights per atom, "
               "intensity %.2f FLOP/B\n",
               c.flops * per_eval_atom / 1e3, c.bytes_read * per_eval_atom / 1e3,
@@ -555,14 +600,29 @@ int cmd_run(const Args& args) {
     std::printf("%6s %14s %10s %12s\n", "step", "E_tot [eV]", "T [K]", "P [bar]");
   }
   dp::WallTimer steps_timer;  // restarted at the step-0 sample: times the steps alone
+  // Both registries as they stood at the step-0 sample: the setup line
+  // prints them, the tables print what the timed steps added.
+  SectionTimes timers_at_step0;
+  std::map<std::string, dp::KernelCost> costs_at_step0;
   dp::md::Configuration final_state;  // rank 0's gather after the last step
   const auto on_thermo = [&](dp::par::DistributedMd& md, const dp::md::ThermoSample& s) {
     const bool last = s.step == sc.steps;
     dp::md::Configuration state;  // collective: every rank takes part
     if (args.has("dump") || (last && (!force_dump.empty() || !checkpoint.empty())))
       state = md.gather();
+    if (s.step == 0) {
+      // The ranks meet before and after the snapshot, so it holds all of
+      // every in-process rank's setup and none of its step 1.
+      md.barrier();
+      if (md.rank() == 0) {
+        timers_at_step0 = dp::TimerRegistry::instance().snapshot();
+        for (const auto& [name, cost] : dp::CostRegistry::instance().entries())
+          costs_at_step0[name] = cost;
+        steps_timer.reset();
+      }
+      md.barrier();
+    }
     if (md.rank() != 0) return;
-    if (s.step == 0) steps_timer.reset();
     std::printf("%6d %14.6f %10.2f %12.1f\n", s.step, s.total(), s.temperature,
                 s.pressure_bar);
     if (thermo_csv) thermo_csv->write(s);
@@ -570,9 +630,8 @@ int cmd_run(const Args& args) {
     if (last) final_state = std::move(state);
   };
 
-  // Timers from model setup must not dilute the run breakdown: everything
-  // after this point is either construction (reported per force eval by the
-  // cost table) or the timed run itself.
+  // Timers from model setup must not reach the setup line: it reports the
+  // driver's construction and first force evaluation.
   dp::TimerRegistry::instance().clear();
   dp::CostRegistry::instance().clear();
   const dp::par::DistributedRunResult result =
@@ -593,12 +652,15 @@ int cmd_run(const Args& args) {
     if (!force_dump.empty()) write_force_dump(force_dump, final_state.atoms.force);
     std::printf("done: %.3f us/step/atom\n",
                 wall / std::max(sc.steps, 1) / static_cast<double>(sys.atoms.size()) * 1e6);
-    print_step_breakdown(wall, multiprocess ? 1 : ranks);
+    const SectionTimes timed = timers_since(timers_at_step0);
+    // The evaluations of the timed steps: all but the driver's first.
+    const std::uint64_t evals = result.force_evals > 0 ? result.force_evals - 1 : 0;
+    print_setup_line(timers_at_step0);
+    print_step_breakdown(wall, multiprocess ? 1 : ranks, timed);
     if (!multiprocess) {
       // Every rank's sections are in this process: per atom of the world.
-      print_cost_model_table(path, model, sys.atoms.size(), sys.box.volume(),
-                             result.force_evals);
-      print_fit_block_cost(sys.atoms.size(), result.force_evals);
+      print_cost_model_table(path, model, sys.atoms.size(), sys.box.volume(), evals, timed);
+      print_fit_block_cost(sys.atoms.size(), evals, cost_since(costs_at_step0, "fit.block"));
     }
     if (health_on) print_health_summary(result.health);
   }

@@ -145,19 +145,23 @@ template TableWalkFn<double> pick_table_walk<double>(Level, bool, bool);
 template TableWalkFn<float> pick_table_walk<float>(Level, bool, bool);
 template TableWalkFn<_Float16> pick_table_walk<_Float16>(Level, bool, bool);
 
-template <class T>
-Rank1Fn<T> pick_rank1(Level lvl) {
-  return DP_PICK(lvl, rank1_update<T>);
+template <class C>
+FusedPass1Fn<C> pick_fused_pass1(Level lvl, bool unit_weight) {
+  if (unit_weight) return DP_PICK(lvl, fused_pass1<C, 1>);
+  return DP_PICK(lvl, fused_pass1<C, 4>);
 }
-template Rank1Fn<double> pick_rank1<double>(Level);
-template Rank1Fn<float> pick_rank1<float>(Level);
+template FusedPass1Fn<double> pick_fused_pass1<double>(Level, bool);
+template FusedPass1Fn<float> pick_fused_pass1<float>(Level, bool);
+template FusedPass1Fn<_Float16> pick_fused_pass1<_Float16>(Level, bool);
 
-template <class T>
-SlotGradientFn<T> pick_slot_gradient(Level lvl) {
-  return DP_PICK(lvl, slot_gradient<T>);
+template <class C>
+FusedPass2Fn<C> pick_fused_pass2(Level lvl, bool unit_weight) {
+  if (unit_weight) return DP_PICK(lvl, fused_pass2<C, 1>);
+  return DP_PICK(lvl, fused_pass2<C, 4>);
 }
-template SlotGradientFn<double> pick_slot_gradient<double>(Level);
-template SlotGradientFn<float> pick_slot_gradient<float>(Level);
+template FusedPass2Fn<double> pick_fused_pass2<double>(Level, bool);
+template FusedPass2Fn<float> pick_fused_pass2<float>(Level, bool);
+template FusedPass2Fn<_Float16> pick_fused_pass2<_Float16>(Level, bool);
 
 DescriptorForwardFn pick_descriptor_forward(Level lvl) {
   return DP_PICK(lvl, descriptor_forward);

@@ -25,10 +25,10 @@
 // Numerical contract (what the parity suites pin down): vector lanes use the
 // hardware FMA and Level::Scalar is the same kernel body at lane width 1 with
 // std::fma — one rounding per fma either way. So every elementwise kernel
-// (table walk, rank-1 update, descriptor forward, prod-force pair gradients)
-// is bitwise identical across levels. Reductions fold the lanes through the
-// level's fixed reduce_add tree: bitwise reproducible at a fixed level, and
-// levels differ only by that reassociation.
+// (table walk, the fused pass-1 contraction, descriptor forward, prod-force
+// pair gradients) is bitwise identical across levels. Reductions fold the
+// lanes through the level's fixed reduce_add tree: bitwise reproducible at
+// a fixed level, and levels differ only by that reassociation.
 #pragma once
 
 #include <cmath>
@@ -336,21 +336,39 @@ using TableWalkFn = void (*)(const C* coef, TableReal<C> t, std::size_t m, Table
 template <class C>
 TableWalkFn<C> pick_table_walk(Level lvl, bool deriv, bool stream);
 
-/// Pass-1 rank-1 update of the fused kernels: a[c][b] += r[c] * row[b] for
-/// the four env columns c (a is 4 x m, row-major).
-template <class T>
-using Rank1Fn = void (*)(const T* r, const T* row, std::size_t m, T* a);
-template <class T>
-Rank1Fn<T> pick_rank1(Level lvl);
+/// One slot of a fused kernel's run, located in its table: the interval's
+/// coefficient blocks, the local coordinate t of s in that interval, and the
+/// weights r of the contraction (the slot's env-matrix row R~, or a unit
+/// weight in r[0]).
+template <class C>
+struct FusedSlot {
+  const C* coef;
+  TableReal<C> t;
+  TableReal<C> r[4];
+};
 
-/// Pass-2 per-slot contraction: grow[c] = <g_a[c], row>, plus the dE/ds
-/// table term <sum_c r[c] g_a[c], drow> folded into column 0; accumulated in
-/// T and widened to double.
-template <class T>
-using SlotGradientFn = void (*)(const T* r, const T* row, const T* drow, const T* g_a,
-                                std::size_t m, double* grow);
-template <class T>
-SlotGradientFn<T> pick_slot_gradient(Level lvl);
+/// Pass 1 of the fused kernels (paper Sec 3.4.1, Fig 4 (c)) over a run of
+/// located slots: a[c * m + b] += r_k[c] * g_b(s_k), slot by slot, for the
+/// four env columns c (a is 4 x m, row-major) — or for the one unit-weight
+/// column (a is 1 x m). The walked row and a channel chunk of A stay in
+/// registers; G is never stored.
+template <class C>
+using FusedPass1Fn = void (*)(const FusedSlot<C>* slots, std::size_t count, std::size_t m,
+                              TableReal<C>* a);
+/// Pass 2 over a run of located slots: per slot k, grad[4k + c] =
+/// <g_a[c], g(s_k)> for the four columns, plus the dE/ds table term
+/// <sum_c r_k[c] g_a[c], g'(s_k)> folded into c = 0; accumulated in
+/// TableReal<C> and widened to double. With the unit-weight column only
+/// the dE/ds term is formed: grad[4k] = <g_a[0], g'(s_k)>, the other three
+/// are written as zeros.
+template <class C>
+using FusedPass2Fn = void (*)(const FusedSlot<C>* slots, std::size_t count, std::size_t m,
+                              const TableReal<C>* g_a, double* grad);
+/// `unit_weight` picks the one-column kernels (the se_r descriptor).
+template <class C>
+FusedPass1Fn<C> pick_fused_pass1(Level lvl, bool unit_weight);
+template <class C>
+FusedPass2Fn<C> pick_fused_pass2(Level lvl, bool unit_weight);
 
 /// D = A<^T A and its adjoint (dp/descriptor.hpp has the algebra).
 using DescriptorForwardFn = void (*)(const double* a_mat, std::size_t m, std::size_t m_sub,

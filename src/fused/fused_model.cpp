@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "common/cost.hpp"
-#include "common/simd.hpp"
 #include "common/team.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
@@ -13,7 +12,6 @@
 namespace dp::fused {
 
 using core::ModelConfig;
-using tab::TabulatedEmbedding;
 
 FusedDP::FusedDP(const tab::TabulatedDP& tabulated, FusedOptions opts)
     : tab_(tabulated), opts_(opts) {}
@@ -24,14 +22,7 @@ void FusedDP::prepare(std::size_t n) {
   atom_energy_.resize(n);
   resize_discard(g_rmat_, env_.stored_slots() * 4);
   scratch_.resize(static_cast<std::size_t>(std::max(1, omp_get_max_threads())));
-  for (ThreadScratch& sc : scratch_) {
-    sc.g_row.resize(m);
-    sc.dg_row.resize(m);
-    sc.fit.prepare(cfg.ntypes, m);
-    if (opts_.cache_rows)
-      sc.row_cache.resize(static_cast<std::size_t>(cfg.ntypes) * nn::kFitBlock *
-                          static_cast<std::size_t>(cfg.nm()) * 2 * m);
-  }
+  for (ThreadScratch& sc : scratch_) sc.fit.prepare(cfg.ntypes, m);
 }
 
 std::size_t FusedDP::workspace_bytes() const {
@@ -70,16 +61,11 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
     // capture frame is invisible to TSan. Partials live in ThreadScratch
     // and fold on the master in ascending thread order.
     const int team_size = static_cast<int>(scratch_.size());
-    // SIMD level resolved once per compute(), outside the team (same pattern
-    // as prod_force): every thread runs the same kernel instance.
-    const auto slot_gradient = simd::pick_slot_gradient<double>(simd::active());
-    const auto rank1_update = simd::pick_rank1<double>(simd::active());
-    const std::size_t cache_per_atom = static_cast<std::size_t>(nm) * 2 * m;
     BuildTeam& team = BuildTeam::team();
     auto body = [&](int tid, int T) {
-      // Per-thread scratch: one embedding row + its derivative (the
-      // "registers" of the CUDA kernel) and the pending fitting blocks —
-      // persistent members, nothing allocated per call.
+      // Per-thread scratch: the pending fitting blocks — persistent
+      // members, nothing allocated per call. The embedding rows live only
+      // in the fused kernels' registers.
       ThreadScratch& sc = scratch_[static_cast<std::size_t>(tid)];
       // Counted in a register and stored once: a store per slot into the
       // shared scratch_ array cost the descriptor up to a third, depending on
@@ -89,36 +75,19 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
       const std::size_t i_begin = chunk_bound(n, tid, T);
       const std::size_t i_end = chunk_bound(n, tid + 1, T);
       const auto limit_of = [&](std::size_t i, int ty) {
-        return (env_.compact() || opts_.skip_padding) ? env_.count(i, ty)
-                                                      : cfg.sel[static_cast<std::size_t>(ty)];
-      };
-      // With cache_rows the staged rows of every atom waiting in a fitting
-      // block stay live until its pass 2: one cache slot per (type, slot).
-      const auto atom_cache = [&](int ct, std::size_t slot) {
-        return sc.row_cache.data() +
-               (static_cast<std::size_t>(ct) * nn::kFitBlock + slot) * cache_per_atom;
+        return static_cast<std::size_t>((env_.compact() || opts_.skip_padding)
+                                            ? env_.count(i, ty)
+                                            : cfg.sel[static_cast<std::size_t>(ty)]);
       };
 
-      // ---- Pass 2: re-walk slots, fuse dE/dR~ and dE/ds ------------------
-      const auto pass2 = [&](std::size_t i, std::size_t slot, const double* g_a) {
+      // ---- Pass 2: re-walk each slot run with the derivative, fusing
+      // dE/dR~ and dE/ds into g_rmat -------------------------------------
+      const auto pass2 = [&](std::size_t i, std::size_t, const double* g_a) {
         for (int ty = 0; ty < cfg.ntypes; ++ty) {
-          const TabulatedEmbedding& table = tab_.table_pair(atoms.type[i], ty);
           const std::size_t base = env_.block_begin(i, ty);
-          const int off = cfg.type_offset(ty);
-          const int limit = limit_of(i, ty);
-          for (int k = 0; k < limit; ++k) {
-            const std::size_t s = base + static_cast<std::size_t>(k);
-            const double* rrow = env_.rmat_at(s);
-            const double* row = sc.g_row.data();
-            const double* drow = sc.dg_row.data();
-            if (opts_.cache_rows) {
-              row = atom_cache(atoms.type[i], slot) + static_cast<std::size_t>(off + k) * 2 * m;
-              drow = row + m;
-            } else {
-              table.eval_with_deriv(rrow[0], sc.g_row.data(), sc.dg_row.data());
-            }
-            slot_gradient(rrow, row, drow, g_a, m, g_rmat_.data() + s * 4);
-          }
+          tab_.table_pair(atoms.type[i], ty)
+              .contract_gradient(env_.rmat_at(base), limit_of(i, ty), g_a,
+                                 g_rmat_.data() + base * 4);
         }
         // Dense layout without skip_padding walked the padded tails above;
         // their g_rmat rows were written too (and are never read by the
@@ -130,34 +99,11 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
         const std::size_t slot = sc.fit.push(ct, i);
         double* a_mat = sc.fit.a_mat(ct, slot);
 
-        // ---- Pass 1: fused tabulate + rank-1 contraction ----------------
+        // ---- Pass 1: fused tabulate + rank-1 contraction (Fig 4 (c)) -----
         for (int ty = 0; ty < cfg.ntypes; ++ty) {
-          const TabulatedEmbedding& table = tab_.table_pair(ct, ty);
-          const std::size_t base = env_.block_begin(i, ty);
-          const int off = cfg.type_offset(ty);
-          const int limit = limit_of(i, ty);
-          // With cache_rows, one table walk per slot stages value +
-          // derivative for pass 2, batched over the slot run: the s values
-          // sit in the first column of the contiguous env-matrix rows
-          // (stride 4), the cache rows are value/derivative pairs (stride
-          // 2M), indexed by the dense in-atom offset in both layouts.
-          double* cache0 = opts_.cache_rows
-                               ? atom_cache(ct, slot) + static_cast<std::size_t>(off) * 2 * m
-                               : nullptr;
-          if (cache0 != nullptr && limit > 0)
-            table.eval_with_deriv_batch(env_.rmat_at(base), 4, static_cast<std::size_t>(limit),
-                                        cache0, cache0 + m, 2 * m);
-          for (int k = 0; k < limit; ++k) {
-            const double* rrow = env_.rmat_at(base + static_cast<std::size_t>(k));
-            const double* row = sc.g_row.data();
-            if (cache0 != nullptr)
-              row = cache0 + static_cast<std::size_t>(k) * 2 * m;
-            else
-              table.eval(rrow[0], sc.g_row.data());
-            // outer-product update: A_c += rrow[c] * row (Fig 4 (c))
-            rank1_update(rrow, row, m, a_mat);
-          }
-          slots += static_cast<std::size_t>(limit);
+          const std::size_t limit = limit_of(i, ty);
+          tab_.table_pair(ct, ty).contract(env_.rmat_at(env_.block_begin(i, ty)), limit, a_mat);
+          slots += limit;
         }
         for (std::size_t k = 0; k < 4 * m; ++k) a_mat[k] *= scale;
 

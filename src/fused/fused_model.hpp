@@ -1,10 +1,12 @@
 // The fully optimized inference path (paper Sec 3.4 / 3.5).
 //
 // Kernel fusion: the tabulated embedding row g(s_j) is evaluated and
-// immediately contracted into A = (1/N_m) R~^T G as a rank-1 update — one
-// row lives in registers at a time; the embedding matrix G is never
-// allocated (Fig 3's dashed lines). The backward pass re-walks the slots and
-// re-evaluates the (cheap) table instead of loading a stored G.
+// contracted into A = (1/N_m) R~^T G while it is still in registers — one
+// kernel per (atom, neighbor type) slot run, Table::contract, keeps the row
+// and a channel chunk of A in registers; the embedding matrix G is never
+// allocated, not even one row of it (Fig 3's dashed lines). The backward
+// pass re-walks the slots with the derivative (Table::contract_gradient)
+// instead of loading a stored G.
 //
 // Redundancy removal: with the compact CSR environment matrix (the default
 // `Optimized` kernel) only filled slots are ever stored or walked — the
@@ -28,12 +30,6 @@ namespace dp::fused {
 struct FusedOptions {
   bool skip_padding = true;   ///< redundancy removal (Sec 3.4.2), dense layout only
   core::EnvMatKernel env_kernel = core::EnvMatKernel::Optimized;  ///< ProdEnvMatA variant
-  /// Cache each atom's embedding rows (value + derivative) in a per-thread
-  /// buffer during pass 1 so pass 2 reads instead of re-walking the table —
-  /// one table evaluation per slot instead of two, at O(N_m x M) scratch per
-  /// atom of a pending fitting block (the analog of the CUDA kernel's
-  /// shared-memory staging).
-  bool cache_rows = false;
 };
 
 class FusedDP final : public md::ForceField {
@@ -61,16 +57,12 @@ class FusedDP final : public md::ForceField {
   /// Per-thread scratch, sized once by prepare() and indexed by
   /// omp_get_thread_num() inside the parallel region.
   struct ThreadScratch {
-    AlignedVector<double> g_row, dg_row, row_cache;
     core::FitBlocks fit;  ///< pending fitting blocks, one per center type
     // Per-thread reduction partials, folded by the master in ascending
     // thread order after the team joins (no shared reduction frame).
     std::size_t slots_partial = 0;
     double energy_partial = 0.0;
-    std::size_t bytes() const {
-      return (g_row.capacity() + dg_row.capacity() + row_cache.capacity()) * sizeof(double) +
-             fit.bytes();
-    }
+    std::size_t bytes() const { return fit.bytes(); }
   };
   void prepare(std::size_t n);
 

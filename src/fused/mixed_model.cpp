@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/simd.hpp"
 #include "common/team.hpp"
 #include "common/timer.hpp"
 #include "dp/descriptor.hpp"
@@ -32,24 +31,13 @@ std::size_t MixedFusedDP::table_bytes() const {
   return b;
 }
 
-void MixedFusedDP::eval_table_batch(std::size_t idx, const float* s, std::size_t count,
-                                    float* g, float* dg, std::size_t out_stride) const {
-  if (precision_ == MixedPrecision::Single)
-    tables_sp_[idx].eval_with_deriv_batch(s, 1, count, g, dg, out_stride);
-  else
-    tables_hp_[idx].eval_with_deriv_batch(s, 1, count, g, dg, out_stride);
-}
-
 void MixedFusedDP::prepare(std::size_t n) {
   const ModelConfig& cfg = tab_.model().config();
   const std::size_t m = cfg.m();
-  const std::size_t nm = static_cast<std::size_t>(cfg.nm());
   atom_energy_.resize(n);
   resize_discard(g_rmat_, env_.stored_slots() * 4);
   scratch_.resize(static_cast<std::size_t>(std::max(1, omp_get_max_threads())));
   for (ThreadScratch& sc : scratch_) {
-    sc.s_col.resize(nm);
-    sc.row_cache.resize(nm * 2 * m);
     sc.a_sp.resize(4 * m);
     sc.ga_sp.resize(4 * m);
     sc.fit.prepare(cfg.ntypes, m);
@@ -58,11 +46,14 @@ void MixedFusedDP::prepare(std::size_t n) {
 
 md::ForceResult MixedFusedDP::compute(const md::Box& box, md::Atoms& atoms,
                                       const md::NeighborList& nlist, bool periodic) {
-  ScopedTimer timer("mixed.compute");
+  ScopedTimer timer("mixed.compute", "kernel");
   const core::DPModel& model = tab_.model();
   const ModelConfig& cfg = model.config();
-  build_env_mat(cfg, box, atoms, nlist, env_, env_ws_, core::EnvMatKernel::Optimized,
-                periodic);
+  {
+    ScopedTimer t("mixed.env_mat", "kernel");
+    build_env_mat(cfg, box, atoms, nlist, env_, env_ws_, core::EnvMatKernel::Optimized,
+                  periodic);
+  }
 
   const std::size_t n = env_.n_atoms;
   const std::size_t m = cfg.m();
@@ -77,10 +68,6 @@ md::ForceResult MixedFusedDP::compute(const md::Box& box, md::Atoms& atoms,
   // BuildTeam, not `#pragma omp parallel` — zero-suppression TSan floor
   // (common/team.hpp); per-thread energy partials fold on the master.
   const int team_size = static_cast<int>(scratch_.size());
-  // SIMD level resolved once per compute(), outside the team (same pattern
-  // as the double fused path): every thread runs the same kernel instances.
-  const auto rank1_update = simd::pick_rank1<float>(simd::active());
-  const auto slot_gradient = simd::pick_slot_gradient<float>(simd::active());
   BuildTeam& team = BuildTeam::team();
   auto body = [&](int tid, int T) {
     ThreadScratch& sc = scratch_[static_cast<std::size_t>(tid)];
@@ -88,63 +75,30 @@ md::ForceResult MixedFusedDP::compute(const md::Box& box, md::Atoms& atoms,
     const std::size_t i_begin = chunk_bound(n, tid, T);
     const std::size_t i_end = chunk_bound(n, tid + 1, T);
 
-    // One batched blocked table walk of atom i's type-ty slot run (value +
-    // derivative rows, stride 2M) into the one-atom row cache; returns the
-    // run length. Pass 1 and pass 2 each walk, so the cache never spans a
-    // fitting block; the walk is deterministic, so both see the same rows.
-    const auto walk = [&](std::size_t i, int ty) {
-      const int limit = env_.count(i, ty);
-      if (limit > 0) {
-        // Stage the float s column (the env rows are contiguous stride-4
-        // doubles; the cast is the seed path's cast, slot for slot).
-        const double* rbase = env_.rmat_at(env_.block_begin(i, ty));
-        for (int k = 0; k < limit; ++k)
-          sc.s_col[static_cast<std::size_t>(k)] = static_cast<float>(rbase[4 * k]);
-        float* cache0 =
-            sc.row_cache.data() + static_cast<std::size_t>(cfg.type_offset(ty)) * 2 * m;
-        eval_table_batch(model.pair_index(atoms.type[i], ty), sc.s_col.data(),
-                         static_cast<std::size_t>(limit), cache0, cache0 + m, 2 * m);
-      }
-      return limit;
-    };
-
-    // ---- Pass 2 in single precision, accumulated into double: re-walk the
-    // atom's tables into the row cache, then the per-slot gradient dots. ---
+    // ---- Pass 2 in single precision, accumulated into double: re-walk each
+    // slot run with the derivative, straight into the gradient dots. -------
     const auto pass2 = [&](std::size_t i, std::size_t, const double* g_a) {
       for (std::size_t k = 0; k < 4 * m; ++k) sc.ga_sp[k] = static_cast<float>(g_a[k]);
       for (int ty = 0; ty < cfg.ntypes; ++ty) {
-        const int limit = walk(i, ty);
         const std::size_t base = env_.block_begin(i, ty);
-        const int off = cfg.type_offset(ty);
-        for (int k = 0; k < limit; ++k) {
-          const std::size_t s = base + static_cast<std::size_t>(k);
-          const double* rrow = env_.rmat_at(s);
-          const float r[4] = {static_cast<float>(rrow[0]), static_cast<float>(rrow[1]),
-                              static_cast<float>(rrow[2]), static_cast<float>(rrow[3])};
-          const float* row =
-              sc.row_cache.data() + static_cast<std::size_t>(off + k) * 2 * m;
-          slot_gradient(r, row, row + m, sc.ga_sp.data(), m, g_rmat_.data() + s * 4);
-        }
+        const auto limit = static_cast<std::size_t>(env_.count(i, ty));
+        on_table(model.pair_index(atoms.type[i], ty), [&](const auto& table) {
+          table.contract_gradient(env_.rmat_at(base), limit, sc.ga_sp.data(),
+                                  g_rmat_.data() + base * 4);
+        });
       }
     };
 
     for (std::size_t i = i_begin; i < i_end; ++i) {
       std::memset(sc.a_sp.data(), 0, 4 * m * sizeof(float));
 
-      // ---- Pass 1 in single precision: the batched table walk per slot
-      // run, then the rank-1 contraction over the cached value rows. -------
+      // ---- Pass 1 in single precision: the fused walk + rank-1
+      // contraction of each slot run into A_sp. ---------------------------
       for (int ty = 0; ty < cfg.ntypes; ++ty) {
-        const int limit = walk(i, ty);
-        const std::size_t base = env_.block_begin(i, ty);
-        const int off = cfg.type_offset(ty);
-        for (int k = 0; k < limit; ++k) {
-          const double* rrow = env_.rmat_at(base + static_cast<std::size_t>(k));
-          const float r[4] = {static_cast<float>(rrow[0]), static_cast<float>(rrow[1]),
-                              static_cast<float>(rrow[2]), static_cast<float>(rrow[3])};
-          const float* row =
-              sc.row_cache.data() + static_cast<std::size_t>(off + k) * 2 * m;
-          rank1_update(r, row, m, sc.a_sp.data());
-        }
+        const double* rmat = env_.rmat_at(env_.block_begin(i, ty));
+        const auto limit = static_cast<std::size_t>(env_.count(i, ty));
+        on_table(model.pair_index(atoms.type[i], ty),
+                 [&](const auto& table) { table.contract(rmat, limit, sc.a_sp.data()); });
       }
       // ---- Descriptor + fitting in double, one batched call per block ---
       const int ct = atoms.type[i];
@@ -159,7 +113,10 @@ md::ForceResult MixedFusedDP::compute(const md::Box& box, md::Atoms& atoms,
     // Energies in ascending atom order, as the one-atom loop summed them.
     for (std::size_t i = i_begin; i < i_end; ++i) sc.energy_partial += atom_energy_[i];
   };
-  team.run(team_size, BodyRef(body));
+  {
+    ScopedTimer t("mixed.descriptor", "kernel");
+    team.run(team_size, BodyRef(body));
+  }
   for (const ThreadScratch& sc : scratch_) {
     energy_total += sc.energy_partial;
     fit_blocks += sc.fit.blocks();
@@ -168,9 +125,12 @@ md::ForceResult MixedFusedDP::compute(const md::Box& box, md::Atoms& atoms,
 
   md::ForceResult out;
   out.energy = energy_total;
-  atoms.zero_forces();
-  prod_force_virial(env_, g_rmat_.data(), box, atoms, periodic, atoms.force, out.virial,
-                    prod_ws_);
+  {
+    ScopedTimer t("mixed.prod_force", "kernel");
+    atoms.zero_forces();
+    prod_force_virial(env_, g_rmat_.data(), box, atoms, periodic, atoms.force, out.virial,
+                      prod_ws_);
+  }
   return out;
 }
 

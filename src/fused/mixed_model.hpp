@@ -10,12 +10,11 @@
 //     all force/virial accumulations (the reductions where float error
 //     compounds).
 //
-// The float stage rides the runtime SIMD dispatcher at twice the lane width
-// of the double path (8 floats AVX2 / 16 floats AVX-512): one batched
-// blocked table walk per slot run stages value+derivative row pairs into a
-// one-atom cache, pass 1 contracts them rank-1 into A_sp, and pass 2 — run
-// once the atom's fitting block is evaluated — re-walks the same rows for
-// the gradient dots.
+// The float stage runs the double path's fused kernels on float lanes, at
+// twice its lane width (8 floats AVX2 / 16 floats AVX-512): pass 1 walks
+// each slot run and contracts it into A_sp in registers (Table::contract),
+// and pass 2 — run once the atom's fitting block is evaluated — re-walks it
+// with the derivative for the gradient dots (Table::contract_gradient).
 #pragma once
 
 #include <vector>
@@ -58,15 +57,18 @@ class MixedFusedDP final : public md::ForceField {
   std::size_t table_bytes() const;
 
  private:
-  /// Batched blocked float table walk (value + derivative rows), dispatching
-  /// on precision_ — the single table walk per slot that feeds both passes.
-  void eval_table_batch(std::size_t idx, const float* s, std::size_t count, float* g,
-                        float* dg, std::size_t out_stride) const;
+  /// f(table) on the reduced-precision table of pair index idx (both
+  /// precisions evaluate in float).
+  template <class F>
+  void on_table(std::size_t idx, F&& f) const {
+    if (precision_ == MixedPrecision::Single)
+      f(tables_sp_[idx]);
+    else
+      f(tables_hp_[idx]);
+  }
   void prepare(std::size_t n);
 
   struct ThreadScratch {
-    AlignedVector<float> s_col;       ///< staged float s values, one per slot
-    AlignedVector<float> row_cache;   ///< one atom's value/deriv row pairs, stride 2M
     AlignedVector<float> a_sp, ga_sp;
     core::FitBlocks fit;              ///< pending fitting blocks, one per center type
     double energy_partial = 0.0;  ///< folded by the master, ascending thread order

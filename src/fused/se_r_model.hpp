@@ -47,15 +47,9 @@ class SeRFusedDP final : public md::ForceField {
   void prepare(std::size_t n);
 
   struct ThreadScratch {
-    /// Table values of the current atom's slots (N_m rows of M), summed
-    /// into its D row by pass 1.
-    AlignedVector<double> g_rows;
     /// Pending fitting block per center type: up to nn::kFitBlock D rows
-    /// (m wide), the derivative rows g'(s) of each waiting atom's slots
-    /// (N_m x M per atom, dense in-atom offsets, read by pass 2) and the
-    /// atoms they belong to.
+    /// (m wide) and the atoms they belong to.
     std::vector<AlignedVector<double>> d_rows;
-    std::vector<AlignedVector<double>> dg_rows;
     std::vector<std::array<std::size_t, nn::kFitBlock>> row_atom;
     std::vector<std::size_t> rows;
     std::array<double, nn::kFitBlock> energy{};

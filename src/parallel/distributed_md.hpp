@@ -135,6 +135,8 @@ class DistributedMd {
   /// only, `thermo` on every rank (collective).
   DistributedRunResult finish();
 
+  /// Returns once every rank has called it (collective).
+  void barrier() { comm_.barrier(); }
   int rank() const { return comm_.rank(); }
   int current_step() const { return step_; }
   std::uint64_t force_evaluations() const { return force_evals_; }

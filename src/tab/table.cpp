@@ -1,5 +1,6 @@
 #include "tab/table.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <istream>
@@ -50,15 +51,15 @@ Table<C>::Table(const nn::EmbeddingNet& net, const TabulationSpec& spec)
 }
 
 template <class C>
-std::size_t Table<C>::locate(Real s, Real& t) const {
+std::size_t Table<C>::locate(Real s, Real& t, bool counted) const {
   const Real u = (s - lo_) * inv_h_;
   std::size_t i;
   if (u < Real(0)) {
     i = 0;
-    extrapolations_.bump();
+    if (counted) extrapolations_.bump();
   } else if (u >= static_cast<Real>(n_)) {
     i = n_ - 1;
-    if (s > hi_) extrapolations_.bump();
+    if (counted && s > hi_) extrapolations_.bump();
   } else {
     i = static_cast<std::size_t>(u);
   }
@@ -85,6 +86,51 @@ void Table<C>::walk(const Real* s, std::size_t s_stride, std::size_t count, Real
        dg != nullptr ? dg + k * out_stride : nullptr);
   }
   if (nt) simd::store_fence();
+}
+
+namespace {
+/// Slots located per fused-kernel call: a run up to this long is one call.
+/// The located slots live on the stack (12 KiB for a double table).
+constexpr std::size_t kSlotGroup = 256;
+}  // namespace
+
+template <class C>
+template <class Kernel>
+void Table<C>::for_located(const double* rmat, std::size_t count, bool unit_weight,
+                           bool counted, Kernel kernel) const {
+  simd::FusedSlot<C> slots[kSlotGroup];
+  const std::size_t interval = nblk_ * 6 * simd::kTableLane;
+  for (std::size_t first = 0; first < count; first += kSlotGroup) {
+    const std::size_t n = std::min(kSlotGroup, count - first);
+    for (std::size_t k = 0; k < n; ++k) {
+      const double* row = rmat + 4 * (first + k);
+      simd::FusedSlot<C>& sl = slots[k];
+      sl.coef = coef_.data() + locate(static_cast<Real>(row[0]), sl.t, counted) * interval;
+      for (std::size_t c = 0; c < 4; ++c)
+        sl.r[c] = unit_weight ? Real(c == 0 ? 1 : 0) : static_cast<Real>(row[c]);
+    }
+    kernel(slots, n, first);
+  }
+}
+
+template <class C>
+void Table<C>::contract(const double* rmat, std::size_t count, Real* a,
+                        bool unit_weight) const {
+  const simd::FusedPass1Fn<C> fn = simd::pick_fused_pass1<C>(simd::active(), unit_weight);
+  for_located(rmat, count, unit_weight, true,
+              [&](const simd::FusedSlot<C>* slots, std::size_t n, std::size_t) {
+                fn(slots, n, m_, a);
+              });
+}
+
+template <class C>
+void Table<C>::contract_gradient(const double* rmat, std::size_t count, const Real* g_a,
+                                 double* grad, bool unit_weight, bool count_lookups) const {
+  const simd::FusedPass2Fn<C> fn = simd::pick_fused_pass2<C>(simd::active(), unit_weight);
+  for_located(rmat, count, unit_weight, count_lookups,
+              [&](const simd::FusedSlot<C>* slots, std::size_t n, std::size_t first) {
+                fn(slots, n, m_, g_a, grad + 4 * first);
+              });
 }
 
 namespace {

@@ -117,6 +117,23 @@ class Table {
     walk(s, s_stride, count, g, dg, out_stride, streaming);
   }
 
+  /// Pass 1 of the fused kernels (paper Sec 3.4.1, Fig 4 (c)) over one slot
+  /// run: each of the `count` env-matrix rows at rmat (stride 4, s = row[0])
+  /// is located once, then a[c * M + b] += row[c] * g_b(s), slot by slot, for
+  /// the four columns c — the table walk and the rank-1 contraction in one
+  /// sweep that keeps the row and a channel chunk of A in registers
+  /// (simd::FusedPass1Fn). `unit_weight` contracts one column of weight 1
+  /// instead (se_r: a[b] += g_b(s)).
+  void contract(const double* rmat, std::size_t count, Real* a, bool unit_weight = false) const;
+
+  /// Pass 2 over the same slot run (simd::FusedPass2Fn): grad[4k + c] =
+  /// <g_a[c], g(s_k)>, plus <sum_c row_k[c] g_a[c], g'(s_k)> in c = 0; with
+  /// `unit_weight`, grad[4k] = <g_a[0], g'(s_k)> and three zeros.
+  /// `count_lookups` false keeps these lookups out of extrapolations(), for
+  /// a pass that re-reads slots its evaluation's pass 1 already counted.
+  void contract_gradient(const double* rmat, std::size_t count, const Real* g_a, double* grad,
+                         bool unit_weight = false, bool count_lookups = true) const;
+
   std::size_t extrapolations() const { return extrapolations_.value(); }
 
   /// Binary (de)serialization — the shipped artifact of "dp compress". The
@@ -139,8 +156,15 @@ class Table {
     return ((i * nblk_ + ch / simd::kTableLane) * 6 + k) * simd::kTableLane +
            ch % simd::kTableLane;
   }
-  /// Locates the segment and local coordinate for s.
-  std::size_t locate(Real s, Real& t) const;
+  /// Locates the segment and local coordinate for s; an s outside [lo, hi]
+  /// bumps extrapolations() when `counted`.
+  std::size_t locate(Real s, Real& t, bool counted = true) const;
+  /// Locates the env rows of a slot run into the fused kernels' slots, a
+  /// stack-sized group at a time, and hands each group to
+  /// kernel(slots, n, first).
+  template <class Kernel>
+  void for_located(const double* rmat, std::size_t count, bool unit_weight, bool counted,
+                   Kernel kernel) const;
   /// The one walk behind eval / eval_with_deriv / the batch (dg == nullptr:
   /// values only).
   void walk(const Real* s, std::size_t s_stride, std::size_t count, Real* g, Real* dg,

@@ -92,9 +92,6 @@ TEST(FitBlocks, WaterForcesBitwiseAcrossThreadCounts) {
   const WaterCase w;
   expect_forces_thread_invariant(w, "fused",
                                  [&] { return std::make_unique<fused::FusedDP>(w.tab); });
-  expect_forces_thread_invariant(w, "fused cache_rows", [&] {
-    return std::make_unique<fused::FusedDP>(w.tab, fused::FusedOptions{.cache_rows = true});
-  });
   expect_forces_thread_invariant(w, "mixed",
                                  [&] { return std::make_unique<fused::MixedFusedDP>(w.tab); });
   expect_forces_thread_invariant(w, "compressed",

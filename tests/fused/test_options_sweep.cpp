@@ -1,9 +1,9 @@
 // Parameterized sweep over the fused kernel's option matrix: every
-// combination of {skip_padding, cache_rows, env_kernel} must give the same
-// physics — the options are pure performance rewrites — whether the tables
-// were sampled in memory ("blk") or read back from the channel-major (AoS)
-// save stream, which load() re-blocks ("aos", the `dpmd run --compressed`
-// path).
+// combination of {skip_padding, env_kernel} must give the same physics —
+// the options are pure performance rewrites — whether the tables were
+// sampled in memory ("blk") or read back from the channel-major (AoS) save
+// stream, which load() re-blocks ("aos", the `dpmd run --compressed` path).
+// "walk2" names the one evaluation scheme: each pass walks the table.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -18,22 +18,21 @@ namespace {
 using tab::TabulatedDP;
 using tab::TabulationSpec;
 
-using OptParam = std::tuple<bool /*skip*/, bool /*built*/, bool /*cache*/, int /*env*/>;
+using OptParam = std::tuple<bool /*skip*/, bool /*built*/, int /*env*/>;
 
 class FusedOptionsSweep : public ::testing::TestWithParam<OptParam> {};
 
 TEST_P(FusedOptionsSweep, MatchesReferenceConfiguration) {
-  const auto [skip, built, cache, env] = GetParam();
+  const auto [skip, built, env] = GetParam();
   core::DPModel model(core::ModelConfig::tiny(2), 91);
   TabulationSpec spec{0.0, TabulatedDP::s_max(model.config(), 0.9), 0.01};
   TabulatedDP tab(model, spec);
   TabulatedDP reloaded(model, spec, table_ref::reload_tables(tab));
   auto sys = md::make_water(1, 1, 1, 92);
 
-  FusedDP reference(tab, {});  // defaults: skip, no cache, optimized env
+  FusedDP reference(tab, {});  // defaults: skip, optimized env
   FusedOptions opts;
   opts.skip_padding = skip;
-  opts.cache_rows = cache;
   opts.env_kernel = env == 0 ? core::EnvMatKernel::Baseline : core::EnvMatKernel::Optimized;
   FusedDP variant(built ? tab : reloaded, opts);
 
@@ -54,18 +53,18 @@ TEST_P(FusedOptionsSweep, MatchesReferenceConfiguration) {
 }
 
 std::string opt_name(const ::testing::TestParamInfo<OptParam>& info) {
-  const auto [skip, built, cache, env] = info.param;
+  const auto [skip, built, env] = info.param;
   std::string n;
   n += skip ? "skip_" : "noskip_";
   n += built ? "blk_" : "aos_";
-  n += cache ? "cache_" : "walk2_";
+  n += "walk2_";
   n += env == 0 ? "envbase" : "envopt";
   return n;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOptions, FusedOptionsSweep,
                          ::testing::Combine(::testing::Bool(), ::testing::Bool(),
-                                            ::testing::Bool(), ::testing::Values(0, 1)),
+                                            ::testing::Values(0, 1)),
                          opt_name);
 
 }  // namespace

@@ -6,9 +6,9 @@
 //     agree BITWISE with an independent channel-major (AoS) fma Horner over
 //     the save() stream — in-domain, at the boundaries and their nextafter
 //     neighbors, and extrapolating;
-//   * every elementwise kernel — the table walk, the rank-1 update,
-//     descriptor_forward and the prod-force pair gradients — is bitwise
-//     identical across levels;
+//   * every elementwise kernel — the table walk, the fused pass-1
+//     contraction (double and float tables), descriptor_forward and the
+//     prod-force pair gradients — is bitwise identical across levels;
 //   * forcing Level::Scalar is bit-stable no matter what level ran before.
 #include <gtest/gtest.h>
 
@@ -169,24 +169,28 @@ TEST(SimdParity, VectorLevelsWithinOneUlpOfScalar) {
   const auto s = probe_set(table.lo(), table.hi());
   // Kernel inputs: odd widths (m = 37) leave a tail at every lane width.
   constexpr std::size_t m = 37, m_sub = 5, cnt = 45;
-  const auto a_mat = random_vec(4 * m, 71), row = random_vec(m, 72), r = random_vec(4, 73);
+  const auto table37 = make_table(m, 70);
+  const tab::TabulatedEmbeddingSP table37_f(table37);
+  const auto a_mat = random_vec(4 * m, 71);
+  // Env rows of a 45-slot run: s over the probe range (extrapolating
+  // included), the directional columns in [-1, 1].
+  auto rmat = random_vec(4 * cnt, 73);
+  for (std::size_t k = 0; k < cnt; ++k) rmat[4 * k] = s[k * s.size() / cnt];
   const auto g_rows = random_vec(4 * cnt, 74), d_rows = random_vec(12 * cnt, 75);
-  std::vector<float> a_f(4 * m), row_f(m), r_f(4);
+  std::vector<float> a_f(4 * m);
   for (std::size_t k = 0; k < 4 * m; ++k) a_f[k] = static_cast<float>(a_mat[k]);
-  for (std::size_t k = 0; k < m; ++k) row_f[k] = static_cast<float>(row[k]);
-  for (std::size_t k = 0; k < 4; ++k) r_f[k] = static_cast<float>(r[k]);
 
   struct Out {
     TableRun table;
-    std::vector<double> rank1, desc, pair;
-    std::vector<float> rank1_f;
+    std::vector<double> contract, desc, pair;
+    std::vector<float> contract_f;
   };
   const auto run = [&](simd::Level lvl) {
     LevelGuard guard(lvl);
     Out o{run_table(table, s), a_mat, std::vector<double>(m_sub * m),
           std::vector<double>(3 * cnt), a_f};
-    simd::pick_rank1<double>(lvl)(r.data(), row.data(), m, o.rank1.data());
-    simd::pick_rank1<float>(lvl)(r_f.data(), row_f.data(), m, o.rank1_f.data());
+    table37.contract(rmat.data(), cnt, o.contract.data());
+    table37_f.contract(rmat.data(), cnt, o.contract_f.data());
     core::descriptor_forward(a_mat.data(), m, m_sub, o.desc.data());
     simd::pick_pair_gradients(lvl)(g_rows.data(), d_rows.data(), static_cast<int>(cnt),
                                    o.pair.data());
@@ -199,8 +203,8 @@ TEST(SimdParity, VectorLevelsWithinOneUlpOfScalar) {
     EXPECT_TRUE(bitwise_equal(o.table.g_row, ref.table.g_row)) << simd::name(lvl);
     EXPECT_TRUE(bitwise_equal(o.table.dg_row, ref.table.dg_row)) << simd::name(lvl);
     EXPECT_TRUE(bitwise_equal(o.table.g_batch, ref.table.g_batch)) << simd::name(lvl);
-    EXPECT_TRUE(bitwise_equal(o.rank1, ref.rank1)) << simd::name(lvl);
-    EXPECT_TRUE(bitwise_equal(o.rank1_f, ref.rank1_f)) << simd::name(lvl);
+    EXPECT_TRUE(bitwise_equal(o.contract, ref.contract)) << simd::name(lvl);
+    EXPECT_TRUE(bitwise_equal(o.contract_f, ref.contract_f)) << simd::name(lvl);
     EXPECT_TRUE(bitwise_equal(o.desc, ref.desc)) << simd::name(lvl);
     EXPECT_TRUE(bitwise_equal(o.pair, ref.pair)) << simd::name(lvl);
   }
