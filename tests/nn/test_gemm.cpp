@@ -143,16 +143,36 @@ std::vector<simd::Level> supported_levels() {
 struct Shape {
   std::size_t m, k, n;
 };
-// Row counts around the 4-row tile and the 64-row chunk, widths off every
-// lane grid (scalar column tails) and on it, and an empty reduction.
-constexpr Shape kShapes[] = {{1, 1, 1},     {3, 7, 5},   {9, 37, 29}, {17, 240, 240},
-                             {70, 12, 64},  {5, 0, 9},   {6, 19, 33}, {2, 128, 4}};
+
+/// Shapes across every boundary of the tiles: rows around the 8- and 4-row
+/// register tiles and the 64-row chunk, reductions around the 64-row k-slab,
+/// widths around the 3-vector panel, its vector tails and scalar columns,
+/// the paper copper fitting layers at 32 rows, and an empty reduction.
+std::vector<Shape> level_shapes() {
+  std::vector<Shape> v{{1, 1, 1},  {3, 7, 5},  {9, 37, 29},  {17, 240, 240},
+                       {70, 12, 64}, {5, 0, 9}, {6, 19, 33}, {2, 128, 4}};
+  for (const std::size_t m : {7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65}) {
+    v.push_back({m, 65, 25});
+    v.push_back({m, 130, 23});
+  }
+  for (const std::size_t k : {63, 64, 65, 130, 2048}) {
+    v.push_back({9, k, 24});
+    v.push_back({33, k, 240});
+  }
+  for (const std::size_t n : {1, 16, 23, 24, 25, 240, 2048}) {
+    v.push_back({17, 64, n});
+    v.push_back({8, 130, n});
+  }
+  for (const std::size_t n : {240, 1}) v.push_back({32, 2048, n});
+  v.push_back({32, 240, 240});
+  return v;
+}
 
 TEST(GemmLevels, AccBitwiseAcrossLevelsAndRowBlockings) {
   // Every C element is one fma chain in ascending k: the same bits at every
   // level, and the same bits whether its row is multiplied alone or in a
   // block.
-  for (const Shape s : kShapes) {
+  for (const Shape s : level_shapes()) {
     const auto a = random_vec(s.m * s.k + 1, 21), b = random_vec(s.k * s.n + 1, 22);
     const auto c0 = random_vec(s.m * s.n, 23);
     std::vector<double> ref = c0;
@@ -179,7 +199,7 @@ TEST(GemmLevels, NtReproducibleAndWithinBoundOfScalar) {
   // across levels they differ only by the lane reassociation, bounded by
   // |c_level - c_scalar| <= 2 k eps sum_p |a_p b_p| (two k-term dot-product
   // error bounds).
-  for (const Shape s : kShapes) {
+  for (const Shape s : level_shapes()) {
     const auto a = random_vec(s.m * s.k + 1, 24), b = random_vec(s.n * s.k + 1, 25);
     std::vector<double> ref(s.m * s.n);
     {
