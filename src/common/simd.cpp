@@ -170,6 +170,8 @@ DescriptorBackwardFn pick_descriptor_backward(Level lvl) {
   return DP_PICK(lvl, descriptor_backward);
 }
 PairGradientsFn pick_pair_gradients(Level lvl) { return DP_PICK(lvl, pair_gradients); }
+TanhFn pick_tanh(Level lvl) { return DP_PICK(lvl, tanh_batch); }
+FmaProbeFn pick_fma_probe(Level lvl) { return DP_PICK(lvl, fma_probe); }
 
 #undef DP_PICK
 

@@ -31,8 +31,10 @@
 // a fixed level, and levels differ only by that reassociation.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <type_traits>
 
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
@@ -83,6 +85,11 @@ std::size_t lanes_sp();
 
 #define DP_SIMD_OP inline __attribute__((always_inline))
 
+/// 2^52 + 1023: n + kPow2Bias holds n + 1023 in its low mantissa bits for
+/// an integral n in [-1022, 1023], and shifting those bits 52 places up
+/// into the exponent field leaves 2^n (the lane traits' pow2i).
+inline constexpr double kPow2Bias = 0x1.00000000003ffp52;
+
 /// Lane traits: one level's wrapper ops for element type E behind one
 /// spelling, so a kernel body is written once as a template over L.
 /// kRegisters is the architectural vector register count, which sizes
@@ -92,6 +99,7 @@ template <class T>
 struct Scalar1 {
   using E = T;
   using V = T;
+  using M = bool;
   static constexpr std::size_t kWidth = 1;
   static constexpr std::size_t kRegisters = 16;
   static DP_SIMD_OP V zero() { return T(0); }
@@ -100,9 +108,29 @@ struct Scalar1 {
   static DP_SIMD_OP V load_h(const _Float16* p) { return static_cast<T>(*p); }
   static DP_SIMD_OP void storeu(T* p, V a) { *p = a; }
   static DP_SIMD_OP void stream(T* p, V a) { *p = a; }
+  static DP_SIMD_OP V add(V a, V b) { return a + b; }
   static DP_SIMD_OP V mul(V a, V b) { return a * b; }
+  static DP_SIMD_OP V div(V a, V b) { return a / b; }
   static DP_SIMD_OP V fmadd(V a, V b, V c) { return std::fma(a, b, c); }
   static DP_SIMD_OP T reduce_add(V a) { return a; }
+  // Elementwise ops of the double kernels (simd::pick_tanh), each the same
+  // bits as its vector twin below.
+  /// x86 min semantics: b when either operand is NaN.
+  static DP_SIMD_OP V min(V a, V b) { return a < b ? a : b; }
+  static DP_SIMD_OP V abs(V a) { return std::fabs(a); }
+  /// |mag| with the sign bit of sgn.
+  static DP_SIMD_OP V copysign(V mag, V sgn) { return std::copysign(mag, sgn); }
+  /// Nearest integer, ties to even (the default rounding mode).
+  static DP_SIMD_OP V round(V a) { return std::nearbyint(a); }
+  /// 2^n for an integral n in [-1022, 1023], from its exponent bits.
+  static DP_SIMD_OP V pow2i(V n) {
+    static_assert(std::is_same_v<T, double>, "pow2i builds a binary64 exponent");
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(n + kPow2Bias) << 52);
+  }
+  /// Ordered a >= b: false when either is NaN.
+  static DP_SIMD_OP M cmp_ge(V a, V b) { return a >= b; }
+  /// b where mask, else a.
+  static DP_SIMD_OP V blend(V a, V b, M mask) { return mask ? b : a; }
 };
 using ScalarLanes = Scalar1<double>;
 
@@ -119,7 +147,6 @@ using v4i = __m128i;
 DP_TARGET_AVX2 DP_SIMD_OP v4d v4_set1(double a) { return _mm256_set1_pd(a); }
 DP_TARGET_AVX2 DP_SIMD_OP v4d v4_loadu(const double* p) { return _mm256_loadu_pd(p); }
 DP_TARGET_AVX2 DP_SIMD_OP void v4_storeu(double* p, v4d a) { _mm256_storeu_pd(p, a); }
-DP_TARGET_AVX2 DP_SIMD_OP v4d v4_sub(v4d a, v4d b) { return _mm256_sub_pd(a, b); }
 DP_TARGET_AVX2 DP_SIMD_OP v4d v4_mul(v4d a, v4d b) { return _mm256_mul_pd(a, b); }
 /// a * b + c, single rounding.
 DP_TARGET_AVX2 DP_SIMD_OP v4d v4_fmadd(v4d a, v4d b, v4d c) { return _mm256_fmadd_pd(a, b, c); }
@@ -159,7 +186,6 @@ using m8 = __mmask8;
 DP_TARGET_AVX512 DP_SIMD_OP v8d v8_set1(double a) { return _mm512_set1_pd(a); }
 DP_TARGET_AVX512 DP_SIMD_OP v8d v8_loadu(const double* p) { return _mm512_loadu_pd(p); }
 DP_TARGET_AVX512 DP_SIMD_OP void v8_storeu(double* p, v8d a) { _mm512_storeu_pd(p, a); }
-DP_TARGET_AVX512 DP_SIMD_OP v8d v8_sub(v8d a, v8d b) { return _mm512_sub_pd(a, b); }
 DP_TARGET_AVX512 DP_SIMD_OP v8d v8_mul(v8d a, v8d b) { return _mm512_mul_pd(a, b); }
 DP_TARGET_AVX512 DP_SIMD_OP v8d v8_fmadd(v8d a, v8d b, v8d c) {
   return _mm512_fmadd_pd(a, b, c);
@@ -225,12 +251,37 @@ struct AVX2Lanes {
   DP_TARGET_AVX2 static DP_SIMD_OP V loadu(const double* p) { return _mm256_loadu_pd(p); }
   DP_TARGET_AVX2 static DP_SIMD_OP void storeu(double* p, V a) { _mm256_storeu_pd(p, a); }
   DP_TARGET_AVX2 static DP_SIMD_OP void stream(double* p, V a) { _mm256_stream_pd(p, a); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V add(V a, V b) { return _mm256_add_pd(a, b); }
   DP_TARGET_AVX2 static DP_SIMD_OP V mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V div(V a, V b) { return _mm256_div_pd(a, b); }
   DP_TARGET_AVX2 static DP_SIMD_OP V fmadd(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
   /// (l0+l2) + (l1+l3).
   DP_TARGET_AVX2 static DP_SIMD_OP double reduce_add(V a) {
     const __m128d s = _mm_add_pd(_mm256_castpd256_pd128(a), _mm256_extractf128_pd(a, 1));
     return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
+  }
+  using M = __m256d;
+  DP_TARGET_AVX2 static DP_SIMD_OP V min(V a, V b) { return _mm256_min_pd(a, b); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V abs(V a) {
+    return _mm256_andnot_pd(_mm256_set1_pd(-0.0), a);
+  }
+  DP_TARGET_AVX2 static DP_SIMD_OP V copysign(V mag, V sgn) {
+    const __m256d sign = _mm256_set1_pd(-0.0);
+    return _mm256_or_pd(_mm256_andnot_pd(sign, mag), _mm256_and_pd(sign, sgn));
+  }
+  DP_TARGET_AVX2 static DP_SIMD_OP V round(V a) {
+    return _mm256_round_pd(a, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
+  /// Scalar1::pow2i on four lanes.
+  DP_TARGET_AVX2 static DP_SIMD_OP V pow2i(V n) {
+    const __m256i bits = _mm256_castpd_si256(_mm256_add_pd(n, _mm256_set1_pd(kPow2Bias)));
+    return _mm256_castsi256_pd(_mm256_slli_epi64(bits, 52));
+  }
+  DP_TARGET_AVX2 static DP_SIMD_OP M cmp_ge(V a, V b) {
+    return _mm256_cmp_pd(a, b, _CMP_GE_OQ);
+  }
+  DP_TARGET_AVX2 static DP_SIMD_OP V blend(V a, V b, M mask) {
+    return _mm256_blendv_pd(a, b, mask);
   }
 };
 
@@ -269,12 +320,43 @@ struct AVX512Lanes {
   DP_TARGET_AVX512 static DP_SIMD_OP V loadu(const double* p) { return _mm512_loadu_pd(p); }
   DP_TARGET_AVX512 static DP_SIMD_OP void storeu(double* p, V a) { _mm512_storeu_pd(p, a); }
   DP_TARGET_AVX512 static DP_SIMD_OP void stream(double* p, V a) { _mm512_stream_pd(p, a); }
+  DP_TARGET_AVX512 static DP_SIMD_OP V add(V a, V b) { return _mm512_add_pd(a, b); }
   DP_TARGET_AVX512 static DP_SIMD_OP V mul(V a, V b) { return _mm512_mul_pd(a, b); }
+  DP_TARGET_AVX512 static DP_SIMD_OP V div(V a, V b) { return _mm512_div_pd(a, b); }
   DP_TARGET_AVX512 static DP_SIMD_OP V fmadd(V a, V b, V c) { return _mm512_fmadd_pd(a, b, c); }
   /// 256-bit halves first, then the AVX2Lanes tree.
   DP_TARGET_AVX512 static DP_SIMD_OP double reduce_add(V a) {
     return AVX2Lanes::reduce_add(_mm256_add_pd(_mm512_maskz_extractf64x4_pd(0xf, a, 0),
                                                _mm512_maskz_extractf64x4_pd(0xf, a, 1)));
+  }
+  // The elementwise ops use the maskz forms of min, roundscale and the
+  // shift for the reduce_add reason above; the full mask computes every
+  // lane.
+  using M = __mmask8;
+  DP_TARGET_AVX512 static DP_SIMD_OP V min(V a, V b) {
+    return _mm512_maskz_min_pd(static_cast<M>(0xff), a, b);
+  }
+  DP_TARGET_AVX512 static DP_SIMD_OP V abs(V a) {
+    return _mm512_andnot_pd(_mm512_set1_pd(-0.0), a);
+  }
+  DP_TARGET_AVX512 static DP_SIMD_OP V copysign(V mag, V sgn) {
+    const __m512d sign = _mm512_set1_pd(-0.0);
+    return _mm512_or_pd(_mm512_andnot_pd(sign, mag), _mm512_and_pd(sign, sgn));
+  }
+  DP_TARGET_AVX512 static DP_SIMD_OP V round(V a) {
+    return _mm512_maskz_roundscale_pd(static_cast<M>(0xff), a,
+                                      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
+  /// Scalar1::pow2i on eight lanes.
+  DP_TARGET_AVX512 static DP_SIMD_OP V pow2i(V n) {
+    const __m512i bits = _mm512_castpd_si512(_mm512_add_pd(n, _mm512_set1_pd(kPow2Bias)));
+    return _mm512_castsi512_pd(_mm512_maskz_slli_epi64(static_cast<M>(0xff), bits, 52));
+  }
+  DP_TARGET_AVX512 static DP_SIMD_OP M cmp_ge(V a, V b) {
+    return _mm512_cmp_pd_mask(a, b, _CMP_GE_OQ);
+  }
+  DP_TARGET_AVX512 static DP_SIMD_OP V blend(V a, V b, M mask) {
+    return _mm512_mask_blend_pd(mask, a, b);
   }
 };
 
@@ -370,6 +452,13 @@ FusedPass1Fn<C> pick_fused_pass1(Level lvl, bool unit_weight);
 template <class C>
 FusedPass2Fn<C> pick_fused_pass2(Level lvl, bool unit_weight);
 
+/// FLOPs per slot and channel of the two four-column passes, counted from
+/// their bodies (an fma is 2): pass 1 is the quintic (5 fmas) and the four
+/// contraction fmas, 18; pass 2 is the quintic (10), the four value fmas
+/// (8), the weight w (a mul and three fmas, 7), quintic_deriv (four muls
+/// and four fmas, 12) and the dE/ds fma (2), 39.
+inline constexpr double kFusedPassFlops = 18.0 + 39.0;
+
 /// D = A<^T A and its adjoint (dp/descriptor.hpp has the algebra).
 using DescriptorForwardFn = void (*)(const double* a_mat, std::size_t m, std::size_t m_sub,
                                      double* d_flat);
@@ -385,5 +474,20 @@ inline constexpr int kPairChunk = 64;
 using PairGradientsFn = void (*)(const double* g_rows, const double* d_rows, int cnt,
                                  double* f);
 PairGradientsFn pick_pair_gradients(Level lvl);
+
+/// y[i] = tanh(x[i]) for i < n; y may alias x. The fitting net's
+/// activation (paper Sec 3.5.3 tabulates it instead): a Cephes rational
+/// below |x| = 0.625, 1 - 2 / (e^{2|x|} + 1) above, within 2 ulp of the
+/// correctly rounded tanh. Exact at +-0 (sign kept), +-1 from |x| = 30 on
+/// (and at +-inf); NaN stays NaN. Bitwise identical at every level, for
+/// every n and every element position.
+using TanhFn = void (*)(const double* x, double* y, std::size_t n);
+TanhFn pick_tanh(Level lvl);
+
+/// The FMA roof a compute-bound kernel is read against: independent fma
+/// chains on one core for `iters` steps. Returns the FLOPs it ran and
+/// leaves a checksum in *sink.
+using FmaProbeFn = double (*)(std::size_t iters, double* sink);
+FmaProbeFn pick_fma_probe(Level lvl);
 
 }  // namespace dp::simd

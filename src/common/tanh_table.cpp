@@ -44,7 +44,7 @@ DP_TARGET_AVX2 double tanh_eval_tail(const double* coef, double x_max, double in
   if (ax >= x_max) return x < 0.0 ? -1.0 : 1.0;
   int k = static_cast<int>(ax * inv_h);
   if (k > last) k = last;
-  const double t = ax - static_cast<double>(k) * h;
+  const double t = std::fma(-static_cast<double>(k), h, ax);
   const double* c = coef + 3 * k;
   const double y = std::fma(t, std::fma(t, c[2], c[1]), c[0]);
   return x < 0.0 ? -y : y;
@@ -68,7 +68,7 @@ DP_TARGET_AVX2 void tanh_batch_avx2(const double* coef, double x_max, double inv
     const v4d ax = v4_abs(vx);
     v4i k = v4_cvtt_i32(v4_mul(ax, vinvh));
     k = i4_min(i4_max(k, izero), ilast);
-    const v4d t = v4_sub(ax, v4_mul(v4_cvt_f64(k), vh));
+    const v4d t = v4_fmadd(v4_neg(v4_cvt_f64(k)), vh, ax);
     const v4i k3 = i4_add(i4_add(k, k), k);
     const v4d c0 = v4_gather(coef + 0, k3);
     const v4d c1 = v4_gather(coef + 1, k3);
@@ -94,7 +94,7 @@ DP_TARGET_AVX512 void tanh_batch_avx512(const double* coef, double x_max, double
     const v8d ax = v8_abs(vx);
     v8i k = v8_cvtt_i32(v8_mul(ax, vinvh));
     k = i8_min(i8_max(k, izero), ilast);
-    const v8d t = v8_sub(ax, v8_mul(v8_cvt_f64(k), vh));
+    const v8d t = v8_fmadd(v8_neg(v8_cvt_f64(k)), vh, ax);
     const v8i k3 = i8_add(i8_add(k, k), k);
     const v8d c0 = v8_gather(coef + 0, k3);
     const v8d c1 = v8_gather(coef + 1, k3);

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "common/cost.hpp"
+#include "common/simd.hpp"
 #include "common/team.hpp"
 #include "common/timer.hpp"
 #include "obs/metrics.hpp"
@@ -149,7 +150,7 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
   }
   CostRegistry::instance().add(
       "fused.descriptor",
-      {static_cast<double>(slots_processed) * 47.0 * static_cast<double>(m),
+      {static_cast<double>(slots_processed) * simd::kFusedPassFlops * static_cast<double>(m),
        static_cast<double>(slots_processed) * 12.0 * static_cast<double>(m) * sizeof(double),
        static_cast<double>(slots_processed) * 4.0 * sizeof(double)});
 

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "nn/gemm.hpp"
 
 namespace dp::nn {
@@ -23,18 +24,6 @@ void DenseLayer::init_random(Rng& rng) {
   for (auto& b : b_) b = rng.gaussian(0.0, 0.1);
 }
 
-double DenseLayer::activate(double u) const {
-  switch (act_) {
-    case Activation::Tanh:
-      return std::tanh(u);
-    case Activation::TanhTabulated:
-      return default_tanh_table().eval(u);
-    case Activation::Linear:
-      return u;
-  }
-  return u;
-}
-
 double DenseLayer::activate_deriv_from_value(double a) const {
   return act_ == Activation::Linear ? 1.0 : 1.0 - a * a;
 }
@@ -42,15 +31,26 @@ double DenseLayer::activate_deriv_from_value(double a) const {
 void DenseLayer::forward_rows(const double* x, std::size_t rows, double* y,
                               double* act_save) const {
   // u = b + x W: every u element is one fma chain from its bias (gemm_acc's
-  // contract), so a row's output does not depend on its block-mates.
+  // contract), and the activation is elementwise with the same bits at any
+  // position, so a row's output does not depend on its block-mates.
   for (std::size_t r = 0; r < rows; ++r)
     std::memcpy(y + r * out_, b_.data(), out_ * sizeof(double));
   gemm_acc(x, w_.data(), y, rows, in_, out_);
+  const std::size_t n = rows * out_;
+  switch (act_) {
+    case Activation::Tanh:
+      simd::pick_tanh(simd::active())(y, y, n);
+      break;
+    case Activation::TanhTabulated:
+      default_tanh_table().eval_batch(y, y, n);
+      break;
+    case Activation::Linear:
+      break;
+  }
+  if (act_save != nullptr) std::memcpy(act_save, y, n * sizeof(double));
   for (std::size_t r = 0; r < rows; ++r) {
     const double* xr = x + r * in_;
     double* yr = y + r * out_;
-    for (std::size_t j = 0; j < out_; ++j) yr[j] = activate(yr[j]);
-    if (act_save != nullptr) std::memcpy(act_save + r * out_, yr, out_ * sizeof(double));
     switch (shortcut_) {
       case Shortcut::None:
         break;

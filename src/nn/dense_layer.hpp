@@ -5,14 +5,16 @@
 //   Concat:   y = (x, x) + act(x W + b), out = 2 in   (embedding-net growth)
 //
 // Every evaluation mode runs on one pair of row-block kernels: forward_rows
-// (u = b + x W over a block of rows, one gemm_acc) and backward_rows (dE/dx
-// = (dE/dy .* act') W^T over the same rows, one gemm_nt). Each output
+// (u = b + x W over a block of rows, one gemm_acc, then one batched
+// activation over the whole block: simd::pick_tanh for Tanh,
+// TanhTable::eval_batch for TanhTabulated) and backward_rows (dE/dx =
+// (dE/dy .* act') W^T over the same rows, one gemm_nt). Each output
 // element's arithmetic is independent of the block it is computed in
 // (nn/gemm.hpp), so a row gives the same bits alone or batched. The Matrix
 // wrappers (the baseline embedding GEMM pipeline), the one-row forward_row
 // and the fitting net's block evaluator all call them; the forward "jet"
 // (value, d/ds, d2/ds2) serves the scalar-input embedding net, whose forces
-// and tabulation need exact input derivatives.
+// and tabulation need exact input derivatives, and keeps std::tanh.
 #pragma once
 
 #include <cstddef>
@@ -100,7 +102,6 @@ class DenseLayer {
                    double* y, double* dy, double* d2y) const;
 
  private:
-  double activate(double u) const;
   double activate_deriv_from_value(double a) const;  // act'(u) given a=act(u)
 
   std::size_t in_ = 0, out_ = 0;

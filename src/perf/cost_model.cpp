@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/simd.hpp"
 #include "nn/fitting_net.hpp"
 
 namespace dp::perf {
@@ -108,11 +109,12 @@ PathCosts per_atom_costs(const WorkloadSpec& w, Path path) {
       break;
     }
     case Path::Fused: {
-      // Two fused passes over REAL slots only: pass 1 evaluates the table
-      // and contracts (poly ~10 + outer product 8 ops/channel), pass 2
-      // re-evaluates with derivative (~20) and reduces (~9). G never
-      // touches memory; traffic is the rmat rows + table misses.
-      out.embedding.flops = nr * (18.0 + 29.0) * m;
+      // Two fused passes over REAL slots only, at the FLOPs their kernel
+      // bodies run per channel (simd::kFusedPassFlops: 18 for the table
+      // walk and contraction, 39 for the value + derivative walk and its
+      // dots). G never touches memory; traffic is the rmat rows + table
+      // misses.
+      out.embedding.flops = nr * simd::kFusedPassFlops * m;
       out.embedding.bytes_read =
           nr * 4 * kB * 2.0 + nr * 12.0 * m * kB * kTableMissRate;
       out.embedding.bytes_written = nr * 4 * kB;  // g_rmat rows

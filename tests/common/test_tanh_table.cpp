@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -85,6 +86,32 @@ TEST(TanhTable, BatchMatchesScalar) {
   simd::force(simd::Level::Scalar);
   t.eval_batch(x.data(), y.data(), x.size());
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(y[i], t.eval(x[i]));
+  simd::force(prev);
+}
+
+TEST(TanhTable, EvalMatchesBatchBitwiseAtEveryLevel) {
+  // eval and every level of eval_batch run the same explicit fmas, so they
+  // agree bit for bit whatever contraction the build applies to plain
+  // arithmetic. Dense sweep over [-9, 9] (past x_max) with odd n: vector
+  // lanes and the scalar tail.
+  const TanhTable& t = default_tanh_table();
+  std::vector<double> x;
+  for (int i = -450'000; i <= 450'000; ++i) x.push_back(i * 2e-5);
+  std::vector<double> y(x.size());
+  std::vector<simd::Level> levels{simd::Level::Scalar};
+  if (simd::max_supported() >= simd::Level::AVX2) levels.push_back(simd::Level::AVX2);
+  if (simd::max_supported() >= simd::Level::AVX512) levels.push_back(simd::Level::AVX512);
+  const simd::Level prev = simd::active();
+  for (const simd::Level lvl : levels) {
+    simd::force(lvl);
+    t.eval_batch(x.data(), y.data(), x.size());
+    std::size_t differ = 0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double e = t.eval(x[i]);
+      differ += std::memcmp(&e, &y[i], sizeof(double)) != 0;
+    }
+    EXPECT_EQ(differ, 0u) << simd::name(lvl);
+  }
   simd::force(prev);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../tab/aos_reference.hpp"
+#include "common/cost.hpp"
 #include "dp/baseline_model.hpp"
 #include "md/lattice.hpp"
 #include "md/simulation.hpp"
@@ -49,6 +50,25 @@ TEST(FusedDP, IdenticalToCompressedPath) {
   for (std::size_t r = 0; r < 3; ++r)
     for (std::size_t c = 0; c < 3; ++c)
       EXPECT_NEAR(ra.virial(r, c), rb.virial(r, c), 1e-8);
+}
+
+TEST(FusedDP, BooksFiftySevenFlopsPerSlotChannel) {
+  // The fused passes run 18 FLOPs per slot and channel in pass 1 and 39 in
+  // pass 2 (simd::kFusedPassFlops counts them from the kernel bodies): a
+  // fixed slot count books exactly 57 M FLOPs per slot.
+  PathFixture su(1, 43);
+  TabulatedDP tab(su.model, su.spec);
+  FusedDP fused(tab);
+  md::NeighborList nl(fused.cutoff(), 1.0);
+  nl.build(su.sys.box, su.sys.atoms.pos);
+  md::Atoms atoms = su.sys.atoms;
+  CostRegistry::instance().clear();
+  fused.compute(su.sys.box, atoms, nl);
+  const double slots = static_cast<double>(fused.slots_processed());
+  const double m = static_cast<double>(su.model.config().m());
+  EXPECT_GT(slots, 0.0);
+  EXPECT_DOUBLE_EQ(CostRegistry::instance().get("fused.descriptor").flops, 57.0 * m * slots);
+  CostRegistry::instance().clear();
 }
 
 TEST(FusedDP, RedundancySkipIsExact) {

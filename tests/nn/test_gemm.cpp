@@ -194,6 +194,29 @@ TEST(GemmLevels, AccBitwiseAcrossLevelsAndRowBlockings) {
   }
 }
 
+TEST(GemmLevels, AccIsOneAscendingFmaChainPerElement) {
+  // The contract itself, against an oracle that knows nothing of tiles,
+  // slabs or chunks: c_ij = fma(a_i,k-1 b_k-1,j, ... fma(a_i0 b_0j, c_ij)).
+  // A k-slab walk that restarted a chain and added it to C would still be
+  // bitwise across levels and blockings, but not equal to this.
+  for (const Shape s : level_shapes()) {
+    const auto a = random_vec(s.m * s.k + 1, 26), b = random_vec(s.k * s.n + 1, 27);
+    const auto c0 = random_vec(s.m * s.n, 28);
+    std::vector<double> oracle = c0;
+    for (std::size_t i = 0; i < s.m; ++i)
+      for (std::size_t j = 0; j < s.n; ++j)
+        for (std::size_t p = 0; p < s.k; ++p)
+          oracle[i * s.n + j] = std::fma(a[i * s.k + p], b[p * s.n + j], oracle[i * s.n + j]);
+    for (const simd::Level lvl : supported_levels()) {
+      LevelGuard guard(lvl);
+      std::vector<double> c = c0;
+      gemm_acc(a.data(), b.data(), c.data(), s.m, s.k, s.n);
+      EXPECT_EQ(0, std::memcmp(c.data(), oracle.data(), c.size() * sizeof(double)))
+          << simd::name(lvl) << " m=" << s.m << " k=" << s.k << " n=" << s.n;
+    }
+  }
+}
+
 TEST(GemmLevels, NtReproducibleAndWithinBoundOfScalar) {
   // Dot products: bitwise independent of the row blocking at a fixed level;
   // across levels they differ only by the lane reassociation, bounded by

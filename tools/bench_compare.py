@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """bench_compare — noise-aware diff of BENCH_*.json against a committed baseline.
 
-The bench binaries (bench/neighbor_build, bench/prod_force) emit a single
-JSON document per run: {"metrics": [...], "events": [...]}, one event per
-configuration sweep point. This gate compares a fresh run against the
+The bench binaries (bench/neighbor_build, bench/prod_force, bench/fit_block
+and others) emit a single JSON document per run: {"metrics": [...],
+"events": [...]}, one event per configuration sweep point. This gate compares a fresh run against the
 committed trajectory under bench/baselines/ with tolerances that separate
 what is deterministic from what is machine noise:
 
@@ -94,6 +94,19 @@ RULES = {
         "key": [],
         "strict": ["messages", "bytes", "wire_bytes"],
         "higher_better": [],
+        "derived": {},
+    },
+    # Fit-block microbench (bench/fit_block.cpp), one event per hidden
+    # layer of the paper fitting nets at nn::kFitBlock rows and thread
+    # count. The block's rows and FLOPs are structural. The GEMM rates are
+    # read against an FMA probe run next to them in the same process, and
+    # the tanh kernel against a std::tanh loop over the same elements:
+    # within-run ratios that cancel the host's clock. Absolute seconds,
+    # probe GFLOP/s and `lanes` are carried, never compared.
+    "fit_block": {
+        "key": ["net", "layer", "threads"],
+        "strict": ["rows", "flops"],
+        "higher_better": ["fwd_over_probe", "bwd_over_probe", "act_speedup_vs_libm"],
         "derived": {},
     },
     "mixed": {
@@ -372,6 +385,42 @@ def selftest():
     chatty = reb_clone()
     chatty[("comm_shm", ())]["wire_bytes"] = 200000.0
     assert any("wire_bytes" in p for p in compare(reb_base, chatty, 2.0, False, 0.5))
+    # Fit-block events: the block shape and FLOPs are strict, the ratios to
+    # the in-process probe and to libm tanh are factor-gated, absolute
+    # rates are never compared.
+    fit_base = {
+        ("fit_block", (0.0, 0.0, 1.0)): {
+            "rows": 32.0,
+            "flops": 31457280.0,
+            "fwd_seconds": 6e-4,
+            "probe_gflops": 80.0,
+            "fwd_over_probe": 0.6,
+            "bwd_over_probe": 0.5,
+            "act_speedup_vs_libm": 12.0,
+        },
+    }
+
+    def fit_clone():
+        return {k: dict(v) for k, v in fit_base.items()}
+
+    assert compare(fit_base, fit_clone(), 3.0, False, 0.5) == []
+    # A slower host (probe and GEMM both halved) passes: the ratio holds.
+    slow_host = fit_clone()
+    slow_host[("fit_block", (0.0, 0.0, 1.0))].update(
+        {"fwd_seconds": 1.2e-3, "probe_gflops": 40.0})
+    assert compare(fit_base, slow_host, 3.0, False, 0.5) == []
+    # A tile that fell off the roof beyond the factor fails.
+    off_roof = fit_clone()
+    off_roof[("fit_block", (0.0, 0.0, 1.0))]["fwd_over_probe"] = 0.15
+    assert any("fwd_over_probe" in p for p in compare(fit_base, off_roof, 3.0, False, 0.5))
+    # A tanh that fell back to libm fails.
+    libm = fit_clone()
+    libm[("fit_block", (0.0, 0.0, 1.0))]["act_speedup_vs_libm"] = 1.0
+    assert any("act_speedup_vs_libm" in p for p in compare(fit_base, libm, 3.0, False, 0.5))
+    # A different block size is structural drift.
+    rows16 = fit_clone()
+    rows16[("fit_block", (0.0, 0.0, 1.0))].update({"rows": 16.0, "flops": 15728640.0})
+    assert any("rows" in p for p in compare(fit_base, rows16, 3.0, False, 0.5))
     print("bench_compare selftest: ok")
     return 0
 
