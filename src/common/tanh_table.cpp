@@ -42,8 +42,9 @@ DP_TARGET_AVX2 double tanh_eval_tail(const double* coef, double x_max, double in
                                      double h, int last, double x) {
   const double ax = x < 0.0 ? -x : x;
   if (ax >= x_max) return x < 0.0 ? -1.0 : 1.0;
-  int k = static_cast<int>(ax * inv_h);
-  if (k > last) k = last;
+  // TanhTable::eval's clamp: a NaN takes the last segment and stays NaN.
+  const double u = ax * inv_h;
+  const int k = u < static_cast<double>(last) + 1.0 ? static_cast<int>(u) : last;
   const double t = std::fma(-static_cast<double>(k), h, ax);
   const double* c = coef + 3 * k;
   const double y = std::fma(t, std::fma(t, c[2], c[1]), c[0]);

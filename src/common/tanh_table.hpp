@@ -29,9 +29,11 @@ class TanhTable {
     const double u = ax * inv_h_;
     // inv_h_ = intervals / x_max is rounded, so for non-power-of-two grids
     // an ax just below x_max can land at u == intervals_ exactly — clamp to
-    // the last segment instead of reading past coef_.
-    std::size_t k = static_cast<std::size_t>(u);
-    if (k >= intervals_) k = intervals_ - 1;
+    // the last segment instead of reading past coef_. A NaN takes the last
+    // segment too (no float-to-integer conversion of a NaN) and stays NaN.
+    const std::size_t k = u < static_cast<double>(intervals_)
+                              ? static_cast<std::size_t>(u)
+                              : intervals_ - 1;
     const double t = std::fma(-static_cast<double>(k), h_, ax);
     const double* c = &coef_[3 * k];
     const double y = std::fma(t, std::fma(t, c[2], c[1]), c[0]);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -111,6 +112,28 @@ TEST(TanhTable, EvalMatchesBatchBitwiseAtEveryLevel) {
       differ += std::memcmp(&e, &y[i], sizeof(double)) != 0;
     }
     EXPECT_EQ(differ, 0u) << simd::name(lvl);
+  }
+  simd::force(prev);
+}
+
+TEST(TanhTable, NanPassesThroughAtEveryLevel) {
+  // A NaN pre-activation (a blown-up trajectory) must come out NaN, never
+  // index the table: in a vector lane, in the width-1 tail, or in eval.
+  const TanhTable& t = default_tanh_table();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(t.eval(nan)));
+  EXPECT_TRUE(std::isnan(t.eval(-nan)));
+  std::vector<double> x(11, 0.5);
+  const simd::Level prev = simd::active();
+  for (const simd::Level lvl : {simd::Level::Scalar, simd::Level::AVX2, simd::Level::AVX512}) {
+    simd::force(lvl);  // clamped to what this host supports
+    for (std::size_t pos = 0; pos < x.size(); ++pos) {
+      x[pos] = pos % 2 ? -nan : nan;
+      std::vector<double> y(x.size());
+      t.eval_batch(x.data(), y.data(), x.size());
+      EXPECT_TRUE(std::isnan(y[pos])) << simd::name(simd::active()) << " pos " << pos;
+      x[pos] = 0.5;
+    }
   }
   simd::force(prev);
 }
