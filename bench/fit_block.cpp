@@ -205,10 +205,11 @@ int main() {
         block_sequence(net, rows, b, ph, tanh_kernel, probe);
         reps = std::max(3, static_cast<int>(kRoundSeconds / t.seconds()));
       }
-      // ratio[phase][layer] per round: per-thread rates over the probe's.
+      // One entry per round: the probe's per-thread rate, and per layer the
+      // GEMM rates over it, the tanh costs and the GEMM seconds.
+      std::vector<double> probe_gf;
       std::vector<std::vector<double>> fwd_r(hidden), bwd_r(hidden), act_ns(hidden),
-          libm_ns(hidden), probe_gf(hidden);
-      std::vector<std::vector<double>> fwd_s(hidden), bwd_s(hidden);
+          libm_ns(hidden), fwd_s(hidden), bwd_s(hidden);
       for (int round = 0; round < kRounds; ++round) {
         std::vector<Phases> per_thread(static_cast<std::size_t>(threads), Phases(hidden));
 #pragma omp parallel num_threads(threads)
@@ -233,6 +234,7 @@ int main() {
         }
         const double calls = static_cast<double>(reps) * threads;
         const double pk = probe_flops * calls / sum.probe * 1e-9;
+        probe_gf.push_back(pk);
         for (std::size_t l = 0; l < hidden; ++l) {
           const double flops = 2.0 * static_cast<double>(rows * layers[l].in_dim() *
                                                          layers[l].out_dim() * types);
@@ -241,7 +243,6 @@ int main() {
           bwd_r[l].push_back(flops * calls / sum.bwd[l] * 1e-9 / pk);
           act_ns[l].push_back(sum.act[l] / (elems * calls) * 1e9);
           libm_ns[l].push_back(sum.libm[l] / (elems * calls) * 1e9);
-          probe_gf[l].push_back(pk);
           fwd_s[l].push_back(sum.fwd[l] / calls);
           bwd_s[l].push_back(sum.bwd[l] / calls);
         }
@@ -250,10 +251,11 @@ int main() {
         std::sort(v.begin(), v.end());
         return v[v.size() / 2];
       };
+      const double pk = median(probe_gf);
       for (std::size_t l = 0; l < hidden; ++l) {
         const std::size_t in = layers[l].in_dim(), out = layers[l].out_dim();
         const double flops = 2.0 * static_cast<double>(rows * in * out * types);
-        const double pk = median(probe_gf[l]), fwd = median(fwd_r[l]), bwd = median(bwd_r[l]);
+        const double fwd = median(fwd_r[l]), bwd = median(bwd_r[l]);
         const double act = median(act_ns[l]), libm = median(libm_ns[l]);
         std::printf("%-7s %5zu %5zu x %-4zu %7.1f %8.1f (%.2f) %8.1f (%.2f) %11.2f %11.2f",
                     net.name, l, in, out, pk, fwd * pk, fwd, bwd * pk, bwd, act, libm);
