@@ -16,8 +16,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.hpp"
@@ -55,6 +57,13 @@ inline std::size_t chunk_bound(std::size_t n, int t, int T) {
 /// master per team (thread_local singleton via team()), and every one of
 /// the T participants of a job must execute the same sequence of barrier()
 /// calls, which each caller's phase structure must guarantee.
+///
+/// A participant that throws aborts the job instead of stranding the
+/// others in a barrier it will never reach: its exception is kept, the
+/// participants still in the job unwind at their next barrier(), and run()
+/// rethrows the first exception on the caller once every participant has
+/// checked in. A body must let that unwinding pass (no catch (...) that
+/// swallows it). The team stays usable for the next job.
 class BuildTeam {
  public:
   ~BuildTeam() {
@@ -67,7 +76,8 @@ class BuildTeam {
   }
 
   /// Runs body(t, T) on T threads; the caller executes t = 0. Returns after
-  /// every worker (participant or not) has checked in.
+  /// every worker (participant or not) has checked in, or rethrows the
+  /// first exception a participant threw.
   void run(int T, BodyRef body) {
     if (T <= 1 && workers_.empty()) {
       {
@@ -103,15 +113,23 @@ class BuildTeam {
       ++job_gen_;
     }
     job_cv_.notify_all();
-    body(0, T);
-    MutexUniqueLock lk(mu_);
-    while (done_ != workers_.size()) done_cv_.wait(lk);
-    body_ = nullptr;
+    participate(body, 0, T);
+    std::exception_ptr error;
+    {
+      MutexUniqueLock lk(mu_);
+      while (done_ != workers_.size()) done_cv_.wait(lk);
+      body_ = nullptr;
+      error = std::exchange(error_, nullptr);
+      aborted_ = false;
+    }
+    if (error) std::rethrow_exception(error);
   }
 
-  /// Generation barrier across the T participants of the current job.
+  /// Generation barrier across the T participants of the current job. In
+  /// an aborted job it unwinds its caller instead.
   void barrier() {
     MutexUniqueLock lk(mu_);
+    if (aborted_) throw JobAborted{};
     const std::uint64_t gen = bar_gen_;
     if (++bar_count_ == T_) {
       bar_count_ = 0;
@@ -120,7 +138,8 @@ class BuildTeam {
     } else {
       // Explicit loop, not wait(pred): keeps the guarded generation read in
       // this annotated body where the capability analysis can see it.
-      while (bar_gen_ == gen) bar_cv_.wait(lk);
+      while (bar_gen_ == gen && !aborted_) bar_cv_.wait(lk);
+      if (bar_gen_ == gen) throw JobAborted{};
     }
   }
 
@@ -133,6 +152,24 @@ class BuildTeam {
   }
 
  private:
+  /// What barrier() throws to unwind a participant of an aborted job.
+  struct JobAborted {};
+
+  /// body(t, T); an exception it throws aborts the job instead of leaving
+  /// this thread. The first one is kept for run().
+  void participate(const BodyRef& body, int t, int T) {
+    try {
+      body(t, T);
+    } catch (const JobAborted&) {
+      // Unwound by barrier(): the job's first exception is already kept.
+    } catch (...) {
+      MutexLock lk(mu_);
+      if (!error_) error_ = std::current_exception();
+      aborted_ = true;
+      bar_cv_.notify_all();
+    }
+  }
+
   void worker(int idx, std::uint64_t seen) {
     for (;;) {
       const BodyRef* body = nullptr;
@@ -147,7 +184,7 @@ class BuildTeam {
       }
       // Workers beyond the current T (left over from a wider earlier job)
       // skip the body but still check in, so run() can retire the job.
-      if (idx < T) (*body)(idx, T);
+      if (idx < T) participate(*body, idx, T);
       {
         MutexLock lk(mu_);
         ++done_;
@@ -166,6 +203,15 @@ class BuildTeam {
   std::uint64_t bar_gen_ DP_GUARDED_BY(mu_) = 0;
   int bar_count_ DP_GUARDED_BY(mu_) = 0;
   bool stop_ DP_GUARDED_BY(mu_) = false;
+  // Abort state of the current job. Happens-before: a throwing participant
+  // stores its exception and sets aborted_ under mu_, then wakes bar_cv_;
+  // barrier waiters re-read aborted_ under mu_. run() takes error_ under
+  // mu_ only after done_ counts every worker, and each check-in is a later
+  // critical section of mu_ than that worker's store, so the rethrow sees
+  // every participant's outcome and no participant still runs the body.
+  // run() clears both before it returns or rethrows.
+  std::exception_ptr error_ DP_GUARDED_BY(mu_);
+  bool aborted_ DP_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace dp
