@@ -1,5 +1,6 @@
 #include "common/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -169,10 +170,22 @@ DescriptorForwardFn pick_descriptor_forward(Level lvl) {
 DescriptorBackwardFn pick_descriptor_backward(Level lvl) {
   return DP_PICK(lvl, descriptor_backward);
 }
+EnvRowsFn pick_env_rows(Level lvl) { return DP_PICK(lvl, env_rows); }
 PairGradientsFn pick_pair_gradients(Level lvl) { return DP_PICK(lvl, pair_gradients); }
+PairGradientsDiffFn pick_pair_gradients_diff(Level lvl) {
+  return DP_PICK(lvl, pair_gradients_diff);
+}
 TanhFn pick_tanh(Level lvl) { return DP_PICK(lvl, tanh_batch); }
 FmaProbeFn pick_fma_probe(Level lvl) { return DP_PICK(lvl, fma_probe); }
 
 #undef DP_PICK
+
+void env_switch(double r, double rcut_smth, double rcut, double* s, double* ds_dr) {
+  if (r <= 0.0) {
+    *s = *ds_dr = 0.0;
+    return;
+  }
+  scalar_level::env_switch_lanes<ScalarLanes>(r, 1.0 / r, rcut_smth, rcut, *s, *ds_dr);
+}
 
 }  // namespace dp::simd

@@ -25,10 +25,11 @@
 // Numerical contract (what the parity suites pin down): vector lanes use the
 // hardware FMA and Level::Scalar is the same kernel body at lane width 1 with
 // std::fma — one rounding per fma either way. So every elementwise kernel
-// (table walk, the fused pass-1 contraction, descriptor forward, prod-force
-// pair gradients) is bitwise identical across levels. Reductions fold the
-// lanes through the level's fixed reduce_add tree: bitwise reproducible at
-// a fixed level, and levels differ only by that reassociation.
+// (table walk, the fused pass-1 contraction, descriptor forward, env rows,
+// prod-force pair gradients) is bitwise identical across levels. Reductions
+// fold the lanes through the level's fixed reduce_add tree: bitwise
+// reproducible at a fixed level, and levels differ only by that
+// reassociation.
 #pragma once
 
 #include <bit>
@@ -113,8 +114,14 @@ struct Scalar1 {
   static DP_SIMD_OP V div(V a, V b) { return a / b; }
   static DP_SIMD_OP V fmadd(V a, V b, V c) { return std::fma(a, b, c); }
   static DP_SIMD_OP T reduce_add(V a) { return a; }
-  // Elementwise ops of the double kernels (simd::pick_tanh), each the same
-  // bits as its vector twin below.
+  // Elementwise ops of the double kernels (simd::pick_tanh,
+  // simd::pick_env_rows), each the same bits as its vector twin below.
+  static DP_SIMD_OP V sub(V a, V b) { return a - b; }
+  static DP_SIMD_OP V sqrt(V a) { return std::sqrt(a); }
+  /// -(a b) + c, one rounding.
+  static DP_SIMD_OP V fnmadd(V a, V b, V c) { return std::fma(-a, b, c); }
+  /// a b - c, one rounding.
+  static DP_SIMD_OP V fmsub(V a, V b, V c) { return std::fma(a, b, -c); }
   /// x86 min semantics: b when either operand is NaN.
   static DP_SIMD_OP V min(V a, V b) { return a < b ? a : b; }
   static DP_SIMD_OP V abs(V a) { return std::fabs(a); }
@@ -261,6 +268,10 @@ struct AVX2Lanes {
     return _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)));
   }
   using M = __m256d;
+  DP_TARGET_AVX2 static DP_SIMD_OP V sub(V a, V b) { return _mm256_sub_pd(a, b); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V sqrt(V a) { return _mm256_sqrt_pd(a); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V fnmadd(V a, V b, V c) { return _mm256_fnmadd_pd(a, b, c); }
+  DP_TARGET_AVX2 static DP_SIMD_OP V fmsub(V a, V b, V c) { return _mm256_fmsub_pd(a, b, c); }
   DP_TARGET_AVX2 static DP_SIMD_OP V min(V a, V b) { return _mm256_min_pd(a, b); }
   DP_TARGET_AVX2 static DP_SIMD_OP V abs(V a) {
     return _mm256_andnot_pd(_mm256_set1_pd(-0.0), a);
@@ -329,10 +340,16 @@ struct AVX512Lanes {
     return AVX2Lanes::reduce_add(_mm256_add_pd(_mm512_maskz_extractf64x4_pd(0xf, a, 0),
                                                _mm512_maskz_extractf64x4_pd(0xf, a, 1)));
   }
-  // The elementwise ops use the maskz forms of min, roundscale and the
+  // The elementwise ops use the maskz forms of sqrt, min, roundscale and the
   // shift for the reduce_add reason above; the full mask computes every
   // lane.
   using M = __mmask8;
+  DP_TARGET_AVX512 static DP_SIMD_OP V sub(V a, V b) { return _mm512_sub_pd(a, b); }
+  DP_TARGET_AVX512 static DP_SIMD_OP V sqrt(V a) {
+    return _mm512_maskz_sqrt_pd(static_cast<M>(0xff), a);
+  }
+  DP_TARGET_AVX512 static DP_SIMD_OP V fnmadd(V a, V b, V c) { return _mm512_fnmadd_pd(a, b, c); }
+  DP_TARGET_AVX512 static DP_SIMD_OP V fmsub(V a, V b, V c) { return _mm512_fmsub_pd(a, b, c); }
   DP_TARGET_AVX512 static DP_SIMD_OP V min(V a, V b) {
     return _mm512_maskz_min_pd(static_cast<M>(0xff), a, b);
   }
@@ -467,6 +484,21 @@ using DescriptorBackwardFn = void (*)(const double* a_mat, const double* g_d, st
                                       std::size_t m_sub, double* g_a);
 DescriptorBackwardFn pick_descriptor_backward(Level lvl);
 
+/// The environment-matrix rows (paper Eq. 1) of n slots from their
+/// displacements d = diff[3k .. 3k + 3) = r_j - r_i, |d| > 0, with the
+/// switch s(r) of dp/switch_fn.hpp: rmat[4k + c] = s (1, d / r), and, when
+/// deriv is not null, deriv[12k + 3c + l] = d rmat[4k + c] / d d_l (the
+/// operator's `descrpt_a_deriv`). One operation sequence at every level and
+/// position: r^2 = fma(z, z, fma(x, x, y y)), then the fmas the switch and
+/// the rows spell out, so the rows are bitwise identical across levels.
+using EnvRowsFn = void (*)(const double* diff, std::size_t n, double rcut_smth, double rcut,
+                           double* rmat, double* deriv);
+EnvRowsFn pick_env_rows(Level lvl);
+
+/// s(r) and ds/dr of the switch at any r — the width-1 instance of the
+/// switch inside EnvRowsFn (s = ds/dr = 0 for r <= 0 and r >= rcut).
+void env_switch(double r, double rcut_smth, double rcut, double* s, double* ds_dr);
+
 /// Most slots per pair_gradients call (its SoA staging lives on the stack).
 inline constexpr int kPairChunk = 64;
 /// f[3k + l] = sum_c g_rows[4k + c] * d_rows[12k + 3c + l] for k < cnt <=
@@ -474,6 +506,12 @@ inline constexpr int kPairChunk = 64;
 using PairGradientsFn = void (*)(const double* g_rows, const double* d_rows, int cnt,
                                  double* f);
 PairGradientsFn pick_pair_gradients(Level lvl);
+/// The same f with each slot's 12 derivative entries rebuilt in registers
+/// from its displacement diff_rows[3k .. 3k + 3), by EnvRowsFn's sequence,
+/// instead of read: bitwise PairGradientsFn over EnvRowsFn's deriv rows.
+using PairGradientsDiffFn = void (*)(const double* g_rows, const double* diff_rows, int cnt,
+                                     double rcut_smth, double rcut, double* f);
+PairGradientsDiffFn pick_pair_gradients_diff(Level lvl);
 
 /// y[i] = tanh(x[i]) for i < n; y may alias x. The fitting net's
 /// activation (paper Sec 3.5.3 tabulates it instead): a Cephes rational

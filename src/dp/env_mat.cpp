@@ -7,8 +7,8 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "common/team.hpp"
-#include "dp/switch_fn.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -44,7 +44,7 @@ std::size_t EnvMat::dense_bytes() const {
 
 std::size_t EnvMat::compact_bytes() const {
   const std::size_t blocks = n_atoms * static_cast<std::size_t>(ntypes);
-  return filled_slots() * (19 * sizeof(double) + sizeof(int)) + blocks * sizeof(int) +
+  return filled_slots() * (7 * sizeof(double) + sizeof(int)) + blocks * sizeof(int) +
          (blocks + 1) * sizeof(std::size_t);
 }
 
@@ -77,8 +77,11 @@ void EnvMat::reset_compact_header(std::size_t n, const ModelConfig& cfg) {
   n_atoms = n;
   nm = cfg.nm();
   ntypes = cfg.ntypes;
+  rcut_smth = cfg.rcut_smth;
+  rcut = cfg.rcut;
   // No zero fill anywhere: counts are fully rewritten by the count phase and
   // the prefix by the scan; slot arrays are sized later by grow_compact_slots.
+  if (deriv.capacity() > 0) AlignedVector<double>().swap(deriv);
   count_by_type.resize(n * static_cast<std::size_t>(cfg.ntypes));
   block_start.resize(n * static_cast<std::size_t>(cfg.ntypes) + 1);
   type_off.resize(static_cast<std::size_t>(cfg.ntypes) + 1);
@@ -91,7 +94,6 @@ void EnvMat::grow_compact_slots(std::size_t total) {
   // Every compact build rewrites all `total` slots, so growth may discard:
   // no stale copy, and no O(slots) zeroing once capacity suffices.
   resize_discard(rmat, total * 4);
-  resize_discard(deriv, total * 12);
   resize_discard(diff, total * 3);
   resize_discard(slot_atom, total);
 }
@@ -126,39 +128,20 @@ std::size_t EnvMatWorkspace::bytes() const {
 
 namespace {
 
-// Writes the 4 rmat entries and the 12 derivative entries of one slot.
-inline void fill_slot(double* rrow, double* drow, const Vec3& d, double r2, double rcut_smth,
-                      double rcut) {
-  const double r = std::sqrt(r2);
-  const auto sw = switch_fn(r, rcut_smth, rcut);
-  const double inv_r = 1.0 / r;
-  const Vec3 u = d * inv_r;
-  rrow[0] = sw.s;
-  rrow[1] = sw.s * u.x;
-  rrow[2] = sw.s * u.y;
-  rrow[3] = sw.s * u.z;
-  // c = 0: d s / d d_l = s' u_l
-  drow[0] = sw.ds_dr * u.x;
-  drow[1] = sw.ds_dr * u.y;
-  drow[2] = sw.ds_dr * u.z;
-  // c = k: d (s u_k) / d d_l = s' u_k u_l + (s/r) (delta_kl - u_k u_l)
-  const double s_over_r = sw.s * inv_r;
-  const double uk[3] = {u.x, u.y, u.z};
-  for (int k = 0; k < 3; ++k)
-    for (int l = 0; l < 3; ++l) {
-      const double kron = (k == l) ? 1.0 : 0.0;
-      drow[3 * (k + 1) + l] = sw.ds_dr * uk[k] * uk[l] + s_over_r * (kron - uk[k] * uk[l]);
-    }
-}
+/// r^2 = |d|^2 by the sequence simd::EnvRowsFn forms it with, so a slot's
+/// sort key, its cutoff test and its rows all see the same r^2.
+inline double env_r2(const Vec3& d) { return std::fma(d.z, d.z, std::fma(d.x, d.x, d.y * d.y)); }
 
 /// Reference operator, written the way the original ProdEnvMatA was: fresh
 /// per-atom containers, candidate distances recomputed from positions at
-/// fill time instead of being carried through the sort. Emits the dense
-/// padded layout (the caller has already reset it).
+/// fill time instead of being carried through the sort, and each slot's
+/// rows formed and stored on their own. Emits the dense padded layout (the
+/// caller has already reset it).
 void build_dense_reference(const ModelConfig& cfg, const md::Box& box, const md::Atoms& atoms,
                            const md::NeighborList& nlist, bool periodic, EnvMat& out) {
   const std::size_t n = out.n_atoms;
   const int nm = out.nm;
+  const simd::EnvRowsFn env_rows = simd::pick_env_rows(simd::active());
   for (std::size_t i = 0; i < n; ++i) {
     const Vec3 ri = atoms.pos[i];
     const double rc2 = cfg.rcut * cfg.rcut;
@@ -167,7 +150,7 @@ void build_dense_reference(const ModelConfig& cfg, const md::Box& box, const md:
     for (int j : nlist.neighbors(i)) {
       Vec3 d = atoms.pos[static_cast<std::size_t>(j)] - ri;
       if (periodic) d = box.min_image(d);
-      const double r2 = norm2(d);
+      const double r2 = env_r2(d);
       if (r2 < rc2 && r2 > 0.0)
         groups[static_cast<std::size_t>(atoms.type[static_cast<std::size_t>(j)])]
             .emplace_back(std::sqrt(r2), j);
@@ -190,8 +173,8 @@ void build_dense_reference(const ModelConfig& cfg, const md::Box& box, const md:
         Vec3 d = atoms.pos[static_cast<std::size_t>(j)] - ri;
         if (periodic) d = box.min_image(d);
         const int slot = cfg.type_offset(t) + fill;
-        fill_slot(rmat_i + 4 * slot, deriv_i + 12 * slot, d, norm2(d), cfg.rcut_smth,
-                  cfg.rcut);
+        const double dd[3] = {d.x, d.y, d.z};
+        env_rows(dd, 1, cfg.rcut_smth, cfg.rcut, rmat_i + 4 * slot, deriv_i + 12 * slot);
         slots_i[slot] = j;
         ++fill;
       }
@@ -209,7 +192,7 @@ inline bool env_candidate(const md::Box& box, const md::Atoms& atoms, const Vec3
                           bool periodic, double rc2, Vec3& d, double& r2) {
   d = atoms.pos[static_cast<std::size_t>(j)] - ri;
   if (periodic) d = box.min_image(d);
-  r2 = norm2(d);
+  r2 = env_r2(d);
   return r2 < rc2 && r2 > 0.0;
 }
 
@@ -250,8 +233,9 @@ void sort_candidates(EnvMatWorkspace::Scratch& sc, std::size_t n, double rc2) {
 ///     sel[] and counts the overflow;
 ///   * thread 0 scans the counts into block_start and sizes the slot arrays;
 ///   * pass B gathers one atom's candidates into the thread's scratch, sorts
-///     them and writes rmat/deriv/diff/slot_atom straight into the CSR.
-/// Nothing is staged across atoms.
+///     them, writes diff/slot_atom straight into the CSR and forms the
+///     atom's rmat rows from its diffs in one simd::EnvRowsFn call.
+/// Nothing is staged across atoms, and no derivative is stored.
 ///
 /// Happens-before / determinism argument (see docs/STATIC_ANALYSIS.md):
 /// pass A writes disjoint count_by_type rows and thread-private scratch; a
@@ -268,6 +252,7 @@ void build_compact(const ModelConfig& cfg, const md::Box& box, const md::Atoms& 
   const std::size_t nt = static_cast<std::size_t>(cfg.ntypes);
   const double rc2 = cfg.rcut * cfg.rcut;
   const int team_size = std::max(1, omp_get_max_threads());
+  const simd::EnvRowsFn env_rows = simd::pick_env_rows(simd::active());
   ws.ensure_threads(team_size);
   out.reset_compact_header(n, cfg);
 
@@ -337,14 +322,16 @@ void build_compact(const ModelConfig& cfg, const md::Box& box, const md::Atoms& 
         if (rank >= count[ty]) continue;  // quota spent: the farthest are dropped
         const std::size_t s = start[ty] + static_cast<std::size_t>(rank);
         const Vec3& d = sc.d[key.idx];
-        fill_slot(out.rmat.data() + 4 * s, out.deriv.data() + 12 * s, d,
-                  std::bit_cast<double>(key.r2), cfg.rcut_smth, cfg.rcut);
         double* diff = out.diff.data() + 3 * s;
         diff[0] = d.x;
         diff[1] = d.y;
         diff[2] = d.z;
         out.slot_atom[s] = key.atom;
       }
+      // The atom's blocks are one contiguous slot range.
+      const std::size_t s0 = start[0], s1 = start[nt];
+      env_rows(out.diff.data() + 3 * s0, s1 - s0, cfg.rcut_smth, cfg.rcut,
+               out.rmat.data() + 4 * s0, nullptr);
       // A block filled short of pass A's count would leave slots unwritten.
       for (std::size_t ty = 0; ty < nt; ++ty)
         if (std::min(sc.seen[ty], cfg.sel[ty]) != count[ty]) ++sc.mismatched;

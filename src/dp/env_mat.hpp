@@ -5,7 +5,8 @@
 //   * rmat  (4 doubles per slot):  rows  s(r) * (1, x/r, y/r, z/r)  (paper
 //     Eq. 1), grouped by neighbor type and distance-sorted inside each block;
 //   * deriv (12 doubles per slot):  d(rmat row)/d(r_j - r_i)  —
-//     `descrpt_a_deriv`, the AoS the SVE conversion kernels operate on;
+//     `descrpt_a_deriv`, the AoS the SVE conversion kernels operate on
+//     (dense layout only; see below);
 //   * slot_atom: which atom occupies each slot.
 //
 // Two kernels, two layouts:
@@ -15,16 +16,21 @@
 //     Sec 3.4.2, ~60-80% of the array for copper's sel = 500).
 //   * `Optimized` materializes the COMPACT CSR layout: a prefix sum over the
 //     real per-(atom, type) neighbor counts assigns each block a contiguous
-//     slot range, so rmat/deriv/slot_atom store only filled slots and no
-//     zeroing traffic is ever issued. It also carries the minimum-image
-//     displacement per slot (`diff`), so the force/virial scatter never
-//     recomputes it. The build is thread-parallel and byte-identical at any
-//     thread count: a count pass, a prefix scan, then a fill pass that
-//     writes each atom's slots in place (the same count -> scan -> fill
-//     discipline as the neighbor-list CSR build).
+//     slot range, so rmat/diff/slot_atom store only filled slots and no
+//     zeroing traffic is ever issued. A slot keeps its minimum-image
+//     displacement (`diff`) instead of its 12 derivative entries: 60 B, not
+//     156. The deriv depends on nothing else, so its one reader, prod-force,
+//     rebuilds it in registers (simd::PairGradientsDiffFn) with the same
+//     operation sequence that formed rmat (simd::EnvRowsFn): the bits a
+//     stored deriv held, none of its bytes (paper Sec 3.4.1: do not
+//     materialize what registers can hold). The build is thread-parallel
+//     and byte-identical at any thread count: a count pass, a prefix scan,
+//     then a fill pass that writes each atom's slots in place (the same
+//     count -> scan -> fill discipline as the neighbor-list CSR build).
 //
 // Both layouts are walked through the same accessors: global slot indices
-// from `block_begin(i, t)`, payload via `rmat_at` / `deriv_at` / `atom_of`.
+// from `block_begin(i, t)`, payload via `rmat_at` / `atom_of`, and
+// `deriv_at` (dense) or `diff_at` (compact).
 // For a dense matrix `block_begin` degenerates to i * nm + type_off[t], so
 // layout-aware consumers need no branches in their inner loops.
 #pragma once
@@ -50,13 +56,15 @@ struct EnvMat {
   int nm = 0;
   int ntypes = 1;
   AlignedVector<double> rmat;   ///< 4 per stored slot (dense: n * nm slots)
-  AlignedVector<double> deriv;  ///< 12 per stored slot
+  AlignedVector<double> deriv;  ///< dense only: 12 per stored slot
   AlignedVector<double> diff;   ///< compact only: 3 per slot, d = r_j - r_i
   std::vector<int> slot_atom;   ///< per stored slot; -1 = padding (dense only)
   std::vector<int> count_by_type;        ///< n * ntypes: filled slots per block
   std::vector<std::size_t> block_start;  ///< compact: n * ntypes + 1 slot prefix
   std::vector<int> type_off;  ///< ntypes + 1: dense slot offset of each block
   std::size_t overflow = 0;   ///< neighbors dropped because a block was full
+  double rcut_smth = 0.0;     ///< compact: the switch the deriv rows are rebuilt with
+  double rcut = 0.0;
 
   bool compact() const { return layout == EnvMatLayout::Compact; }
 
@@ -70,6 +78,8 @@ struct EnvMat {
                            static_cast<std::size_t>(type_off[static_cast<std::size_t>(t)]);
   }
   const double* rmat_at(std::size_t slot) const { return rmat.data() + slot * 4; }
+  /// Stored derivative rows. Dense layout only: the compact one rebuilds
+  /// them from `diff_at` (simd::pick_env_rows, rcut_smth, rcut).
   const double* deriv_at(std::size_t slot) const { return deriv.data() + slot * 12; }
   /// Minimum-image displacement r_j - r_i carried through the build.
   /// Compact layout only.
@@ -84,10 +94,6 @@ struct EnvMat {
   // reserved slots). Only meaningful when !compact().
   const double* rmat_row(std::size_t i, int slot) const {
     return rmat.data() + (i * static_cast<std::size_t>(nm) + static_cast<std::size_t>(slot)) * 4;
-  }
-  const double* deriv_row(std::size_t i, int slot) const {
-    return deriv.data() +
-           (i * static_cast<std::size_t>(nm) + static_cast<std::size_t>(slot)) * 12;
   }
   int atom_at(std::size_t i, int slot) const {
     return slot_atom[i * static_cast<std::size_t>(nm) + static_cast<std::size_t>(slot)];
@@ -109,8 +115,9 @@ struct EnvMat {
   /// Footprint the DENSE layout occupies (or would occupy) for this system:
   /// slot payload plus per-block counts. Published as `env_mat.dense_bytes`.
   std::size_t dense_bytes() const;
-  /// Footprint of the COMPACT layout for this system: filled-slot payload
-  /// (incl. diff) plus counts and the block prefix. `env_mat.compact_bytes`.
+  /// Footprint of the COMPACT layout for this system: 60 B per filled slot
+  /// (rmat 32, diff 24, slot_atom 4) plus counts and the block prefix.
+  /// `env_mat.compact_bytes`.
   std::size_t compact_bytes() const;
   /// Capacity-based bytes actually held by this object (grow-only buffers).
   std::size_t storage_bytes() const;
@@ -121,7 +128,8 @@ struct EnvMat {
   // reset_dense pays zero-fill traffic (deliberately — that IS the dense
   // baseline being measured). grow_compact_slots never copies: every build
   // rewrites every slot, so growth frees the stale arrays before allocating
-  // larger ones (resize_discard).
+  // larger ones (resize_discard). reset_compact_header releases a deriv
+  // array left by an earlier dense build.
   void reset_dense(std::size_t n, const ModelConfig& cfg);
   void reset_compact_header(std::size_t n, const ModelConfig& cfg);
   void grow_compact_slots(std::size_t total);

@@ -24,6 +24,8 @@ void prod_force_virial(const EnvMat& env, const double* g_rmat, const md::Box& b
   // SIMD level resolved once per call, outside the team region: every lane
   // walks its slots with the same kernel regardless of thread count.
   const simd::PairGradientsFn pair_gradients = simd::pick_pair_gradients(simd::active());
+  const simd::PairGradientsDiffFn pair_gradients_diff =
+      simd::pick_pair_gradients_diff(simd::active());
   BuildTeam& team = BuildTeam::team();
   auto body = [&](int t, int T) {
     // ---- Phase 1: each thread runs a contiguous range of LANES. A lane
@@ -49,7 +51,11 @@ void prod_force_virial(const EnvMat& env, const double* g_rmat, const md::Box& b
             const int nk = std::min(simd::kPairChunk, cnt - k0);
             const std::size_t sb = s0 + static_cast<std::size_t>(k0);
             double fbuf[3 * simd::kPairChunk];
-            pair_gradients(g_rmat + sb * 4, env.deriv_at(sb), nk, fbuf);
+            if (env.compact())
+              pair_gradients_diff(g_rmat + sb * 4, env.diff_at(sb), nk, env.rcut_smth, env.rcut,
+                                  fbuf);
+            else
+              pair_gradients(g_rmat + sb * 4, env.deriv_at(sb), nk, fbuf);
             for (int k = 0; k < nk; ++k) {
               const std::size_t s = sb + static_cast<std::size_t>(k);
               const std::size_t j = static_cast<std::size_t>(env.atom_of(s));

@@ -7,8 +7,9 @@
 // the compact layout). The kernel contracts it with descrpt_a_deriv and
 // applies Newton's third law: the slot contributes +f to the center and -f
 // to the neighbor. Force and virial come out of ONE walk over the filled
-// slots; on the compact layout the displacement is read from the CSR's
-// `diff` instead of being recomputed via minimum image.
+// slots. On the compact layout both come from the CSR's `diff`: the
+// displacement is read instead of recomputed via minimum image, and each
+// chunk's descrpt_a_deriv is rebuilt from it in registers instead of read.
 //
 // Parallel and DETERMINISTIC: centers are split into kProdForceLanes fixed
 // contiguous lanes (independent of the thread count). Each lane scatters

@@ -4,7 +4,11 @@
 //     w(r) = 1                          r <  rcut_smth
 //     w(r) = 1 - 10 x^3 + 15 x^4 - 6 x^5,  x = (r - rs)/(rc - rs)
 //     w(r) = 0                          r >= rcut
+// The one body is the environment-matrix slot's (simd::EnvRowsFn); this is
+// its width-1 instance.
 #pragma once
+
+#include "common/simd.hpp"
 
 namespace dp::core {
 
@@ -15,20 +19,7 @@ struct SwitchValue {
 
 inline SwitchValue switch_fn(double r, double rcut_smth, double rcut) {
   SwitchValue out;
-  if (r >= rcut || r <= 0.0) return out;
-  const double inv_r = 1.0 / r;
-  if (r < rcut_smth) {
-    out.s = inv_r;
-    out.ds_dr = -inv_r * inv_r;
-    return out;
-  }
-  const double span = rcut - rcut_smth;
-  const double x = (r - rcut_smth) / span;
-  const double x2 = x * x;
-  const double w = 1.0 + x2 * x * (-10.0 + x * (15.0 - 6.0 * x));
-  const double dw_dx = x2 * (-30.0 + x * (60.0 - 30.0 * x));
-  out.s = w * inv_r;
-  out.ds_dr = dw_dx / span * inv_r - w * inv_r * inv_r;
+  simd::env_switch(r, rcut_smth, rcut, &out.s, &out.ds_dr);
   return out;
 }
 

@@ -2,8 +2,10 @@
 // it was written before the count and fill passes were split. Per atom it
 // gathers every in-cutoff candidate with its displacement, std::sorts them
 // by (r^2, atom), caps each type at sel[] and fills the atom's blocks
-// directly, one atom after another on one thread. The production build
-// must reproduce its bytes at every thread count.
+// directly, one atom after another on one thread, storing each slot's
+// derivative rows too. The production build must reproduce its bytes at
+// every thread count, and the rows it rebuilds from its displacements must
+// equal the stored ones.
 #pragma once
 
 #include <algorithm>
@@ -11,8 +13,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "dp/env_mat.hpp"
-#include "dp/switch_fn.hpp"
 
 namespace dp::env_ref {
 
@@ -35,27 +37,54 @@ struct CompactReference {
   std::size_t overflow = 0;
 };
 
-/// The 4 rmat entries s(r) (1, u) and the 12 derivative entries of one slot.
-inline void fill_slot(double* rrow, double* drow, const Vec3& d, double r2, double rcut_smth,
+/// r^2 = |d|^2 by the fma sequence the production rows use.
+inline double r2_of(const Vec3& d) { return std::fma(d.z, d.z, std::fma(d.x, d.x, d.y * d.y)); }
+
+/// The 4 rmat entries s(r) (1, u) and the 12 derivative entries of one slot
+/// at displacement d, one scalar operation at a time. Each std::fma stands
+/// where GCC contracts the textbook expressions on an FMA target; spelled
+/// out, the oracle rounds the same in every build and in every surrounding
+/// (a contracted copy of these expressions rounded entries 9 and 10 the
+/// other way once the code around it changed).
+inline void fill_slot(double* rrow, double* drow, const Vec3& d, double rcut_smth,
                       double rcut) {
-  const double r = std::sqrt(r2);
-  const auto sw = core::switch_fn(r, rcut_smth, rcut);
+  const double r = std::sqrt(r2_of(d));
   const double inv_r = 1.0 / r;
-  const Vec3 u = d * inv_r;
-  rrow[0] = sw.s;
-  rrow[1] = sw.s * u.x;
-  rrow[2] = sw.s * u.y;
-  rrow[3] = sw.s * u.z;
-  drow[0] = sw.ds_dr * u.x;
-  drow[1] = sw.ds_dr * u.y;
-  drow[2] = sw.ds_dr * u.z;
-  const double s_over_r = sw.s * inv_r;
-  const double uk[3] = {u.x, u.y, u.z};
+  double s = 0.0, ds_dr = 0.0;
+  if (r < rcut_smth) {
+    s = inv_r;
+    ds_dr = -inv_r * inv_r;
+  } else if (r < rcut) {
+    // w = 1 - 10 x^3 + 15 x^4 - 6 x^5 on x = (r - rs) / (rc - rs)
+    const double span = rcut - rcut_smth;
+    const double x = (r - rcut_smth) / span;
+    const double x2 = x * x;
+    const double w = std::fma(x2 * x, std::fma(x, std::fma(-6.0, x, 15.0), -10.0), 1.0);
+    const double dw_dx = x2 * std::fma(x, std::fma(-30.0, x, 60.0), -30.0);
+    s = w * inv_r;
+    ds_dr = std::fma(dw_dx / span, inv_r, -(s * inv_r));
+  }
+  const double s_over_r = s * inv_r;
+  const double u[3] = {d.x * inv_r, d.y * inv_r, d.z * inv_r};
+  rrow[0] = s;
+  for (int k = 0; k < 3; ++k) rrow[k + 1] = s * u[k];
+  // c = 0: d s / d d_l = s' u_l
+  for (int l = 0; l < 3; ++l) drow[l] = ds_dr * u[l];
+  // c = k: d (s u_k) / d d_l = s' u_k u_l + (s/r) (delta_kl - u_k u_l)
   for (int k = 0; k < 3; ++k)
-    for (int l = 0; l < 3; ++l) {
-      const double kron = (k == l) ? 1.0 : 0.0;
-      drow[3 * (k + 1) + l] = sw.ds_dr * uk[k] * uk[l] + s_over_r * (kron - uk[k] * uk[l]);
-    }
+    for (int l = 0; l < 3; ++l)
+      drow[3 * (k + 1) + l] =
+          std::fma(drow[k], u[l], s_over_r * std::fma(-u[k], u[l], k == l ? 1.0 : 0.0));
+}
+
+/// The derivative rows of every stored slot of a compact matrix, rebuilt
+/// from its displacements the way prod-force rebuilds them.
+inline std::vector<double> rebuilt_deriv(const core::EnvMat& env) {
+  const std::size_t slots = env.stored_slots();
+  std::vector<double> rmat(4 * slots), deriv(12 * slots);
+  simd::pick_env_rows(simd::active())(env.diff.data(), slots, env.rcut_smth, env.rcut,
+                                      rmat.data(), deriv.data());
+  return deriv;
 }
 
 inline CompactReference build_compact_reference(const core::ModelConfig& cfg,
@@ -70,7 +99,7 @@ inline CompactReference build_compact_reference(const core::ModelConfig& cfg,
     for (int j : nlist.neighbors(i)) {
       Vec3 d = atoms.pos[static_cast<std::size_t>(j)] - atoms.pos[i];
       if (periodic) d = box.min_image(d);
-      const double r2 = norm2(d);
+      const double r2 = r2_of(d);
       if (r2 < rc2 && r2 > 0.0) cand.push_back({r2, j, d});
     }
     std::sort(cand.begin(), cand.end());
@@ -98,8 +127,7 @@ inline CompactReference build_compact_reference(const core::ModelConfig& cfg,
       if (quota[ty] == 0) continue;
       --quota[ty];
       const std::size_t s = cursor[ty]++;
-      fill_slot(ref.rmat.data() + 4 * s, ref.deriv.data() + 12 * s, c.d, c.r2, cfg.rcut_smth,
-                cfg.rcut);
+      fill_slot(ref.rmat.data() + 4 * s, ref.deriv.data() + 12 * s, c.d, cfg.rcut_smth, cfg.rcut);
       ref.diff[3 * s + 0] = c.d.x;
       ref.diff[3 * s + 1] = c.d.y;
       ref.diff[3 * s + 2] = c.d.z;

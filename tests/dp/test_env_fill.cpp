@@ -1,18 +1,22 @@
 // The compact environment matrix is counted, then filled in place: slot
 // order and content must equal the sort-and-fill oracle byte for byte at
 // every thread count, the build's scratch must not scale with the system,
-// and slot arrays that grow between builds must read like fresh ones.
+// and slot arrays that grow between builds must read like fresh ones. The
+// CSR stores no derivative rows: the ones rebuilt from its displacements
+// must equal the oracle's stored rows byte for byte, at every SIMD level.
 #include <omp.h>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "dp/env_mat.hpp"
 #include "env_reference.hpp"
 #include "fused/fused_model.hpp"
@@ -27,11 +31,13 @@ struct OmpThreadGuard {
   ~OmpThreadGuard() { omp_set_num_threads(saved); }
 };
 
-/// Byte equality of every CSR array over the stored slots.
+/// Byte equality of every CSR array over the stored slots, and of the
+/// rebuilt derivative rows with the oracle's stored ones.
 void expect_same_csr(const EnvMat& env, const env_ref::CompactReference& ref,
                      const std::string& what) {
   const std::size_t slots = ref.slot_atom.size();
   ASSERT_EQ(env.stored_slots(), slots) << what;
+  EXPECT_TRUE(env.deriv.empty()) << what;
   EXPECT_EQ(env.count_by_type, ref.count_by_type) << what;
   EXPECT_EQ(env.block_start, ref.block_start) << what;
   EXPECT_EQ(env.overflow, ref.overflow) << what;
@@ -39,7 +45,8 @@ void expect_same_csr(const EnvMat& env, const env_ref::CompactReference& ref,
       << what;
   EXPECT_EQ(0, std::memcmp(env.rmat.data(), ref.rmat.data(), slots * 4 * sizeof(double)))
       << what;
-  EXPECT_EQ(0, std::memcmp(env.deriv.data(), ref.deriv.data(), slots * 12 * sizeof(double)))
+  EXPECT_EQ(0, std::memcmp(env_ref::rebuilt_deriv(env).data(), ref.deriv.data(),
+                           slots * 12 * sizeof(double)))
       << what;
   EXPECT_EQ(0, std::memcmp(env.diff.data(), ref.diff.data(), slots * 3 * sizeof(double)))
       << what;
@@ -208,10 +215,10 @@ TEST(EnvFill, GrownSlotArraysMatchAFreshBuild) {
   EnvMatWorkspace ws;
   build_env_mat(cfg, loose.box, loose.atoms, nl_loose, env, ws);
   const std::size_t first = env.stored_slots();
-  const std::size_t first_capacity = env.deriv.capacity();
+  const std::size_t first_capacity = env.diff.capacity();
   build_env_mat(cfg, dense.box, dense.atoms, nl_dense, env, ws);
   ASSERT_GT(env.stored_slots(), 2 * first);
-  ASSERT_GT(env.stored_slots() * 12, first_capacity);
+  ASSERT_GT(env.stored_slots() * 3, first_capacity);
   EnvMat fresh;
   build_env_mat(cfg, dense.box, dense.atoms, nl_dense, fresh);
   const auto ref = env_ref::build_compact_reference(cfg, dense.box, dense.atoms, nl_dense);
@@ -232,6 +239,98 @@ TEST(EnvFill, GrownSlotArraysMatchAFreshBuild) {
   EXPECT_EQ(ra.energy, rb.energy);
   EXPECT_EQ(0, std::memcmp(a.force.data(), b.force.data(), a.size() * sizeof(Vec3)));
   EXPECT_EQ(0, std::memcmp(&ra.virial, &rb.virial, sizeof(Mat3)));
+}
+
+TEST(EnvFill, CompactStoresNoDerivative) {
+  // A compact slot is rmat (4 doubles), diff (3) and slot_atom (1 int);
+  // the derivative rows are rebuilt where prod-force reads them. An EnvMat
+  // that held a dense build gives its deriv array back.
+  const ModelConfig cfg = ModelConfig::tiny(2);
+  auto sys = md::make_fcc(4, 4, 4, 3.634, 63.546, 0.15, 24);
+  sys.atoms.mass_by_type = {63.546, 63.546};
+  for (std::size_t i = 0; i < sys.atoms.size(); ++i)
+    sys.atoms.type[i] = static_cast<int>(i % 2);
+  const auto nl = neighbors_of(cfg, sys);
+  EnvMat env;
+  build_env_mat(cfg, sys.box, sys.atoms, nl, env, EnvMatKernel::Baseline);
+  ASSERT_GT(env.deriv.capacity(), 0u);
+  build_env_mat(cfg, sys.box, sys.atoms, nl, env);
+  ASSERT_TRUE(env.compact());
+  EXPECT_TRUE(env.deriv.empty());
+  EXPECT_EQ(env.deriv.capacity(), 0u);
+  EXPECT_EQ(env.rcut, cfg.rcut);
+  EXPECT_EQ(env.rcut_smth, cfg.rcut_smth);
+  const std::size_t slots = env.stored_slots();
+  const std::size_t blocks = env.n_atoms * static_cast<std::size_t>(env.ntypes);
+  ASSERT_GT(slots, 0u);
+  EXPECT_EQ(env.compact_bytes(), slots * (7 * sizeof(double) + sizeof(int)) +
+                                     blocks * sizeof(int) + (blocks + 1) * sizeof(std::size_t));
+}
+
+/// Displacements whose r^2 (the rows' fma sequence) lies below rcut^2 while
+/// sqrt(r^2) rounds to rcut, where the switch's r >= rcut branch zeroes
+/// the rows although the slot is in the CSR.
+std::vector<Vec3> boundary_displacements(double rcut, std::size_t want) {
+  std::vector<Vec3> out;
+  const double rc2 = rcut * rcut;
+  Rng rng(31);
+  for (int k = 0; k < 1000000 && out.size() < want; ++k) {
+    const Vec3 d = rng.unit_vector() * rcut;
+    const double r2 = env_ref::r2_of(d);
+    if (r2 < rc2 && std::sqrt(r2) >= rcut) out.push_back(d);
+  }
+  return out;
+}
+
+TEST(EnvFill, RebuiltRowsMatchTheOracleAtEveryLevel) {
+  // Every slot of two EnvFill systems, a radial sweep over (0, rcut) that
+  // crosses rcut_smth, the points on either side of it, and the boundary
+  // displacements: at every level the rows rebuilt from d equal the
+  // oracle's stored rows byte for byte.
+  ModelConfig cfg = ModelConfig::tiny(2);
+  cfg.rcut = 5.0;  // r^2 is 2.5x finer than r here, so boundary points exist
+  cfg.rcut_smth = 2.5;
+  std::vector<Vec3> disp;
+  for (int k = 0; k < 2; ++k) {
+    auto sys = k == 0 ? md::make_fcc(5, 5, 5) : md::make_fcc(4, 4, 4, 3.634, 63.546, 0.15, 21);
+    sys.atoms.mass_by_type = {63.546, 63.546};
+    for (std::size_t i = 0; i < sys.atoms.size(); ++i)
+      sys.atoms.type[i] = static_cast<int>(i * 7 / 3 % 2);
+    EnvMat env;
+    build_env_mat(cfg, sys.box, sys.atoms, neighbors_of(cfg, sys), env);
+    for (std::size_t s = 0; s < env.stored_slots(); ++s)
+      disp.push_back({env.diff_at(s)[0], env.diff_at(s)[1], env.diff_at(s)[2]});
+  }
+  Rng rng(30);
+  for (int k = 1; k < 4000; ++k) disp.push_back(rng.unit_vector() * (cfg.rcut * k / 4000.0));
+  for (double r : {std::nextafter(cfg.rcut_smth, 0.0), cfg.rcut_smth,
+                   std::nextafter(cfg.rcut_smth, cfg.rcut)})
+    disp.push_back({0.0, r, 0.0});
+  const auto edge = boundary_displacements(cfg.rcut, 64);
+  ASSERT_EQ(edge.size(), 64u);
+  disp.insert(disp.end(), edge.begin(), edge.end());
+
+  const std::size_t n = disp.size();
+  std::vector<double> diff(3 * n), ref_r(4 * n), ref_d(12 * n);
+  for (std::size_t k = 0; k < n; ++k) {
+    diff[3 * k] = disp[k].x;
+    diff[3 * k + 1] = disp[k].y;
+    diff[3 * k + 2] = disp[k].z;
+    env_ref::fill_slot(ref_r.data() + 4 * k, ref_d.data() + 12 * k, disp[k], cfg.rcut_smth,
+                       cfg.rcut);
+  }
+  for (std::size_t k = n - edge.size(); k < n; ++k) ASSERT_EQ(ref_r[4 * k], 0.0);
+  const int top = static_cast<int>(simd::max_supported());
+  for (int lvl = 0; lvl <= top; ++lvl) {
+    const auto level = static_cast<simd::Level>(lvl);
+    std::vector<double> rmat(4 * n), deriv(12 * n);
+    simd::pick_env_rows(level)(diff.data(), n, cfg.rcut_smth, cfg.rcut, rmat.data(),
+                               deriv.data());
+    EXPECT_EQ(0, std::memcmp(rmat.data(), ref_r.data(), rmat.size() * sizeof(double)))
+        << simd::name(level);
+    EXPECT_EQ(0, std::memcmp(deriv.data(), ref_d.data(), deriv.size() * sizeof(double)))
+        << simd::name(level);
+  }
 }
 
 }  // namespace

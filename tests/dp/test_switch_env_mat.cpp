@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "dp/env_mat.hpp"
 #include "dp/switch_fn.hpp"
+#include "env_reference.hpp"
 #include "md/lattice.hpp"
 
 namespace dp::core {
@@ -75,6 +77,7 @@ TEST(EnvMat, BaselineAndOptimizedIdentical) {
   EXPECT_EQ(a.overflow, b.overflow);
   EXPECT_EQ(b.stored_slots(), b.filled_slots());
   EXPECT_EQ(a.filled_slots(), b.filled_slots());
+  const std::vector<double> b_deriv = env_ref::rebuilt_deriv(b);
   for (std::size_t i = 0; i < a.n_atoms; ++i)
     for (int t = 0; t < a.ntypes; ++t) {
       const std::size_t sa = a.block_begin(i, t);
@@ -84,7 +87,8 @@ TEST(EnvMat, BaselineAndOptimizedIdentical) {
         const std::size_t kb = sb + static_cast<std::size_t>(k);
         EXPECT_EQ(a.atom_of(ka), b.atom_of(kb));
         for (int c = 0; c < 4; ++c) EXPECT_DOUBLE_EQ(a.rmat_at(ka)[c], b.rmat_at(kb)[c]);
-        for (int c = 0; c < 12; ++c) EXPECT_DOUBLE_EQ(a.deriv_at(ka)[c], b.deriv_at(kb)[c]);
+        for (int c = 0; c < 12; ++c)
+          EXPECT_DOUBLE_EQ(a.deriv_at(ka)[c], b_deriv[12 * kb + static_cast<std::size_t>(c)]);
       }
     }
 }
@@ -123,7 +127,9 @@ TEST(EnvMat, PaddedSlotsAreZero) {
     for (int k = cnt; k < env.nm; ++k) {
       EXPECT_EQ(env.atom_at(i, k), -1);
       for (int c = 0; c < 4; ++c) EXPECT_DOUBLE_EQ(env.rmat_row(i, k)[c], 0.0);
-      for (int c = 0; c < 12; ++c) EXPECT_DOUBLE_EQ(env.deriv_row(i, k)[c], 0.0);
+      for (int c = 0; c < 12; ++c)
+        EXPECT_DOUBLE_EQ(env.deriv_at(env.block_begin(i, 0) + static_cast<std::size_t>(k))[c],
+                         0.0);
     }
   }
 }
@@ -162,6 +168,7 @@ TEST(EnvMat, DerivMatchesFiniteDifference) {
   nl.build(sys.box, sys.atoms.pos);
   EnvMat env;
   build_env_mat(cfg, sys.box, sys.atoms, nl, env);
+  const std::vector<double> deriv = env_ref::rebuilt_deriv(env);
 
   const double h = 1e-6;
   for (int l = 0; l < 3; ++l) {
@@ -179,7 +186,8 @@ TEST(EnvMat, DerivMatchesFiniteDifference) {
       const double fd = (ep.rmat_at(ep.block_begin(0, 0))[c] -
                          em.rmat_at(em.block_begin(0, 0))[c]) /
                         (2 * h);
-      EXPECT_NEAR(env.deriv_at(env.block_begin(0, 0))[3 * c + l], fd, 1e-7)
+      EXPECT_NEAR(deriv[12 * env.block_begin(0, 0) + static_cast<std::size_t>(3 * c + l)], fd,
+                  1e-7)
           << "c=" << c << " l=" << l;
     }
   }

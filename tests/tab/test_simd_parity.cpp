@@ -7,8 +7,10 @@
 //     the save() stream — in-domain, at the boundaries and their nextafter
 //     neighbors, and extrapolating;
 //   * every elementwise kernel — the table walk, the fused pass-1
-//     contraction (double and float tables), descriptor_forward and the
-//     prod-force pair gradients — is bitwise identical across levels;
+//     contraction (double and float tables), descriptor_forward, the env
+//     rows and both prod-force pair gradients — is bitwise identical across
+//     levels, and the pair gradients that rebuild the derivative rows from
+//     displacements equal the ones that read the env rows' stored rows;
 //   * forcing Level::Scalar is bit-stable no matter what level ran before.
 #include <gtest/gtest.h>
 
@@ -177,6 +179,16 @@ TEST(SimdParity, VectorLevelsWithinOneUlpOfScalar) {
   auto rmat = random_vec(4 * cnt, 73);
   for (std::size_t k = 0; k < cnt; ++k) rmat[4 * k] = s[k * s.size() / cnt];
   const auto g_rows = random_vec(4 * cnt, 74), d_rows = random_vec(12 * cnt, 75);
+  // Displacements of a 45-slot run across all three switch regions
+  // (rcut_smth 1.5, rcut 4): lengths 0.3 .. 4.3.
+  constexpr double kRs = 1.5, kRc = 4.0;
+  auto diff = random_vec(3 * cnt, 76);
+  for (std::size_t k = 0; k < cnt; ++k) {
+    const double* v = diff.data() + 3 * k;
+    const double len = std::sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]);
+    const double r = 0.3 + 4.0 * static_cast<double>(k) / cnt;
+    for (std::size_t c = 0; c < 3; ++c) diff[3 * k + c] *= r / len;
+  }
   std::vector<float> a_f(4 * m);
   for (std::size_t k = 0; k < 4 * m; ++k) a_f[k] = static_cast<float>(a_mat[k]);
 
@@ -184,16 +196,29 @@ TEST(SimdParity, VectorLevelsWithinOneUlpOfScalar) {
     TableRun table;
     std::vector<double> contract, desc, pair;
     std::vector<float> contract_f;
+    std::vector<double> env_r, env_d, pair_diff, pair_env;
   };
   const auto run = [&](simd::Level lvl) {
     LevelGuard guard(lvl);
-    Out o{run_table(table, s), a_mat, std::vector<double>(m_sub * m),
-          std::vector<double>(3 * cnt), a_f};
+    Out o{run_table(table, s),
+          a_mat,
+          std::vector<double>(m_sub * m),
+          std::vector<double>(3 * cnt),
+          a_f,
+          std::vector<double>(4 * cnt),
+          std::vector<double>(12 * cnt),
+          std::vector<double>(3 * cnt),
+          std::vector<double>(3 * cnt)};
     table37.contract(rmat.data(), cnt, o.contract.data());
     table37_f.contract(rmat.data(), cnt, o.contract_f.data());
     core::descriptor_forward(a_mat.data(), m, m_sub, o.desc.data());
     simd::pick_pair_gradients(lvl)(g_rows.data(), d_rows.data(), static_cast<int>(cnt),
                                    o.pair.data());
+    simd::pick_env_rows(lvl)(diff.data(), cnt, kRs, kRc, o.env_r.data(), o.env_d.data());
+    simd::pick_pair_gradients_diff(lvl)(g_rows.data(), diff.data(), static_cast<int>(cnt), kRs,
+                                        kRc, o.pair_diff.data());
+    simd::pick_pair_gradients(lvl)(g_rows.data(), o.env_d.data(), static_cast<int>(cnt),
+                                   o.pair_env.data());
     return o;
   };
   const Out ref = run(simd::Level::Scalar);
@@ -207,6 +232,13 @@ TEST(SimdParity, VectorLevelsWithinOneUlpOfScalar) {
     EXPECT_TRUE(bitwise_equal(o.contract_f, ref.contract_f)) << simd::name(lvl);
     EXPECT_TRUE(bitwise_equal(o.desc, ref.desc)) << simd::name(lvl);
     EXPECT_TRUE(bitwise_equal(o.pair, ref.pair)) << simd::name(lvl);
+    EXPECT_TRUE(bitwise_equal(o.env_r, ref.env_r)) << simd::name(lvl);
+    EXPECT_TRUE(bitwise_equal(o.env_d, ref.env_d)) << simd::name(lvl);
+    EXPECT_TRUE(bitwise_equal(o.pair_diff, ref.pair_diff)) << simd::name(lvl);
+  }
+  for (simd::Level lvl : available_levels()) {
+    const Out o = run(lvl);
+    EXPECT_TRUE(bitwise_equal(o.pair_diff, o.pair_env)) << simd::name(lvl);
   }
 }
 
