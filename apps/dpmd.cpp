@@ -45,8 +45,6 @@
 #include "perf/cost_model.hpp"
 #include "tab/compressed_model.hpp"
 #include "tab/model_io.hpp"
-#include "train/distributed_trainer.hpp"
-#include "train/trainer.hpp"
 
 namespace {
 
@@ -672,51 +670,6 @@ int cmd_run(const Args& args) {
   return 0;
 }
 
-int cmd_train(const Args& args) {
-  accept_only(args, {"frames", "epochs", "cells", "seed", "lr", "pref-f", "ranks", "out",
-                     "trace", "metrics"});
-  const ObsOutputs obs_out = setup_observability(args);
-  // Train a (tiny) model on LJ-labelled copper frames, then save it.
-  const int frames = args.get_int("frames", 16);
-  const int epochs = args.get_int("epochs", 10);
-  dp::core::ModelConfig cfg = dp::core::ModelConfig::tiny();
-  cfg.rcut = 4.0;
-  DPModel model(cfg, static_cast<std::uint64_t>(args.get_int("seed", 2022)));
-  auto data = dp::train::Dataset::lj_copper(frames, args.get_int("cells", 2), 0.12,
-                                            static_cast<std::uint64_t>(args.get_int("seed", 2022)));
-  dp::train::TrainConfig tc;
-  tc.learning_rate = args.get_double("lr", 3e-3);
-  tc.pref_f = args.get_double("pref-f", 0.0);
-
-  if (args.get_int("ranks", 1) > 1) {
-    const int ranks = args.get_int("ranks", 1);
-    std::printf("data-parallel training on %d in-process ranks\n", ranks);
-    const auto r = dp::train::train_distributed(ranks, model, data, tc, epochs);
-    for (int e = 0; e < epochs; ++e)
-      std::printf("epoch %3d: RMSE %.6f eV/atom\n", e + 1,
-                  r.epoch_rmse[static_cast<std::size_t>(e)]);
-    const std::string out = args.get("out", "trained.dpm");
-    model.save(out);
-    std::printf("wrote trained model to %s\n", out.c_str());
-    write_observability(obs_out);
-    return 0;
-  }
-
-  dp::train::EnergyTrainer trainer(model, tc);
-  std::printf("initial RMSE %.6f eV/atom (forces %.4f eV/A)\n", trainer.evaluate(data),
-              trainer.evaluate_forces(data));
-  for (int e = 1; e <= epochs; ++e) {
-    const double rmse = trainer.epoch(data);
-    std::printf("epoch %3d: RMSE %.6f eV/atom\n", e, rmse);
-  }
-  std::printf("final force RMSE %.4f eV/A\n", trainer.evaluate_forces(data));
-  const std::string out = args.get("out", "trained.dpm");
-  model.save(out);
-  std::printf("wrote trained model to %s\n", out.c_str());
-  write_observability(obs_out);
-  return 0;
-}
-
 int usage() {
   std::printf(
       "usage: dpmd <command> [--option value ...]\n"
@@ -735,9 +688,7 @@ int usage() {
       "            [--vacuum FRAC] [--force-dump F]\n"
       "            [--restart ckpt] [--data lammps.data]\n"
       "            [--trace out.trace.json] [--metrics out.metrics.jsonl]\n"
-      "            [--health] [--flight-recorder [DIR]]\n"
-      "  train     fit a model to LJ labels    (--frames N --epochs N [--pref-f W] --out F\n"
-      "            [--trace F] [--metrics F])\n");
+      "            [--health] [--flight-recorder [DIR]]\n");
   return 2;
 }
 
@@ -750,7 +701,6 @@ int main(int argc, char** argv) {
     if (args.command == "info") return cmd_info(args);
     if (args.command == "compress") return cmd_compress(args);
     if (args.command == "run") return cmd_run(args);
-    if (args.command == "train") return cmd_train(args);
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dpmd: %s\n", e.what());

@@ -88,38 +88,4 @@ md::ForceResult BehlerParrinello::compute(const md::Box& box, md::Atoms& atoms,
   return out;
 }
 
-double BehlerParrinello::energy_with_gradients(
-    const md::Box& box, const md::Atoms& atoms, const md::NeighborList& nlist, double seed,
-    std::vector<std::vector<nn::DenseLayer::Grads>>* grads) const {
-  const std::size_t n = nlist.n_centers();
-  const std::size_t k_feat = cfg_.n_features();
-  const double rc = cfg_.rcut;
-  const double rc2 = rc * rc;
-
-  double energy = 0.0;
-  AlignedVector<double> features(k_feat), g_d(k_feat);
-  nn::FittingNet::Workspace ws;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (auto& f : features) f = 0.0;
-    for (int j : nlist.neighbors(i)) {
-      Vec3 d = atoms.pos[static_cast<std::size_t>(j)] - atoms.pos[i];
-      d = box.min_image(d);
-      const double r2 = norm2(d);
-      if (r2 >= rc2) continue;
-      const double r = std::sqrt(r2);
-      const double fc = 0.5 * (std::cos(std::numbers::pi * r / rc) + 1.0);
-      for (std::size_t k = 0; k < k_feat; ++k) {
-        const double dr = r - cfg_.rs[k];
-        features[k] += std::exp(-cfg_.eta[k] * dr * dr) * fc;
-      }
-    }
-    const int ct = atoms.type[i];
-    energy += nets_[static_cast<std::size_t>(ct)].forward(features.data(), ws);
-    if (grads != nullptr)
-      nets_[static_cast<std::size_t>(ct)].backward(
-          ws, g_d.data(), &(*grads)[static_cast<std::size_t>(ct)], seed);
-  }
-  return energy;
-}
-
 }  // namespace dp::bp

@@ -41,14 +41,6 @@ class BehlerParrinello final : public md::ForceField {
 
   const BpConfig& config() const { return cfg_; }
   const std::vector<double>& atom_energies() const { return atom_energy_; }
-  nn::FittingNet& net(int t) { return nets_[static_cast<std::size_t>(t)]; }
-
-  /// Training support: E_pred plus seed * dE/d(weights) accumulated into
-  /// `grads` ([type][layer], pre-init'ed) when non-null.
-  double energy_with_gradients(const md::Box& box, const md::Atoms& atoms,
-                               const md::NeighborList& nlist, double seed = 1.0,
-                               std::vector<std::vector<nn::DenseLayer::Grads>>* grads =
-                                   nullptr) const;
 
  private:
   BpConfig cfg_;

@@ -26,9 +26,8 @@ void descriptor_fit_block(const nn::FittingNet& fit, const double* a_mats, std::
   for (std::size_t r = 0; r < rows; ++r)
     descriptor_forward(a_mats + r * 4 * m, m, m_sub, d + r * dd);
   fit.forward_block(d, rows, scratch.fit_ws, energy);
-  // dE/dD overwrites D in place: without parameter gradients the backward
-  // pass never reads the layer-0 input, and the block keeps one D-sized
-  // buffer instead of two.
+  // dE/dD overwrites D in place: the backward pass never reads the layer-0
+  // input, so the block keeps one D-sized buffer instead of two.
   fit.backward(scratch.fit_ws, d);
   for (std::size_t r = 0; r < rows; ++r) {
     double* ga = g_a + r * 4 * m;
@@ -65,7 +64,7 @@ std::size_t FitBlocks::push(int t, std::size_t i) {
 }
 
 std::size_t FitBlocks::bytes() const {
-  std::size_t b = g_a_.capacity() + kernel_.d_flat.capacity() + kernel_.g_d.capacity();
+  std::size_t b = g_a_.capacity() + kernel_.d_flat.capacity();
   for (const auto& a : a_) b += a.capacity();
   return b * sizeof(double) + kernel_.fit_ws.bytes();
 }

@@ -28,10 +28,10 @@ void descriptor_backward(const double* a_mat, const double* g_d, std::size_t m,
 
 /// Scratch for descriptor_fit_block / descriptor_fit_atom, reused across
 /// calls (grow-only). d_flat holds the block's D rows and then, in place,
-/// their dE/dD; g_d is for callers that need both (the training path).
+/// their dE/dD.
 struct AtomKernelScratch {
   nn::FittingNet::Workspace fit_ws;
-  std::vector<double> d_flat, g_d;
+  std::vector<double> d_flat;
 };
 
 /// The shared middle of every inference path, for a block of `rows` atoms of

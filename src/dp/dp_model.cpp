@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 
+#include "common/binary_io.hpp"
 #include "common/rng.hpp"
 #include "nn/serialize.hpp"
 
@@ -28,20 +29,6 @@ void DPModel::set_activation(nn::Activation act) {
   for (auto& e : embed_) e.set_activation(act);
   for (auto& f : fit_) f.set_activation(act);
 }
-
-namespace {
-template <class T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-template <class T>
-T read_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  DP_CHECK_MSG(static_cast<bool>(is), "truncated DP model file");
-  return v;
-}
-}  // namespace
 
 void DPModel::save(const std::string& path) const {
   std::ofstream os(path, std::ios::binary);
@@ -75,33 +62,56 @@ void DPModel::save(std::ostream& os) const {
 DPModel DPModel::load(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   DP_CHECK_MSG(is.is_open(), "cannot open " << path);
-  return load(is);
+  return load(is, path);
 }
 
-DPModel DPModel::load(std::istream& is) {
-  DP_CHECK_MSG(read_pod<std::uint32_t>(is) == kModelMagic, "not a DP model file");
-  DP_CHECK_MSG(read_pod<std::uint32_t>(is) == kModelVersion,
-               "unsupported DP model file version");
+DPModel DPModel::load(std::istream& is, const std::string& source) {
+  BinaryReader r(is, source);
+  r.check(r.pod<std::uint32_t>("magic") == kModelMagic, "magic", "not a DP model file");
+  const auto version = r.pod<std::uint32_t>("version");
+  r.check(version == kModelVersion, "version", "unsupported DP model file version ", version);
   ModelConfig cfg;
-  cfg.rcut = read_pod<double>(is);
-  cfg.rcut_smth = read_pod<double>(is);
-  cfg.type_one_side = read_pod<std::int32_t>(is) != 0;
-  cfg.descriptor = static_cast<DescriptorKind>(read_pod<std::int32_t>(is));
-  cfg.ntypes = read_pod<std::int32_t>(is);
+  cfg.rcut = r.pod<double>("rcut");
+  cfg.rcut_smth = r.pod<double>("rcut_smth");
+  cfg.type_one_side = r.pod<std::int32_t>("type_one_side") != 0;
+  const auto kind = r.pod<std::int32_t>("descriptor");
+  r.check(kind == static_cast<std::int32_t>(DescriptorKind::SeA) ||
+              kind == static_cast<std::int32_t>(DescriptorKind::SeR),
+          "descriptor", "unknown kind ", kind);
+  cfg.descriptor = static_cast<DescriptorKind>(kind);
+  // Every count and width is bounded by the bytes left before it sizes
+  // anything: one sel entry per type, and a width-w layer stores at least
+  // its w biases.
+  cfg.ntypes = static_cast<int>(r.count<std::int32_t>("ntypes", sizeof(std::int32_t)));
   cfg.sel.resize(static_cast<std::size_t>(cfg.ntypes));
-  for (auto& s : cfg.sel) s = read_pod<std::int32_t>(is);
-  cfg.embed_widths.resize(read_pod<std::uint64_t>(is));
-  for (auto& w : cfg.embed_widths) w = read_pod<std::uint64_t>(is);
-  cfg.axis_neuron = read_pod<std::uint64_t>(is);
-  cfg.fit_widths.resize(read_pod<std::uint64_t>(is));
-  for (auto& w : cfg.fit_widths) w = read_pod<std::uint64_t>(is);
+  for (auto& s : cfg.sel) s = r.pod<std::int32_t>("sel");
+  cfg.embed_widths.resize(r.count<std::uint64_t>("embed width count", sizeof(std::uint64_t)));
+  for (auto& w : cfg.embed_widths) w = r.count<std::uint64_t>("embed width", sizeof(double));
+  cfg.axis_neuron = r.pod<std::uint64_t>("axis_neuron");
+  cfg.fit_widths.resize(r.count<std::uint64_t>("fit width count", sizeof(std::uint64_t)));
+  for (auto& w : cfg.fit_widths) w = r.count<std::uint64_t>("fit width", sizeof(double));
 
   DPModel model;
   model.cfg_ = cfg;
   model.cfg_.validate();
-  const int n_embed = cfg.type_one_side ? cfg.ntypes : cfg.ntypes * cfg.ntypes;
-  for (int t = 0; t < n_embed; ++t) model.embed_.push_back(nn::load_embedding(is));
-  for (int t = 0; t < cfg.ntypes; ++t) model.fit_.push_back(nn::load_fitting(is));
+  // The nets carry their own shape records; they must be the header's.
+  const auto nt = static_cast<std::uint64_t>(cfg.ntypes);
+  const std::uint64_t n_embed = cfg.type_one_side ? nt : nt * nt;
+  r.require(n_embed + nt, 2 * sizeof(std::uint32_t), "net count");  // magic + version each
+  for (std::uint64_t t = 0; t < n_embed; ++t) {
+    model.embed_.push_back(nn::load_embedding(is, source));
+    r.check(model.embed_.back().widths() == cfg.embed_widths, "embedding net",
+            "widths differ from the header's");
+  }
+  for (int t = 0; t < cfg.ntypes; ++t) {
+    model.fit_.push_back(nn::load_fitting(is, source));
+    const auto& layers = model.fit_.back().layers();
+    bool same = model.fit_.back().input_dim() == cfg.descriptor_dim() &&
+                layers.size() == cfg.fit_widths.size() + 1;
+    for (std::size_t l = 0; same && l < cfg.fit_widths.size(); ++l)
+      same = layers[l].out_dim() == cfg.fit_widths[l];
+    r.check(same, "fitting net", "shape differs from the header's");
+  }
   return model;
 }
 

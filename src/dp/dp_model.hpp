@@ -50,7 +50,6 @@ class DPModel {
 
   /// Fitting net of center type t.
   const nn::FittingNet& fitting(int t) const { return fit_[static_cast<std::size_t>(t)]; }
-  nn::FittingNet& fitting(int t) { return fit_[static_cast<std::size_t>(t)]; }
 
   /// Switch every network to the tabulated-tanh activation (Fig 8 "other
   /// optimizations" step on A64FX).
@@ -59,7 +58,8 @@ class DPModel {
   void save(const std::string& path) const;
   static DPModel load(const std::string& path);
   void save(std::ostream& os) const;
-  static DPModel load(std::istream& is);
+  /// `source` names the stream in load errors (common/binary_io.hpp).
+  static DPModel load(std::istream& is, const std::string& source = "DP model stream");
 
  private:
   ModelConfig cfg_;

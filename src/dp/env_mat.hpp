@@ -90,22 +90,9 @@ struct EnvMat {
     return compact() ? block_start.back() : n_atoms * static_cast<std::size_t>(nm);
   }
 
-  // Legacy dense-layout accessors (slot is an offset within atom i's nm
-  // reserved slots). Only meaningful when !compact().
-  const double* rmat_row(std::size_t i, int slot) const {
-    return rmat.data() + (i * static_cast<std::size_t>(nm) + static_cast<std::size_t>(slot)) * 4;
-  }
-  int atom_at(std::size_t i, int slot) const {
-    return slot_atom[i * static_cast<std::size_t>(nm) + static_cast<std::size_t>(slot)];
-  }
-
   int count(std::size_t i, int t) const {
     return count_by_type[i * static_cast<std::size_t>(ntypes) + static_cast<std::size_t>(t)];
   }
-  /// Slot offset of type t's block within an atom's nm reserved slots
-  /// (mirrors ModelConfig::type_offset so consumers of a built EnvMat need
-  /// no config handle to walk the type blocks). Dense addressing only.
-  int type_offset(int t) const { return type_off[static_cast<std::size_t>(t)]; }
   /// Real (non-padding) slots across all atoms, valid in both layouts.
   std::size_t filled_slots() const;
   /// Fraction of reserved slots that are padding — the paper's "redundant

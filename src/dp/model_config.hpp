@@ -1,7 +1,9 @@
 // Hyper-parameters of a Deep Potential model (paper Sec 2.1 / Sec 4).
 #pragma once
 
+#include <climits>
 #include <cstddef>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -47,6 +49,8 @@ struct ModelConfig {
     DP_CHECK(rcut > 0 && rcut_smth >= 0 && rcut_smth < rcut);
     DP_CHECK(ntypes >= 1 && static_cast<int>(sel.size()) == ntypes);
     for (int s : sel) DP_CHECK(s > 0);
+    DP_CHECK_MSG(std::accumulate(sel.begin(), sel.end(), std::int64_t{0}) <= INT_MAX,
+                 "sum of sel overflows N_m");
     DP_CHECK(!embed_widths.empty() && !fit_widths.empty());
     DP_CHECK(axis_neuron >= 1 && axis_neuron <= m());
   }

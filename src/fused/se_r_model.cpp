@@ -98,8 +98,8 @@ md::ForceResult SeRFusedDP::compute(const md::Box& box, md::Atoms& atoms,
       ++sc.blocks;
       double* d = sc.d_rows[ut].data();
       model.fitting(t).forward_block(d, rows, sc.fit_ws, sc.energy.data());
-      // dE/dD overwrites D in place: without parameter gradients the
-      // backward pass never reads the layer-0 input.
+      // dE/dD overwrites D in place: the backward pass never reads the
+      // layer-0 input.
       model.fitting(t).backward(sc.fit_ws, d);
       for (std::size_t r = 0; r < rows; ++r) {
         const std::size_t i = sc.row_atom[ut][r];

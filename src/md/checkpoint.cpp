@@ -9,6 +9,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "common/binary_io.hpp"
 #include "common/error.hpp"
 
 namespace dp::md {
@@ -21,23 +22,6 @@ template <class T>
 void write_pod(std::FILE* f, const T& v) {
   // Errors are sticky: save_checkpoint checks ferror() once, after fflush.
   (void)std::fwrite(&v, sizeof(T), 1, f);
-}
-template <class T>
-T read_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  DP_CHECK_MSG(static_cast<bool>(is), "truncated checkpoint");
-  return v;
-}
-
-/// Bytes between the read position and the end of the file.
-std::uint64_t bytes_left(std::istream& is) {
-  const std::streamoff here = is.tellg();
-  is.seekg(0, std::ios::end);
-  const std::streamoff end = is.tellg();
-  is.seekg(here);
-  DP_CHECK_MSG(here >= 0 && end >= here && is, "checkpoint is not seekable");
-  return static_cast<std::uint64_t>(end - here);
 }
 }  // namespace
 
@@ -75,32 +59,29 @@ void save_checkpoint(const std::string& path, const Configuration& cfg, int step
 Checkpoint load_checkpoint(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   DP_CHECK_MSG(is.is_open(), "cannot open " << path);
-  DP_CHECK_MSG(read_pod<std::uint32_t>(is) == kMagic, "not a checkpoint file: " << path);
-  DP_CHECK_MSG(read_pod<std::uint32_t>(is) == kVersion, "unsupported checkpoint version");
+  BinaryReader r(is, path);
+  r.check(r.pod<std::uint32_t>("magic") == kMagic, "magic", "not a checkpoint file");
+  const auto version = r.pod<std::uint32_t>("version");
+  r.check(version == kVersion, "version", "unsupported checkpoint version ", version);
   Checkpoint out;
-  out.step = read_pod<std::int32_t>(is);
-  const double lx = read_pod<double>(is);
-  const double ly = read_pod<double>(is);
-  const double lz = read_pod<double>(is);
-  DP_CHECK_MSG(std::isfinite(lx) && std::isfinite(ly) && std::isfinite(lz),
-               "non-finite box lengths in checkpoint " << path);
+  out.step = r.pod<std::int32_t>("step");
+  const double lx = r.pod<double>("box x");
+  const double ly = r.pod<double>("box y");
+  const double lz = r.pod<double>("box z");
+  r.check(std::isfinite(lx) && std::isfinite(ly) && std::isfinite(lz), "box",
+          "non-finite box lengths");
   out.config.box = Box(lx, ly, lz);
   // Bound both counts by the bytes the file can still hold before anything
   // is allocated, so a corrupt header cannot request an arbitrary resize.
-  const auto ntypes = read_pod<std::uint64_t>(is);
-  DP_CHECK_MSG(ntypes <= bytes_left(is) / sizeof(double),
-               "checkpoint header (" << ntypes << " types) exceeds the file " << path);
-  out.config.atoms.mass_by_type.resize(ntypes);
-  for (double& m : out.config.atoms.mass_by_type) m = read_pod<double>(is);
-  const auto n = read_pod<std::uint64_t>(is);
+  out.config.atoms.mass_by_type.resize(r.count<std::uint64_t>("type count", sizeof(double), 0));
+  for (double& m : out.config.atoms.mass_by_type) m = r.pod<double>("mass");
   constexpr std::uint64_t kAtomBytes = sizeof(std::int32_t) + 2 * sizeof(Vec3);
-  DP_CHECK_MSG(n <= bytes_left(is) / kAtomBytes,
-               "checkpoint header (" << n << " atoms) exceeds the file " << path);
+  const auto n = r.count<std::uint64_t>("atom count", kAtomBytes, 0);
   out.config.atoms.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    out.config.atoms.type[i] = read_pod<std::int32_t>(is);
-    out.config.atoms.pos[i] = read_pod<Vec3>(is);
-    out.config.atoms.vel[i] = read_pod<Vec3>(is);
+    out.config.atoms.type[i] = r.pod<std::int32_t>("atom type");
+    out.config.atoms.pos[i] = r.pod<Vec3>("atom position");
+    out.config.atoms.vel[i] = r.pod<Vec3>("atom velocity");
   }
   out.config.atoms.validate();
   return out;

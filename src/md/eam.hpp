@@ -3,10 +3,9 @@
 //   E = eps * [ 1/2 sum_{i != j} (a/r_ij)^n  -  c * sum_i sqrt(rho_i) ],
 //   rho_i = sum_j (a/r_ij)^m
 //
-// Serves two purposes: a second, many-body verification target for the MD
-// substrate (LJ is pairwise), and more realistic training labels for the
-// copper workflows (the sqrt-embedding gives the many-body character DP
-// models are built to capture). Both the pair term and the density are
+// A second, many-body verification target for the MD substrate (LJ is
+// pairwise), and the potential that exercises the distributed driver's
+// forward halo pass of F'(rho). Both the pair term and the density are
 // multiplied by a C2 polynomial gate so energy and forces vanish smoothly
 // at the cutoff.
 #pragma once

@@ -65,19 +65,11 @@ void DenseLayer::forward_rows(const double* x, std::size_t rows, double* y,
 }
 
 void DenseLayer::backward_rows(const double* g_out, const double* act_saved, std::size_t rows,
-                               double* g_in, double* g_u, const double* x,
-                               Grads* grads) const {
+                               double* g_in, double* g_u) const {
   // g_u = g_out .* act'(u), from the saved activation values.
   for (std::size_t k = 0; k < rows * out_; ++k)
     g_u[k] = g_out[k] * activate_deriv_from_value(act_saved[k]);
   gemm_nt(g_u, w_.data(), g_in, rows, out_, in_);
-  if (grads != nullptr) {
-    DP_CHECK_MSG(x != nullptr, "weight gradients need the forward input rows");
-    // dE/dW += x^T g_u (in x out), dE/db += column sums of g_u.
-    gemm_tn_acc(x, g_u, grads->w.data(), in_, rows, out_);
-    for (std::size_t r = 0; r < rows; ++r)
-      for (std::size_t j = 0; j < out_; ++j) grads->b[j] += g_u[r * out_ + j];
-  }
   for (std::size_t r = 0; r < rows; ++r) {
     const double* go = g_out + r * out_;
     double* gi = g_in + r * in_;
@@ -108,16 +100,12 @@ void DenseLayer::forward_batch_ws(const Matrix& x, Matrix& y, Matrix& act_save) 
 }
 
 void DenseLayer::backward_batch(const Matrix& g_out, const Matrix& act_saved, Matrix& g_in,
-                                Matrix& g_u, const Matrix* x, Grads* grads) const {
+                                Matrix& g_u) const {
   DP_CHECK(g_out.cols() == out_ && same_shape(g_out, act_saved));
   const std::size_t n = g_out.rows();
-  if (grads != nullptr)
-    DP_CHECK_MSG(x != nullptr && x->rows() == n && x->cols() == in_,
-                 "weight gradients need the forward input batch");
   g_in.resize(n, in_);
   g_u.resize(n, out_);
-  backward_rows(g_out.data(), act_saved.data(), n, g_in.data(), g_u.data(),
-                x != nullptr ? x->data() : nullptr, grads);
+  backward_rows(g_out.data(), act_saved.data(), n, g_in.data(), g_u.data());
 }
 
 void DenseLayer::forward_jet(const double* x, const double* dx, const double* d2x,

@@ -63,28 +63,11 @@ class DenseLayer {
   /// Batched forward: y (n x out) from x (n x in).
   void forward_batch(const Matrix& x, Matrix& y) const;
 
-  /// Parameter gradients accumulated by the training backward passes.
-  struct Grads {
-    Matrix w;                  // same shape as weights
-    AlignedVector<double> b;   // same shape as bias
-    void init(const DenseLayer& layer) {
-      w.resize(layer.in_dim(), layer.out_dim());
-      b.assign(layer.out_dim(), 0.0);
-    }
-    void zero() {
-      w.fill(0.0);
-      for (auto& v : b) v = 0.0;
-    }
-  };
-
   /// Reverse mode over `rows` rows: g_in (rows x in) = dE/dx from g_out
   /// (rows x out) = dE/dy and the saved activations; g_u (rows x out) is the
-  /// caller's scratch for dE/du. g_in must not alias g_out. When `grads` is
-  /// non-null, dE/dW and dE/db are accumulated row by row in order (needs
-  /// the forward input rows x).
+  /// caller's scratch for dE/du. g_in must not alias g_out.
   void backward_rows(const double* g_out, const double* act_saved, std::size_t rows,
-                     double* g_in, double* g_u, const double* x = nullptr,
-                     Grads* grads = nullptr) const;
+                     double* g_in, double* g_u) const;
 
   /// Batched forward that also retains the pure activation values needed by
   /// backward_batch (one row per sample).
@@ -93,8 +76,8 @@ class DenseLayer {
   /// Matrix form of backward_rows (g_u is the caller's scratch). This is
   /// what TensorFlow does for the embedding net when forces are requested
   /// (baseline path).
-  void backward_batch(const Matrix& g_out, const Matrix& act_saved, Matrix& g_in, Matrix& g_u,
-                      const Matrix* x = nullptr, Grads* grads = nullptr) const;
+  void backward_batch(const Matrix& g_out, const Matrix& act_saved, Matrix& g_in,
+                      Matrix& g_u) const;
 
   /// Forward-mode propagation of value + first + second derivative with
   /// respect to a single upstream scalar input.

@@ -48,22 +48,18 @@ void EmbeddingNet::forward_batch_ws(const double* s, std::size_t n, Matrix& g,
 }
 
 void EmbeddingNet::backward_batch(const BatchWorkspace& ws, const Matrix& g_g, double* g_s,
-                                  BackwardScratch& scratch,
-                                  std::vector<DenseLayer::Grads>* grads) const {
+                                  BackwardScratch& scratch) const {
   const std::size_t L = layers_.size();
   DP_CHECK_MSG(ws.inputs.size() == L, "backward_batch without forward_batch_ws");
-  if (grads != nullptr) DP_CHECK(grads->size() == L);
   // Layers alternate between the two scratch gradients, so a layer's input
   // gradient never aliases the output gradient it reads.
   const Matrix* g_out = &g_g;
   for (std::size_t l = L; l-- > 0;) {
     Matrix& g_in = (l % 2 == 0) ? scratch.grad_a : scratch.grad_b;
-    layers_[l].backward_batch(*g_out, ws.acts[l], g_in, scratch.grad_u, &ws.inputs[l],
-                              grads != nullptr ? &(*grads)[l] : nullptr);
+    layers_[l].backward_batch(*g_out, ws.acts[l], g_in, scratch.grad_u);
     g_out = &g_in;
   }
-  if (g_s != nullptr)
-    for (std::size_t i = 0; i < g_out->rows(); ++i) g_s[i] = (*g_out)(i, 0);
+  for (std::size_t i = 0; i < g_out->rows(); ++i) g_s[i] = (*g_out)(i, 0);
 }
 
 void EmbeddingNet::eval(double s, double* g) const {

@@ -54,11 +54,8 @@ class EmbeddingNet {
   void forward_batch_ws(const double* s, std::size_t n, Matrix& g, BatchWorkspace& ws) const;
 
   /// Batched reverse-mode: g_s[i] = sum_j gG(i, j) * dG(i, j)/ds_i.
-  /// g_s may be null (training only needs parameter gradients); `grads`
-  /// (one per layer) accumulates dLoss/dW when non-null.
   void backward_batch(const BatchWorkspace& ws, const Matrix& g_g, double* g_s,
-                      BackwardScratch& scratch,
-                      std::vector<DenseLayer::Grads>* grads = nullptr) const;
+                      BackwardScratch& scratch) const;
 
   /// Single-scalar evaluation, g has length M.
   void eval(double s, double* g) const;

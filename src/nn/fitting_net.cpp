@@ -66,7 +66,6 @@ void FittingNet::forward_block(const double* d, std::size_t rows, Workspace& ws,
                                double* energy) const {
   DP_CHECK(rows > 0);
   ensure_workspace(ws, rows);
-  ws.input = d;
   ws.rows = rows;
   const double* x = d;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
@@ -77,20 +76,16 @@ void FittingNet::forward_block(const double* d, std::size_t rows, Workspace& ws,
   std::copy(x, x + rows, energy);
 }
 
-void FittingNet::backward(const Workspace& ws, double* g_d,
-                          std::vector<DenseLayer::Grads>* grads, double seed) const {
+void FittingNet::backward(const Workspace& ws, double* g_d) const {
   const std::size_t L = layers_.size();
   DP_CHECK_MSG(ws.rows > 0 && ws.acts.size() >= L, "backward() without a preceding forward()");
-  if (grads != nullptr) DP_CHECK(grads->size() == L);
   const std::size_t rows = ws.rows;
   double* g_out = ws.grad_a.data();
   double* g_in = ws.grad_b.data();
-  std::fill(g_out, g_out + rows, seed);  // dLoss/dE per row
+  std::fill(g_out, g_out + rows, 1.0);  // dE/dE per row
   for (std::size_t l = L; l-- > 0;) {
     double* dst = l == 0 ? g_d : g_in;
-    const double* x = l == 0 ? ws.input : ws.outs[l - 1].data();
-    layers_[l].backward_rows(g_out, ws.acts[l].data(), rows, dst, ws.grad_u.data(), x,
-                             grads != nullptr ? &(*grads)[l] : nullptr);
+    layers_[l].backward_rows(g_out, ws.acts[l].data(), rows, dst, ws.grad_u.data());
     std::swap(g_out, g_in);
   }
 }

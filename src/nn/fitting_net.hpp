@@ -46,7 +46,6 @@ class FittingNet {
   /// Per-thread forward/backward state, grow-only: sized by the first block
   /// of each size, reused without allocating afterwards.
   struct Workspace {
-    const double* input = nullptr;             // layer-0 input rows (caller-owned)
     std::size_t rows = 0;                      // rows of the last forward
     std::vector<AlignedVector<double>> outs;   // outs[l]: output rows of layer l
     std::vector<AlignedVector<double>> acts;   // acts[l]: act(u) rows of layer l
@@ -55,20 +54,17 @@ class FittingNet {
     std::size_t bytes() const;
   };
 
-  /// E = N(d) for one row; records everything backward() needs into ws. The
-  /// input is not copied: d must stay valid until backward().
+  /// E = N(d) for one row; records everything backward() needs into ws.
   double forward(const double* d, Workspace& ws) const;
 
   /// energy[r] = N(d_r) for `rows` rows of d (row stride input_dim()), same
   /// bookkeeping as forward().
   void forward_block(const double* d, std::size_t rows, Workspace& ws, double* energy) const;
 
-  /// g_d[r][j] = seed * dE_r/dD_rj for the ws.rows rows of the preceding
-  /// forward()/forward_block(). When `grads` is non-null (one entry per
-  /// layer, pre-init'ed), parameter gradients are accumulated — the training
-  /// path.
-  void backward(const Workspace& ws, double* g_d,
-                std::vector<DenseLayer::Grads>* grads = nullptr, double seed = 1.0) const;
+  /// g_d[r][j] = dE_r/dD_rj for the ws.rows rows of the preceding
+  /// forward()/forward_block(). Backward reads only ws, never the input
+  /// rows, so g_d may be the buffer forward read d from.
+  void backward(const Workspace& ws, double* g_d) const;
 
   /// Multiply-add count of one forward evaluation.
   double flops_per_eval() const;

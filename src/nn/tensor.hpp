@@ -36,10 +36,6 @@ class Matrix {
   double* row(std::size_t r) { return data_.data() + r * cols_; }
   const double* row(std::size_t r) const { return data_.data() + r * cols_; }
 
-  void fill(double v) {
-    for (auto& x : data_) x = v;
-  }
-
   friend bool same_shape(const Matrix& a, const Matrix& b) {
     return a.rows_ == b.rows_ && a.cols_ == b.cols_;
   }

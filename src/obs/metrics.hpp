@@ -98,7 +98,7 @@ class Histogram {
   std::atomic<double> max_{0.0};
 };
 
-/// A timestamped structured record (e.g. one training epoch): numeric
+/// A timestamped structured record (e.g. one rank's halo summary): numeric
 /// fields plus an optional free-form label.
 struct MetricEvent {
   std::string name;

@@ -382,7 +382,9 @@ class TcpTransport final : public Transport {
       ::close(fd);
       deadline_check(deadline, "connect");
       // The peer's listener may simply not exist yet — retry until it does.
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      // The ranks reach bootstrap within about a millisecond of each other,
+      // so a longer sleep would cost a rank that dials first most of it.
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
 

@@ -1,8 +1,10 @@
 #include "tab/model_io.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 
+#include "common/binary_io.hpp"
 #include "common/error.hpp"
 
 namespace dp::tab {
@@ -10,17 +12,6 @@ namespace dp::tab {
 namespace {
 constexpr std::uint32_t kBundleMagic = 0x44504332;  // "DPC2"
 
-template <class T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-template <class T>
-T read_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  DP_CHECK_MSG(static_cast<bool>(is), "truncated compressed-model file");
-  return v;
-}
 }  // namespace
 
 void save_compressed_model(const std::string& path, const TabulatedDP& tabulated) {
@@ -40,20 +31,25 @@ void save_compressed_model(const std::string& path, const TabulatedDP& tabulated
 CompressedModel CompressedModel::load(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   DP_CHECK_MSG(is.is_open(), "cannot open " << path);
-  DP_CHECK_MSG(read_pod<std::uint32_t>(is) == kBundleMagic,
-               "not a compressed-model bundle: " << path);
+  BinaryReader r(is, path);
+  r.check(r.pod<std::uint32_t>("magic") == kBundleMagic, "magic",
+          "not a compressed-model bundle");
   TabulationSpec spec;
-  spec.lo = read_pod<double>(is);
-  spec.hi = read_pod<double>(is);
-  spec.interval = read_pod<double>(is);
+  spec.lo = r.pod<double>("table lo");
+  spec.hi = r.pod<double>("table hi");
+  spec.interval = r.pod<double>("table interval");
+  r.check(std::isfinite(spec.lo) && std::isfinite(spec.hi) && spec.hi > spec.lo &&
+              std::isfinite(spec.interval) && spec.interval > 0,
+          "tabulation spec", "[", spec.lo, ", ", spec.hi, "] step ", spec.interval);
 
   CompressedModel out;
-  out.model_ = std::make_unique<core::DPModel>(core::DPModel::load(is));
-  const auto n_tables = read_pod<std::int32_t>(is);
-  DP_CHECK(static_cast<std::size_t>(n_tables) == out.model_->n_embedding_nets());
+  out.model_ = std::make_unique<core::DPModel>(core::DPModel::load(is, path));
+  const auto n_tables = r.pod<std::int32_t>("table count");
+  r.check(n_tables >= 0 && static_cast<std::size_t>(n_tables) == out.model_->n_embedding_nets(),
+          "table count", n_tables, " for ", out.model_->n_embedding_nets(), " embedding nets");
   std::vector<TabulatedEmbedding> tables;
   tables.reserve(static_cast<std::size_t>(n_tables));
-  for (int t = 0; t < n_tables; ++t) tables.push_back(TabulatedEmbedding::load(is));
+  for (int t = 0; t < n_tables; ++t) tables.push_back(TabulatedEmbedding::load(is, path));
   out.tabulated_ = std::make_unique<TabulatedDP>(*out.model_, spec, std::move(tables));
   return out;
 }

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <utility>
 
+#include "common/binary_io.hpp"
 #include "common/error.hpp"
 #include "tab/poly5.hpp"
 
@@ -134,17 +135,6 @@ void Table<C>::contract_gradient(const double* rmat, std::size_t count, const Re
 }
 
 namespace {
-template <class T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-template <class T>
-T read_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  DP_CHECK_MSG(static_cast<bool>(is), "truncated table stream");
-  return v;
-}
 constexpr std::uint32_t kTableMagic = 0x44505442;  // "DPTB"
 }  // namespace
 
@@ -167,33 +157,25 @@ void Table<C>::save(std::ostream& os) const
 }
 
 template <class C>
-Table<C> Table<C>::load(std::istream& is)
+Table<C> Table<C>::load(std::istream& is, const std::string& source)
   requires kDouble
 {
-  DP_CHECK_MSG(read_pod<std::uint32_t>(is) == kTableMagic, "bad table magic");
-  const auto m = read_pod<std::uint64_t>(is);
-  const auto n = read_pod<std::uint64_t>(is);
-  const auto lo = read_pod<double>(is);
-  const auto hi = read_pod<double>(is);
-  DP_CHECK_MSG(m > 0 && n > 0 && std::isfinite(lo) && std::isfinite(hi) && hi > lo,
-               "bad table header");
+  BinaryReader r(is, source);
+  r.check(r.pod<std::uint32_t>("magic") == kTableMagic, "magic", "not a table");
   // Bound n x M by the coefficients the stream can still hold, before
-  // anything is allocated (n <= cap / m cannot overflow).
-  const std::streamoff here = is.tellg();
-  is.seekg(0, std::ios::end);
-  const std::streamoff end = is.tellg();
-  is.seekg(here);
-  DP_CHECK_MSG(here >= 0 && end >= here && is, "table stream is not seekable");
-  const auto cap = static_cast<std::uint64_t>(end - here) / (6 * sizeof(double));
-  DP_CHECK_MSG(m <= cap && n <= cap / m, "table header (" << n << " intervals x " << m
-                                                           << " channels) exceeds the stream");
+  // anything is allocated.
+  constexpr std::uint64_t kRowBytes = 6 * sizeof(double);
+  const auto m = r.count<std::uint64_t>("table channels", kRowBytes);
+  const auto n = r.count<std::uint64_t>("table intervals", m * kRowBytes);
+  const auto lo = r.pod<double>("table lo");
+  const auto hi = r.pod<double>("table hi");
+  r.check(std::isfinite(lo) && std::isfinite(hi) && hi > lo, "table range", "[", lo, ", ", hi,
+          "]");
   Table t;
   t.shape(m, n, lo, hi, (hi - lo) / static_cast<double>(n));
   AlignedVector<double> row(m * 6);
   for (std::size_t i = 0; i < n; ++i) {
-    is.read(reinterpret_cast<char*>(row.data()),
-            static_cast<std::streamsize>(row.size() * sizeof(double)));
-    DP_CHECK_MSG(static_cast<bool>(is), "truncated table stream");
+    r.read(row.data(), row.size() * sizeof(double), "table coefficients");
     for (std::size_t ch = 0; ch < m; ++ch)
       for (std::size_t k = 0; k < 6; ++k) t.coef_[t.at(i, ch, k)] = row[ch * 6 + k];
   }

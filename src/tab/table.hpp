@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstddef>
 #include <iosfwd>
+#include <string>
 #include <type_traits>
 
 #include "common/aligned.hpp"
@@ -142,7 +143,7 @@ class Table {
   /// the bytes the stream has left before allocating.
   void save(std::ostream& os) const
     requires kDouble;
-  static Table load(std::istream& is)
+  static Table load(std::istream& is, const std::string& source = "table stream")
     requires kDouble;
 
  private:

@@ -4,7 +4,6 @@
 
 #include "common/rng.hpp"
 #include "md/lattice.hpp"
-#include "bp/bp_trainer.hpp"
 #include "md/simulation.hpp"
 
 namespace dp::bp {
@@ -115,50 +114,6 @@ TEST(BehlerParrinello, ConfigValidation) {
   BpConfig bad2 = small_cfg();
   bad2.rcut = -1;
   EXPECT_THROW(BehlerParrinello{bad2}, Error);
-}
-
-TEST(BpTraining, GradcheckOnWeights) {
-  BehlerParrinello bp(small_cfg(), 11);
-  auto frame = train::Dataset::lj_copper(1, 2, 0.12, 12).frames[0];
-  md::NeighborList nl(bp.cutoff(), 0.5);
-  nl.build(frame.sys.box, frame.sys.atoms.pos);
-
-  std::vector<std::vector<nn::DenseLayer::Grads>> grads(1);
-  grads[0].resize(bp.net(0).layers().size());
-  for (std::size_t l = 0; l < grads[0].size(); ++l) grads[0][l].init(bp.net(0).layers()[l]);
-  bp.energy_with_gradients(frame.sys.box, frame.sys.atoms, nl, 1.0, &grads);
-
-  auto& w = bp.net(0).layers()[1].weights();
-  const double h = 1e-6;
-  for (std::size_t k : {std::size_t{0}, w.size() - 1}) {
-    const double w0 = w.data()[k];
-    w.data()[k] = w0 + h;
-    const double ep = bp.energy_with_gradients(frame.sys.box, frame.sys.atoms, nl);
-    w.data()[k] = w0 - h;
-    const double em = bp.energy_with_gradients(frame.sys.box, frame.sys.atoms, nl);
-    w.data()[k] = w0;
-    EXPECT_NEAR(grads[0][1].w.data()[k], (ep - em) / (2 * h), 2e-5) << "k=" << k;
-  }
-}
-
-TEST(BpTraining, RegressesPairwiseLjWell) {
-  // LJ is pairwise-radial — exactly what radial G2 features describe, so BP
-  // should fit it quickly and generalize.
-  BehlerParrinello bp(small_cfg(), 13);
-  auto data = train::Dataset::lj_copper(14, 2, 0.12, 14);
-  auto held = data.split_holdout(7);
-  const double before = evaluate_energy(bp, data);
-  const auto r = train_energy(bp, data, 40, 5e-3);
-  EXPECT_LT(r.epoch_rmse.back(), 0.2 * before);
-  EXPECT_LT(evaluate_energy(bp, held), 0.5 * before);
-}
-
-TEST(BpTraining, LossTraceIsRecorded) {
-  BehlerParrinello bp(small_cfg(), 15);
-  auto data = train::Dataset::lj_copper(4, 2, 0.1, 16);
-  const auto r = train_energy(bp, data, 5, 1e-3);
-  ASSERT_EQ(r.epoch_rmse.size(), 5u);
-  for (double v : r.epoch_rmse) EXPECT_GT(v, 0.0);
 }
 
 }  // namespace

@@ -125,11 +125,10 @@ TEST(EnvMat, PaddedSlotsAreZero) {
   for (std::size_t i = 0; i < env.n_atoms; ++i) {
     const int cnt = env.count(i, 0);
     for (int k = cnt; k < env.nm; ++k) {
-      EXPECT_EQ(env.atom_at(i, k), -1);
-      for (int c = 0; c < 4; ++c) EXPECT_DOUBLE_EQ(env.rmat_row(i, k)[c], 0.0);
-      for (int c = 0; c < 12; ++c)
-        EXPECT_DOUBLE_EQ(env.deriv_at(env.block_begin(i, 0) + static_cast<std::size_t>(k))[c],
-                         0.0);
+      const std::size_t slot = env.block_begin(i, 0) + static_cast<std::size_t>(k);
+      EXPECT_EQ(env.atom_of(slot), -1);
+      for (int c = 0; c < 4; ++c) EXPECT_DOUBLE_EQ(env.rmat_at(slot)[c], 0.0);
+      for (int c = 0; c < 12; ++c) EXPECT_DOUBLE_EQ(env.deriv_at(slot)[c], 0.0);
     }
   }
 }

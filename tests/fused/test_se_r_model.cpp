@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/timer.hpp"
+#include "dp/env_mat.hpp"
 #include "fused/fused_model.hpp"
 #include "md/lattice.hpp"
 #include "md/simulation.hpp"
@@ -41,6 +46,48 @@ TEST(SeR, FittingNetInputIsM) {
   EXPECT_EQ(cfg.descriptor_dim(), cfg.m());
   DPModel model(cfg, 1);
   EXPECT_EQ(model.fitting(0).input_dim(), cfg.m());
+}
+
+// The untabulated se_r energy, the way DeePMD defines it: the dense env
+// matrix, the embedding net over EVERY reserved slot (padded slots carry
+// s = 0, so they add g(0)), the column mean of G over the N_m slots, then
+// the fitting net.
+double se_r_network_energy(const DPModel& model, const md::Configuration& sys,
+                           const md::NeighborList& nl) {
+  const ModelConfig& cfg = model.config();
+  core::EnvMat env;
+  core::build_env_mat(cfg, sys.box, sys.atoms, nl, env, core::EnvMatKernel::Baseline);
+  const std::size_t m = cfg.m();
+  std::vector<double> g(m), d(m);
+  nn::FittingNet::Workspace ws;
+  double energy = 0.0;
+  for (std::size_t i = 0; i < env.n_atoms; ++i) {
+    std::fill(d.begin(), d.end(), 0.0);
+    for (int t = 0; t < cfg.ntypes; ++t)
+      for (int k = 0; k < cfg.sel[static_cast<std::size_t>(t)]; ++k) {
+        const double s = env.rmat_at(env.block_begin(i, t) + static_cast<std::size_t>(k))[0];
+        model.embedding(t).eval(s, g.data());
+        for (std::size_t b = 0; b < m; ++b) d[b] += g[b];
+      }
+    for (double& v : d) v /= static_cast<double>(cfg.nm());
+    energy += model.fitting(sys.atoms.type[i]).forward(d.data(), ws);
+  }
+  return energy;
+}
+
+TEST(SeR, FusedEnergyMatchesNetworkOverAllSlots) {
+  // The fused path adds the padded slots analytically through g(0); the
+  // reference evaluates the network on every slot.
+  const ModelConfig cfg = se_r_cfg();
+  DPModel model(cfg, 23);
+  TabulatedDP tab(model, {0.0, TabulatedDP::s_max(cfg, 0.9), 0.002});
+  SeRFusedDP ff(tab);
+  md::Configuration sys = md::make_fcc(2, 2, 2, 3.7, 63.546, 0.1, 24);
+  md::NeighborList nl(cfg.rcut, 0.5);
+  nl.build(sys.box, sys.atoms.pos);
+  const double e_ref = se_r_network_energy(model, sys, nl);
+  const double e_fused = ff.compute(sys.box, sys.atoms, nl).energy;
+  EXPECT_NEAR(e_ref, e_fused, 1e-7 * static_cast<double>(sys.atoms.size()));
 }
 
 TEST(SeR, RejectsSeAModel) {
@@ -177,9 +224,33 @@ TEST(SeR, PaddingCountDoesNotChangePhysicsOnlySel) {
   EXPECT_NEAR(e3 - e2, e1, 1e-10);
 }
 
+/// Seconds per call that `fn` spends in the TimerRegistry section `section`:
+/// the median of five batches of up to 10 calls or 20 ms each, after one
+/// untimed warm-up call (dp::time_per_call's guard).
+template <class Fn>
+double section_seconds_per_call(const std::string& section, Fn&& fn) {
+  const TimerRegistry& reg = TimerRegistry::instance();
+  fn();
+  std::vector<double> samples;
+  for (int b = 0; b < 5; ++b) {
+    const double before = reg.get(section).total_seconds;
+    WallTimer t;
+    int calls = 0;
+    do {
+      fn();
+      ++calls;
+    } while (t.seconds() < 0.02 && calls < 10);
+    samples.push_back((reg.get(section).total_seconds - before) / calls);
+  }
+  std::sort(samples.begin(), samples.end());
+  return samples[2];
+}
+
 TEST(SeR, CheaperThanSeA) {
   // Same widths, same system: the radial path does ~1/4 the embedding-stage
-  // work (no 4-column contraction) plus a much smaller fitting input.
+  // work (no 4-column contraction) plus a much smaller fitting input. The
+  // env-mat build and prod-force are the same code on both paths, so the
+  // comparison times the descriptor stage, where the two differ.
   SeRFixture radial(1, 8);
   DPModel se_a_model(ModelConfig::tiny(), 8);
   TabulatedDP se_a_tab(se_a_model,
@@ -190,10 +261,10 @@ TEST(SeR, CheaperThanSeA) {
   nl.build(radial.sys.box, radial.sys.atoms.pos);
   // Median of several batches: wall-clock comparisons on a shared core flip
   // on scheduler bursts when taken from a single sample each.
-  const double t_a = dp::time_per_call(
-      [&] { se_a_ff.compute(radial.sys.box, radial.sys.atoms, nl); }, 0.1, 50, 5);
-  const double t_r = dp::time_per_call(
-      [&] { se_r_ff.compute(radial.sys.box, radial.sys.atoms, nl); }, 0.1, 50, 5);
+  const double t_a = section_seconds_per_call(
+      "fused.descriptor", [&] { se_a_ff.compute(radial.sys.box, radial.sys.atoms, nl); });
+  const double t_r = section_seconds_per_call(
+      "se_r.descriptor", [&] { se_r_ff.compute(radial.sys.box, radial.sys.atoms, nl); });
   EXPECT_LT(t_r, t_a);
 }
 

@@ -169,6 +169,12 @@ TEST(FitBlock, FittingNetBlockMatchesRowReference) {
         expect_close(e[r], net_ref(net, d.data() + r * in, g_ref.data()), "E", n, r);
         for (std::size_t p = 0; p < in; ++p) expect_close(g[r * in + p], g_ref[p], "dE/dD", n, r);
       }
+      // dE/dD written over the rows forward read (descriptor_fit_block does
+      // this): backward reads only the workspace, so the bits are the same.
+      std::vector<double> d_in_place(d.begin(), d.begin() + static_cast<std::ptrdiff_t>(n * in));
+      net.forward_block(d_in_place.data(), n, ws, e.data());
+      net.backward(ws, d_in_place.data());
+      EXPECT_EQ(0, std::memcmp(d_in_place.data(), g.data(), n * in * sizeof(double))) << "n=" << n;
     }
   }
 }
@@ -203,34 +209,6 @@ TEST(FitBlock, BlockInvarianceIsBitwise) {
         }
       }
     }
-  }
-}
-
-TEST(FitBlock, WeightGradientsMatchRowByRow) {
-  // The training path: a block accumulates dE/dW and dE/db row by row in
-  // order, exactly what one-row backward() calls in sequence do.
-  const auto net = make_net(10, {12, 12}, 7);
-  const std::size_t in = net.input_dim(), rows = 7;
-  const auto d = random_vec(rows * in, 8);
-  auto init = [&] {
-    std::vector<DenseLayer::Grads> grads(net.layers().size());
-    for (std::size_t l = 0; l < grads.size(); ++l) grads[l].init(net.layers()[l]);
-    return grads;
-  };
-  auto block = init(), single = init();
-  FittingNet::Workspace ws;
-  std::vector<double> e(rows), g(rows * in);
-  net.forward_block(d.data(), rows, ws, e.data());
-  net.backward(ws, g.data(), &block, 0.5);
-  for (std::size_t r = 0; r < rows; ++r) {
-    net.forward(d.data() + r * in, ws);
-    net.backward(ws, g.data(), &single, 0.5);
-  }
-  for (std::size_t l = 0; l < block.size(); ++l) {
-    EXPECT_EQ(0, std::memcmp(block[l].w.data(), single[l].w.data(),
-                             block[l].w.size() * sizeof(double)))
-        << "layer " << l;
-    EXPECT_EQ(block[l].b, single[l].b) << "layer " << l;
   }
 }
 

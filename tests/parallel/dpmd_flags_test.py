@@ -17,7 +17,8 @@ silently ignoring it:
   * a `--ranks 2` run whose `--save-checkpoint` or `--force-dump` cannot be
     written exits nonzero instead of hanging;
   * `--ranks 2 --rebalance` (a retired flag) exits nonzero naming it;
-  * a serial run with a misspelt flag exits nonzero naming it.
+  * a serial run with a misspelt flag exits nonzero naming it;
+  * `dpmd train` (a retired command) exits nonzero with the usage text.
 """
 
 import argparse
@@ -102,6 +103,11 @@ def main():
         proc = run(serial + ["--temprature", "300"], tmp)
         assert proc.returncode != 0, "a misspelt flag was accepted on a serial run"
         assert "--temprature" in proc.stdout, "the refusal does not name --temprature"
+
+        proc = run([args.dpmd, "train", "--epochs", "1"], tmp)
+        assert proc.returncode != 0, "dpmd train was accepted"
+        assert "usage: dpmd" in proc.stdout, "dpmd train did not print the usage text"
+        assert "train" not in proc.stdout, "the usage text still lists train"
     print("dpmd flags: ok")
 
 

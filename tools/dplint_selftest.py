@@ -55,7 +55,7 @@ class RuleTest(unittest.TestCase):
         self.assertIn("hot-path-map", rules("src/tab/foo.hpp", bad))
         self.assertIn("hot-path-map", rules("src/md/neighbor.cpp", bad))
         self.assertNotIn("hot-path-map", rules("src/md/checkpoint.cpp", bad))
-        self.assertNotIn("hot-path-map", rules("src/train/foo.cpp", bad))
+        self.assertNotIn("hot-path-map", rules("src/perf/foo.cpp", bad))
 
     def test_bare_assert_src_only(self):
         self.assertIn("bare-assert", rules("src/md/foo.cpp", "assert(x > 0);\n"))
