@@ -507,9 +507,10 @@ using PairGradientsFn = void (*)(const double* g_rows, const double* d_rows, int
                                  double* f);
 PairGradientsFn pick_pair_gradients(Level lvl);
 /// The same f with each slot's 12 derivative entries rebuilt in registers
-/// from its displacement diff_rows[3k .. 3k + 3), by EnvRowsFn's sequence,
-/// instead of read: bitwise PairGradientsFn over EnvRowsFn's deriv rows.
-using PairGradientsDiffFn = void (*)(const double* g_rows, const double* diff_rows, int cnt,
+/// from its displacement (d_x, d_y, d_z) = (d[k], d[cnt + k], d[2 cnt + k])
+/// — three streams, not rows — by EnvRowsFn's sequence, instead of read:
+/// bitwise PairGradientsFn over EnvRowsFn's deriv rows.
+using PairGradientsDiffFn = void (*)(const double* g_rows, const double* d, int cnt,
                                      double rcut_smth, double rcut, double* f);
 PairGradientsDiffFn pick_pair_gradients_diff(Level lvl);
 

@@ -44,13 +44,13 @@ std::size_t EnvMat::dense_bytes() const {
 
 std::size_t EnvMat::compact_bytes() const {
   const std::size_t blocks = n_atoms * static_cast<std::size_t>(ntypes);
-  return filled_slots() * (7 * sizeof(double) + sizeof(int)) + blocks * sizeof(int) +
+  return filled_slots() * (4 * sizeof(double) + sizeof(int)) + blocks * sizeof(int) +
          (blocks + 1) * sizeof(std::size_t);
 }
 
 std::size_t EnvMat::storage_bytes() const {
   return rmat.capacity() * sizeof(double) + deriv.capacity() * sizeof(double) +
-         diff.capacity() * sizeof(double) + slot_atom.capacity() * sizeof(int) +
+         slot_atom.capacity() * sizeof(int) +
          count_by_type.capacity() * sizeof(int) + block_start.capacity() * sizeof(std::size_t) +
          type_off.capacity() * sizeof(int);
 }
@@ -94,13 +94,13 @@ void EnvMat::grow_compact_slots(std::size_t total) {
   // Every compact build rewrites all `total` slots, so growth may discard:
   // no stale copy, and no O(slots) zeroing once capacity suffices.
   resize_discard(rmat, total * 4);
-  resize_discard(diff, total * 3);
   resize_discard(slot_atom, total);
 }
 
 void EnvMatWorkspace::Scratch::ensure(std::size_t max_nbrs, int ntypes) {
   if (key.size() < max_nbrs) {
     d.resize(max_nbrs);
+    slot_d.resize(3 * max_nbrs);
     key.resize(max_nbrs);
     sorted.resize(max_nbrs);
     bucket.resize(max_nbrs + 1);
@@ -110,7 +110,7 @@ void EnvMatWorkspace::Scratch::ensure(std::size_t max_nbrs, int ntypes) {
 }
 
 std::size_t EnvMatWorkspace::Scratch::bytes() const {
-  return d.capacity() * sizeof(Vec3) +
+  return d.capacity() * sizeof(Vec3) + slot_d.capacity() * sizeof(double) +
          (key.capacity() + sorted.capacity()) * sizeof(EnvSortKey) +
          bucket.capacity() * sizeof(std::uint32_t) + seen.capacity() * sizeof(int);
 }
@@ -233,9 +233,11 @@ void sort_candidates(EnvMatWorkspace::Scratch& sc, std::size_t n, double rc2) {
 ///     sel[] and counts the overflow;
 ///   * thread 0 scans the counts into block_start and sizes the slot arrays;
 ///   * pass B gathers one atom's candidates into the thread's scratch, sorts
-///     them, writes diff/slot_atom straight into the CSR and forms the
-///     atom's rmat rows from its diffs in one simd::EnvRowsFn call.
-/// Nothing is staged across atoms, and no derivative is stored.
+///     them, writes slot_atom straight into the CSR and the displacements,
+///     in slot order, into the scratch, and forms the atom's rmat rows from
+///     them in one simd::EnvRowsFn call.
+/// Nothing is staged across atoms, and neither a derivative nor a
+/// displacement is stored: prod-force recomputes d from the positions.
 ///
 /// Happens-before / determinism argument (see docs/STATIC_ANALYSIS.md):
 /// pass A writes disjoint count_by_type rows and thread-private scratch; a
@@ -313,6 +315,8 @@ void build_compact(const ModelConfig& cfg, const md::Box& box, const md::Atoms& 
       // the type's block — exactly the dense reference's insertion order.
       const std::size_t* start = out.block_start.data() + i * nt;
       const int* count = out.count_by_type.data() + i * nt;
+      // The atom's blocks are one contiguous slot range.
+      const std::size_t s0 = start[0], s1 = start[nt];
       std::fill(sc.seen.begin(), sc.seen.begin() + static_cast<std::ptrdiff_t>(nt), 0);
       for (std::size_t k = 0; k < nc; ++k) {
         const EnvSortKey& key = sc.sorted[k];
@@ -322,16 +326,14 @@ void build_compact(const ModelConfig& cfg, const md::Box& box, const md::Atoms& 
         if (rank >= count[ty]) continue;  // quota spent: the farthest are dropped
         const std::size_t s = start[ty] + static_cast<std::size_t>(rank);
         const Vec3& d = sc.d[key.idx];
-        double* diff = out.diff.data() + 3 * s;
-        diff[0] = d.x;
-        diff[1] = d.y;
-        diff[2] = d.z;
+        double* slot_d = sc.slot_d.data() + 3 * (s - s0);
+        slot_d[0] = d.x;
+        slot_d[1] = d.y;
+        slot_d[2] = d.z;
         out.slot_atom[s] = key.atom;
       }
-      // The atom's blocks are one contiguous slot range.
-      const std::size_t s0 = start[0], s1 = start[nt];
-      env_rows(out.diff.data() + 3 * s0, s1 - s0, cfg.rcut_smth, cfg.rcut,
-               out.rmat.data() + 4 * s0, nullptr);
+      env_rows(sc.slot_d.data(), s1 - s0, cfg.rcut_smth, cfg.rcut, out.rmat.data() + 4 * s0,
+               nullptr);
       // A block filled short of pass A's count would leave slots unwritten.
       for (std::size_t ty = 0; ty < nt; ++ty)
         if (std::min(sc.seen[ty], cfg.sel[ty]) != count[ty]) ++sc.mismatched;

@@ -16,21 +16,26 @@
 //     Sec 3.4.2, ~60-80% of the array for copper's sel = 500).
 //   * `Optimized` materializes the COMPACT CSR layout: a prefix sum over the
 //     real per-(atom, type) neighbor counts assigns each block a contiguous
-//     slot range, so rmat/diff/slot_atom store only filled slots and no
-//     zeroing traffic is ever issued. A slot keeps its minimum-image
-//     displacement (`diff`) instead of its 12 derivative entries: 60 B, not
-//     156. The deriv depends on nothing else, so its one reader, prod-force,
-//     rebuilds it in registers (simd::PairGradientsDiffFn) with the same
-//     operation sequence that formed rmat (simd::EnvRowsFn): the bits a
-//     stored deriv held, none of its bytes (paper Sec 3.4.1: do not
-//     materialize what registers can hold). The build is thread-parallel
-//     and byte-identical at any thread count: a count pass, a prefix scan,
-//     then a fill pass that writes each atom's slots in place (the same
-//     count -> scan -> fill discipline as the neighbor-list CSR build).
+//     slot range, so rmat/slot_atom store only filled slots and no zeroing
+//     traffic is ever issued. A slot is its rmat row and its atom: 36 B, not
+//     156. The derivative depends only on the displacement d = r_j - r_i,
+//     and d only on positions that do not move inside a force evaluation,
+//     so their one reader, prod-force, recomputes d and rebuilds the
+//     derivative in registers (simd::PairGradientsDiffFn) by the operation
+//     sequence that formed rmat (simd::EnvRowsFn): the bits stored arrays
+//     held, none of their bytes (paper Sec 3.4.1). The build is
+//     thread-parallel and byte-identical at any thread count: a count pass,
+//     a prefix scan, then a fill pass that writes each atom's slots in place
+//     (the discipline of the neighbor-list CSR build).
+//
+// Rows become gradients: pass 2 of the fused-kernel paths (fused, mixed,
+// se_r) writes dE/dR~ over the rmat rows it has just read, so after such a
+// path's compute() `rmat` holds dE/dR~; compressed and baseline keep their
+// own g_rmat.
 //
 // Both layouts are walked through the same accessors: global slot indices
 // from `block_begin(i, t)`, payload via `rmat_at` / `atom_of`, and
-// `deriv_at` (dense) or `diff_at` (compact).
+// `deriv_at` (dense only).
 // For a dense matrix `block_begin` degenerates to i * nm + type_off[t], so
 // layout-aware consumers need no branches in their inner loops.
 #pragma once
@@ -57,7 +62,6 @@ struct EnvMat {
   int ntypes = 1;
   AlignedVector<double> rmat;   ///< 4 per stored slot (dense: n * nm slots)
   AlignedVector<double> deriv;  ///< dense only: 12 per stored slot
-  AlignedVector<double> diff;   ///< compact only: 3 per slot, d = r_j - r_i
   std::vector<int> slot_atom;   ///< per stored slot; -1 = padding (dense only)
   std::vector<int> count_by_type;        ///< n * ntypes: filled slots per block
   std::vector<std::size_t> block_start;  ///< compact: n * ntypes + 1 slot prefix
@@ -79,11 +83,8 @@ struct EnvMat {
   }
   const double* rmat_at(std::size_t slot) const { return rmat.data() + slot * 4; }
   /// Stored derivative rows. Dense layout only: the compact one rebuilds
-  /// them from `diff_at` (simd::pick_env_rows, rcut_smth, rcut).
+  /// them from d (simd::pick_env_rows, rcut_smth, rcut).
   const double* deriv_at(std::size_t slot) const { return deriv.data() + slot * 12; }
-  /// Minimum-image displacement r_j - r_i carried through the build.
-  /// Compact layout only.
-  const double* diff_at(std::size_t slot) const { return diff.data() + slot * 3; }
   int atom_of(std::size_t slot) const { return slot_atom[slot]; }
   /// Number of stored slots == rows of the matching g_rmat gradient buffer.
   std::size_t stored_slots() const {
@@ -102,8 +103,8 @@ struct EnvMat {
   /// Footprint the DENSE layout occupies (or would occupy) for this system:
   /// slot payload plus per-block counts. Published as `env_mat.dense_bytes`.
   std::size_t dense_bytes() const;
-  /// Footprint of the COMPACT layout for this system: 60 B per filled slot
-  /// (rmat 32, diff 24, slot_atom 4) plus counts and the block prefix.
+  /// Footprint of the COMPACT layout for this system: 36 B per filled slot
+  /// (rmat 32, slot_atom 4) plus counts and the block prefix.
   /// `env_mat.compact_bytes`.
   std::size_t compact_bytes() const;
   /// Capacity-based bytes actually held by this object (grow-only buffers).
@@ -141,6 +142,7 @@ struct EnvSortKey {
 struct EnvMatWorkspace {
   struct Scratch {
     std::vector<Vec3> d;                ///< gathered displacements r_j - r_i
+    std::vector<double> slot_d;         ///< one atom's displacements in slot order, 3 each
     std::vector<EnvSortKey> key;        ///< candidates in gather order
     std::vector<EnvSortKey> sorted;     ///< candidates in slot order
     std::vector<std::uint32_t> bucket;  ///< r^2 bucket offsets of the counting pass

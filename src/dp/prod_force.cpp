@@ -50,30 +50,39 @@ void prod_force_virial(const EnvMat& env, const double* g_rmat, const md::Box& b
           for (int k0 = 0; k0 < cnt; k0 += simd::kPairChunk) {
             const int nk = std::min(simd::kPairChunk, cnt - k0);
             const std::size_t sb = s0 + static_cast<std::size_t>(k0);
+            // One read of each slot's atom stages its index and its
+            // displacement d = r_j - r_i (minimum image when periodic), as
+            // x, y and z streams: the expressions the fill formed d with, on
+            // positions that have not moved since, so the bits the rows
+            // were built from.
+            int jbuf[simd::kPairChunk];
+            alignas(64) double dbuf[3 * simd::kPairChunk];
+            double* dx = dbuf;
+            double* dy = dbuf + nk;
+            double* dz = dbuf + 2 * nk;
+            for (int k = 0; k < nk; ++k) {
+              const int j = env.atom_of(sb + static_cast<std::size_t>(k));
+              Vec3 d = atoms.pos[static_cast<std::size_t>(j)] - ri;
+              if (periodic) d = box.min_image(d);
+              jbuf[k] = j;
+              dx[k] = d.x;
+              dy[k] = d.y;
+              dz[k] = d.z;
+            }
             double fbuf[3 * simd::kPairChunk];
             if (env.compact())
-              pair_gradients_diff(g_rmat + sb * 4, env.diff_at(sb), nk, env.rcut_smth, env.rcut,
-                                  fbuf);
+              pair_gradients_diff(g_rmat + sb * 4, dbuf, nk, env.rcut_smth, env.rcut, fbuf);
             else
               pair_gradients(g_rmat + sb * 4, env.deriv_at(sb), nk, fbuf);
             for (int k = 0; k < nk; ++k) {
-              const std::size_t s = sb + static_cast<std::size_t>(k);
-              const std::size_t j = static_cast<std::size_t>(env.atom_of(s));
+              const auto j = static_cast<std::size_t>(jbuf[k]);
               const Vec3 f{fbuf[3 * k + 0], fbuf[3 * k + 1], fbuf[3 * k + 2]};
               // E depends on d = r_j - r_i:  F_i = +dE/dd, F_j = -dE/dd.
               fi += f;
               buf[j * 3 + 0] -= f.x;
               buf[j * 3 + 1] -= f.y;
               buf[j * 3 + 2] -= f.z;
-              Vec3 d;
-              if (env.compact()) {
-                // Displacement carried through the CSR — no second min_image.
-                const double* dd = env.diff_at(s);
-                d = {dd[0], dd[1], dd[2]};
-              } else {
-                d = atoms.pos[j] - ri;
-                if (periodic) d = box.min_image(d);
-              }
+              const Vec3 d{dx[k], dy[k], dz[k]};
               // W += r_ij (x) f_ij with r_ij = r_i - r_j = -d, f_ij = +f on i.
               w += outer(d, f) * (-1.0);
             }

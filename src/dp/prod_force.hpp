@@ -4,12 +4,14 @@
 // Input g_rmat holds dE/dR~ for every stored slot — including the chain
 // contribution dE/ds folded into column 0 by the caller — indexed by the
 // same global slot index as the EnvMat (so it works on both the dense and
-// the compact layout). The kernel contracts it with descrpt_a_deriv and
+// the compact layout); the fused-kernel paths pass the env rows themselves
+// (dp/env_mat.hpp). The kernel contracts it with descrpt_a_deriv and
 // applies Newton's third law: the slot contributes +f to the center and -f
 // to the neighbor. Force and virial come out of ONE walk over the filled
-// slots. On the compact layout both come from the CSR's `diff`: the
-// displacement is read instead of recomputed via minimum image, and each
-// chunk's descrpt_a_deriv is rebuilt from it in registers instead of read.
+// slots. Each slot's d = r_j - r_i is recomputed from `atoms.pos` (minimum
+// image when `periodic`) as the env build formed it, so the positions must
+// be the ones the matrix was built from; on the compact layout each chunk's
+// descrpt_a_deriv is rebuilt from d in registers instead of read.
 //
 // Parallel and DETERMINISTIC: centers are split into kProdForceLanes fixed
 // contiguous lanes (independent of the thread count). Each lane scatters

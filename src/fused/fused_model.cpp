@@ -21,14 +21,12 @@ void FusedDP::prepare(std::size_t n) {
   const ModelConfig& cfg = tab_.model().config();
   const std::size_t m = cfg.m();
   atom_energy_.resize(n);
-  resize_discard(g_rmat_, env_.stored_slots() * 4);
   scratch_.resize(static_cast<std::size_t>(std::max(1, omp_get_max_threads())));
   for (ThreadScratch& sc : scratch_) sc.fit.prepare(cfg.ntypes, m);
 }
 
 std::size_t FusedDP::workspace_bytes() const {
   std::size_t b = env_.storage_bytes() + env_ws_.bytes() + prod_ws_.bytes() +
-                  g_rmat_.capacity() * sizeof(double) +
                   atom_energy_.capacity() * sizeof(double) +
                   scratch_.capacity() * sizeof(ThreadScratch);
   for (const ThreadScratch& sc : scratch_) b += sc.bytes();
@@ -82,17 +80,16 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
       };
 
       // ---- Pass 2: re-walk each slot run with the derivative, fusing
-      // dE/dR~ and dE/ds into g_rmat -------------------------------------
+      // dE/dR~ and dE/ds over the rows it has just read (the rows become
+      // their own gradients; dp/env_mat.hpp) ------------------------------
       const auto pass2 = [&](std::size_t i, std::size_t, const double* g_a) {
         for (int ty = 0; ty < cfg.ntypes; ++ty) {
-          const std::size_t base = env_.block_begin(i, ty);
-          tab_.table_pair(atoms.type[i], ty)
-              .contract_gradient(env_.rmat_at(base), limit_of(i, ty), g_a,
-                                 g_rmat_.data() + base * 4);
+          double* rows = env_.rmat.data() + env_.block_begin(i, ty) * 4;
+          tab_.table_pair(atoms.type[i], ty).contract_gradient(rows, limit_of(i, ty), g_a, rows);
         }
         // Dense layout without skip_padding walked the padded tails above;
-        // their g_rmat rows were written too (and are never read by the
-        // scatter, which walks counts only).
+        // their rows took gradients too (and are never read by the scatter,
+        // which walks counts only).
       };
 
       for (std::size_t i = i_begin; i < i_end; ++i) {
@@ -139,12 +136,11 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
     slots_metric.inc(slots_processed);
     padding_metric.set(env_.padding_fraction());
     if (env_.compact()) {
-      // Env payload saved by the CSR plus the padded g_rmat rows never
-      // materialized; clamped — tiny systems can spend more on the prefix
-      // than the padding they avoid.
+      // The dense env payload plus its padded g_rmat rows, against the CSR,
+      // whose rows hold the gradient too; clamped — tiny systems can spend
+      // more on the prefix than the padding they avoid.
       const std::size_t dense = env_.dense_bytes() + slots_total_ * 4 * sizeof(double);
-      const std::size_t compact =
-          env_.compact_bytes() + env_.stored_slots() * 4 * sizeof(double);
+      const std::size_t compact = env_.compact_bytes();
       if (dense > compact) bytes_saved_metric.inc(dense - compact);
     }
   }
@@ -159,7 +155,7 @@ md::ForceResult FusedDP::compute(const md::Box& box, md::Atoms& atoms,
   {
     ScopedTimer t("fused.prod_force", "kernel");
     atoms.zero_forces();
-    prod_force_virial(env_, g_rmat_.data(), box, atoms, periodic, atoms.force, out.virial,
+    prod_force_virial(env_, env_.rmat.data(), box, atoms, periodic, atoms.force, out.virial,
                       prod_ws_);
   }
   return out;

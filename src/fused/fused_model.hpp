@@ -6,7 +6,8 @@
 // and a channel chunk of A in registers; the embedding matrix G is never
 // allocated, not even one row of it (Fig 3's dashed lines). The backward
 // pass re-walks the slots with the derivative (Table::contract_gradient)
-// instead of loading a stored G.
+// instead of loading a stored G, and writes dE/dR~ over the env-matrix rows
+// it has just read: no gradient buffer exists beside the matrix.
 //
 // Redundancy removal: with the compact CSR environment matrix (the default
 // `Optimized` kernel) only filled slots are ever stored or walked — the
@@ -71,7 +72,6 @@ class FusedDP final : public md::ForceField {
   core::EnvMat env_;
   core::EnvMatWorkspace env_ws_;
   core::ProdForceWorkspace prod_ws_;
-  AlignedVector<double> g_rmat_;
   std::vector<ThreadScratch> scratch_;
   std::vector<double> atom_energy_;
   std::size_t slots_processed_ = 0;

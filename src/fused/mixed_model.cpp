@@ -35,13 +35,21 @@ void MixedFusedDP::prepare(std::size_t n) {
   const ModelConfig& cfg = tab_.model().config();
   const std::size_t m = cfg.m();
   atom_energy_.resize(n);
-  resize_discard(g_rmat_, env_.stored_slots() * 4);
   scratch_.resize(static_cast<std::size_t>(std::max(1, omp_get_max_threads())));
   for (ThreadScratch& sc : scratch_) {
     sc.a_sp.resize(4 * m);
     sc.ga_sp.resize(4 * m);
     sc.fit.prepare(cfg.ntypes, m);
   }
+}
+
+std::size_t MixedFusedDP::workspace_bytes() const {
+  std::size_t b = env_.storage_bytes() + env_ws_.bytes() + prod_ws_.bytes() +
+                  atom_energy_.capacity() * sizeof(double) +
+                  scratch_.capacity() * sizeof(ThreadScratch);
+  for (const ThreadScratch& sc : scratch_)
+    b += (sc.a_sp.capacity() + sc.ga_sp.capacity()) * sizeof(float) + sc.fit.bytes();
+  return b;
 }
 
 md::ForceResult MixedFusedDP::compute(const md::Box& box, md::Atoms& atoms,
@@ -76,15 +84,15 @@ md::ForceResult MixedFusedDP::compute(const md::Box& box, md::Atoms& atoms,
     const std::size_t i_end = chunk_bound(n, tid + 1, T);
 
     // ---- Pass 2 in single precision, accumulated into double: re-walk each
-    // slot run with the derivative, straight into the gradient dots. -------
+    // slot run with the derivative, straight into the gradient dots, whose
+    // results overwrite the rows just read (dp/env_mat.hpp). ---------------
     const auto pass2 = [&](std::size_t i, std::size_t, const double* g_a) {
       for (std::size_t k = 0; k < 4 * m; ++k) sc.ga_sp[k] = static_cast<float>(g_a[k]);
       for (int ty = 0; ty < cfg.ntypes; ++ty) {
-        const std::size_t base = env_.block_begin(i, ty);
+        double* rows = env_.rmat.data() + env_.block_begin(i, ty) * 4;
         const auto limit = static_cast<std::size_t>(env_.count(i, ty));
         on_table(model.pair_index(atoms.type[i], ty), [&](const auto& table) {
-          table.contract_gradient(env_.rmat_at(base), limit, sc.ga_sp.data(),
-                                  g_rmat_.data() + base * 4);
+          table.contract_gradient(rows, limit, sc.ga_sp.data(), rows);
         });
       }
     };
@@ -128,7 +136,7 @@ md::ForceResult MixedFusedDP::compute(const md::Box& box, md::Atoms& atoms,
   {
     ScopedTimer t("mixed.prod_force", "kernel");
     atoms.zero_forces();
-    prod_force_virial(env_, g_rmat_.data(), box, atoms, periodic, atoms.force, out.virial,
+    prod_force_virial(env_, env_.rmat.data(), box, atoms, periodic, atoms.force, out.virial,
                       prod_ws_);
   }
   return out;

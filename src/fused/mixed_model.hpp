@@ -52,6 +52,9 @@ class MixedFusedDP final : public md::ForceField {
   }
 
   const std::vector<double>& atom_energies() const { return atom_energy_; }
+  const core::EnvMat& env() const { return env_; }
+  /// Capacity-based bytes of every persistent buffer this model owns.
+  std::size_t workspace_bytes() const;
   /// Bytes of the reduced-precision tables (double/2 for Single, /4 for
   /// Half).
   std::size_t table_bytes() const;
@@ -81,7 +84,6 @@ class MixedFusedDP final : public md::ForceField {
   core::EnvMat env_;
   core::EnvMatWorkspace env_ws_;
   core::ProdForceWorkspace prod_ws_;
-  AlignedVector<double> g_rmat_;
   std::vector<ThreadScratch> scratch_;
   std::vector<double> atom_energy_;
 };

@@ -32,7 +32,6 @@ void SeRFusedDP::prepare(std::size_t n) {
   const std::size_t m = cfg.m();
   const auto ntypes = static_cast<std::size_t>(cfg.ntypes);
   atom_energy_.resize(n);
-  resize_discard(g_rmat_, env_.stored_slots() * 4);
   scratch_.resize(static_cast<std::size_t>(std::max(1, omp_get_max_threads())));
   for (ThreadScratch& sc : scratch_) {
     sc.d_rows.resize(ntypes);
@@ -41,6 +40,18 @@ void SeRFusedDP::prepare(std::size_t n) {
     sc.rows.assign(ntypes, 0);
     sc.blocks = 0;
   }
+}
+
+std::size_t SeRFusedDP::workspace_bytes() const {
+  std::size_t b = env_.storage_bytes() + env_ws_.bytes() + prod_ws_.bytes() +
+                  atom_energy_.capacity() * sizeof(double) +
+                  scratch_.capacity() * sizeof(ThreadScratch);
+  for (const ThreadScratch& sc : scratch_) {
+    b += sc.fit_ws.bytes() + sc.row_atom.capacity() * sizeof(sc.row_atom[0]) +
+         sc.rows.capacity() * sizeof(std::size_t);
+    for (const auto& d : sc.d_rows) b += d.capacity() * sizeof(double);
+  }
+  return b;
 }
 
 md::ForceResult SeRFusedDP::compute(const md::Box& box, md::Atoms& atoms,
@@ -73,18 +84,17 @@ md::ForceResult SeRFusedDP::compute(const md::Box& box, md::Atoms& atoms,
     const std::size_t i_end = chunk_bound(n, tid + 1, T);
 
     // ---- Pass 2: dE/ds_j = (1/N_m) <g_D, g'(s_j)> into column 0, one
-    // derivative walk per slot run; the directional columns are written as
-    // explicit zeros (g_rmat_ is a persistent buffer that is never
-    // bulk-zeroed). Pass 1 already counted these slots' extrapolations. ---
+    // derivative walk per slot run, over the rows it has just read
+    // (dp/env_mat.hpp); the directional columns are written as explicit
+    // zeros. Pass 1 already counted these slots' extrapolations. ---------
     const auto pass2 = [&](std::size_t i, const double* g_d) {
       for (int ty = 0; ty < cfg.ntypes; ++ty) {
-        const std::size_t base = env_.block_begin(i, ty);
+        double* rows = env_.rmat.data() + env_.block_begin(i, ty) * 4;
         const auto limit = static_cast<std::size_t>(env_.count(i, ty));
-        double* grad = g_rmat_.data() + base * 4;
         tab_.table_pair(atoms.type[i], ty)
-            .contract_gradient(env_.rmat_at(base), limit, g_d, grad, /*unit_weight=*/true,
+            .contract_gradient(rows, limit, g_d, rows, /*unit_weight=*/true,
                                /*count_lookups=*/false);
-        for (std::size_t k = 0; k < limit; ++k) grad[4 * k] *= scale;
+        for (std::size_t k = 0; k < limit; ++k) rows[4 * k] *= scale;
       }
     };
 
@@ -154,7 +164,7 @@ md::ForceResult SeRFusedDP::compute(const md::Box& box, md::Atoms& atoms,
   {
     ScopedTimer t("se_r.prod_force", "kernel");
     atoms.zero_forces();
-    prod_force_virial(env_, g_rmat_.data(), box, atoms, periodic, atoms.force, out.virial,
+    prod_force_virial(env_, env_.rmat.data(), box, atoms, periodic, atoms.force, out.virial,
                       prod_ws_);
   }
   return out;

@@ -42,6 +42,9 @@ class SeRFusedDP final : public md::ForceField {
   }
 
   const std::vector<double>& atom_energies() const { return atom_energy_; }
+  const core::EnvMat& env() const { return env_; }
+  /// Capacity-based bytes of every persistent buffer this model owns.
+  std::size_t workspace_bytes() const;
 
  private:
   void prepare(std::size_t n);
@@ -63,7 +66,6 @@ class SeRFusedDP final : public md::ForceField {
   core::EnvMat env_;
   core::EnvMatWorkspace env_ws_;
   core::ProdForceWorkspace prod_ws_;
-  AlignedVector<double> g_rmat_;
   std::vector<ThreadScratch> scratch_;
   std::vector<double> atom_energy_;
 };

@@ -44,10 +44,12 @@ class Box {
   /// instruction, x - trunc(x) is exact (Sterbenz), and t +- 1 is exact
   /// wherever a fraction exists (|x| < 2^52). Signed zeros, infinities and
   /// NaNs pass through trunc unchanged (inf - inf is NaN, and NaN >= 0.5 is
-  /// false).
+  /// false). The step is added, not branched on, so displacements that
+  /// cross the box cost no mispredicted branch: t + (+-0) is t, and a zero
+  /// t keeps its sign because the zero step carries x's.
   static double round_half_away(double x) {
     const double t = std::trunc(x);
-    return std::fabs(x - t) >= 0.5 ? t + std::copysign(1.0, x) : t;
+    return t + std::copysign(std::fabs(x - t) >= 0.5 ? 1.0 : 0.0, x);
   }
 
   /// True if a cutoff sphere fits: rc < L/2 in every dimension (required for

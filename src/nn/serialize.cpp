@@ -1,10 +1,10 @@
 #include "nn/serialize.hpp"
 
 #include <cstdint>
-#include <fstream>
+#include <istream>
+#include <ostream>
 
 #include "common/binary_io.hpp"
-#include "common/error.hpp"
 
 namespace dp::nn {
 
@@ -107,20 +107,6 @@ FittingNet load_fitting(std::istream& is, const std::string& source) {
   FittingNet net(in_dim, hidden);
   for (auto& layer : net.layers()) read_layer_into(r, layer);
   return net;
-}
-
-void save_to_file(const std::string& path, const EmbeddingNet& e, const FittingNet& f) {
-  std::ofstream os(path, std::ios::binary);
-  DP_CHECK_MSG(os.is_open(), "cannot open " << path << " for writing");
-  save(os, e);
-  save(os, f);
-}
-
-void load_from_file(const std::string& path, EmbeddingNet& e, FittingNet& f) {
-  std::ifstream is(path, std::ios::binary);
-  DP_CHECK_MSG(is.is_open(), "cannot open " << path << " for reading");
-  e = load_embedding(is, path);
-  f = load_fitting(is, path);
 }
 
 }  // namespace dp::nn

@@ -18,7 +18,4 @@ void save(std::ostream& os, const FittingNet& net);
 EmbeddingNet load_embedding(std::istream& is, const std::string& source = "network stream");
 FittingNet load_fitting(std::istream& is, const std::string& source = "network stream");
 
-void save_to_file(const std::string& path, const EmbeddingNet& e, const FittingNet& f);
-void load_from_file(const std::string& path, EmbeddingNet& e, FittingNet& f);
-
 }  // namespace dp::nn

@@ -45,10 +45,4 @@ class Matrix {
   AlignedVector<double> data_;
 };
 
-/// Max |a - b| over all entries; shapes must match.
-double max_abs_diff(const Matrix& a, const Matrix& b);
-
-/// Frobenius norm.
-double frobenius_norm(const Matrix& a);
-
 }  // namespace dp::nn

@@ -91,7 +91,8 @@ void Table<C>::walk(const Real* s, std::size_t s_stride, std::size_t count, Real
 
 namespace {
 /// Slots located per fused-kernel call: a run up to this long is one call.
-/// The located slots live on the stack (12 KiB for a double table).
+/// The located slots live on the stack (12 KiB for a double table), copied
+/// in full before the kernel runs, so contract_gradient's grad may alias.
 constexpr std::size_t kSlotGroup = 256;
 }  // namespace
 

@@ -132,6 +132,8 @@ class Table {
   /// `unit_weight`, grad[4k] = <g_a[0], g'(s_k)> and three zeros.
   /// `count_lookups` false keeps these lookups out of extrapolations(), for
   /// a pass that re-reads slots its evaluation's pass 1 already counted.
+  /// grad may alias rmat: every row is read into a stack group of up to 256
+  /// located slots before the kernel writes that group's grad rows.
   void contract_gradient(const double* rmat, std::size_t count, const Real* g_a, double* grad,
                          bool unit_weight = false, bool count_lookups = true) const;
 

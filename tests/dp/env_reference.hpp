@@ -3,9 +3,10 @@
 // gathers every in-cutoff candidate with its displacement, std::sorts them
 // by (r^2, atom), caps each type at sel[] and fills the atom's blocks
 // directly, one atom after another on one thread, storing each slot's
-// derivative rows too. The production build must reproduce its bytes at
-// every thread count, and the rows it rebuilds from its displacements must
-// equal the stored ones.
+// displacement and derivative rows too. The production build must reproduce
+// its bytes at every thread count; the displacements prod-force recomputes
+// from the positions, and the rows it rebuilds from them, must equal the
+// stored ones.
 #pragma once
 
 #include <algorithm>
@@ -15,6 +16,8 @@
 
 #include "common/simd.hpp"
 #include "dp/env_mat.hpp"
+#include "md/atoms.hpp"
+#include "md/box.hpp"
 
 namespace dp::env_ref {
 
@@ -77,13 +80,34 @@ inline void fill_slot(double* rrow, double* drow, const Vec3& d, double rcut_smt
           std::fma(drow[k], u[l], s_over_r * std::fma(-u[k], u[l], k == l ? 1.0 : 0.0));
 }
 
+/// The displacement d = r_j - r_i (minimum image when periodic) of every
+/// stored slot of a compact matrix, recomputed from the positions the way
+/// prod-force recomputes it: 3 per slot, in slot order.
+inline std::vector<double> displacements(const core::EnvMat& env, const md::Box& box,
+                                         const md::Atoms& atoms, bool periodic = true) {
+  std::vector<double> d(3 * env.stored_slots());
+  for (std::size_t i = 0; i < env.n_atoms; ++i)
+    for (int t = 0; t < env.ntypes; ++t)
+      for (int k = 0; k < env.count(i, t); ++k) {
+        const std::size_t s = env.block_begin(i, t) + static_cast<std::size_t>(k);
+        Vec3 v = atoms.pos[static_cast<std::size_t>(env.atom_of(s))] - atoms.pos[i];
+        if (periodic) v = box.min_image(v);
+        d[3 * s + 0] = v.x;
+        d[3 * s + 1] = v.y;
+        d[3 * s + 2] = v.z;
+      }
+  return d;
+}
+
 /// The derivative rows of every stored slot of a compact matrix, rebuilt
-/// from its displacements the way prod-force rebuilds them.
-inline std::vector<double> rebuilt_deriv(const core::EnvMat& env) {
+/// from its recomputed displacements the way prod-force rebuilds them.
+inline std::vector<double> rebuilt_deriv(const core::EnvMat& env, const md::Box& box,
+                                         const md::Atoms& atoms, bool periodic = true) {
   const std::size_t slots = env.stored_slots();
+  const std::vector<double> d = displacements(env, box, atoms, periodic);
   std::vector<double> rmat(4 * slots), deriv(12 * slots);
-  simd::pick_env_rows(simd::active())(env.diff.data(), slots, env.rcut_smth, env.rcut,
-                                      rmat.data(), deriv.data());
+  simd::pick_env_rows(simd::active())(d.data(), slots, env.rcut_smth, env.rcut, rmat.data(),
+                                      deriv.data());
   return deriv;
 }
 

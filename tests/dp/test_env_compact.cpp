@@ -9,8 +9,10 @@
 #include <cstring>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "dp/baseline_model.hpp"
 #include "dp/env_mat.hpp"
+#include "dp/prod_force.hpp"
 #include "env_reference.hpp"
 #include "fused/fused_model.hpp"
 #include "md/lattice.hpp"
@@ -86,11 +88,12 @@ TEST(EnvCompact, BuildBitwiseIdenticalAcrossThreadCounts) {
     EXPECT_EQ(0, std::memcmp(env.rmat.data(), ref.rmat.data(),
                              ref.stored_slots() * 4 * sizeof(double)))
         << "threads=" << t;
-    EXPECT_EQ(0, std::memcmp(env_ref::rebuilt_deriv(env).data(),
-                             env_ref::rebuilt_deriv(ref).data(),
+    EXPECT_EQ(0, std::memcmp(env_ref::rebuilt_deriv(env, sys.box, sys.atoms).data(),
+                             env_ref::rebuilt_deriv(ref, sys.box, sys.atoms).data(),
                              ref.stored_slots() * 12 * sizeof(double)))
         << "threads=" << t;
-    EXPECT_EQ(0, std::memcmp(env.diff.data(), ref.diff.data(),
+    EXPECT_EQ(0, std::memcmp(env_ref::displacements(env, sys.box, sys.atoms).data(),
+                             env_ref::displacements(ref, sys.box, sys.atoms).data(),
                              ref.stored_slots() * 3 * sizeof(double)))
         << "threads=" << t;
   }
@@ -122,6 +125,51 @@ TEST(EnvCompact, ForcesBitwiseIdenticalAcrossThreadCounts) {
         << "threads=" << t;
     EXPECT_EQ(0, std::memcmp(&out.virial, &ref.virial, sizeof(Mat3))) << "threads=" << t;
   }
+}
+
+TEST(EnvCompact, PeriodicProdForceMatchesDenseBitwise) {
+  // A periodic world without ghosts, so prod-force takes the minimum image
+  // of every displacement it recomputes from the positions. The compact
+  // layout rebuilds each slot's derivative rows from that displacement, the
+  // dense layout reads the rows its build stored: the same gradient per
+  // logical slot gives the same forces and virial, bit for bit.
+  OmpThreadGuard guard;
+  omp_set_num_threads(4);
+  const ModelConfig cfg = ModelConfig::tiny(2);
+  auto sys = md::make_fcc(4, 4, 4, 3.634, 63.546, 0.15, 17);
+  sys.atoms.mass_by_type = {63.546, 63.546};
+  for (std::size_t i = 0; i < sys.atoms.size(); ++i)
+    sys.atoms.type[i] = static_cast<int>(i * 7 / 3 % 2);
+  md::NeighborList nl(cfg.rcut, 1.0);
+  nl.build(sys.box, sys.atoms.pos);
+  EnvMat dense, compact;
+  build_env_mat(cfg, sys.box, sys.atoms, nl, dense, EnvMatKernel::Baseline);
+  build_env_mat(cfg, sys.box, sys.atoms, nl, compact);
+  ASSERT_EQ(dense.count_by_type, compact.count_by_type);
+
+  AlignedVector<double> g_dense(dense.stored_slots() * 4, 0.0);
+  AlignedVector<double> g_compact(compact.stored_slots() * 4);
+  Rng rng(18);
+  std::size_t wrapped = 0;
+  for (std::size_t i = 0; i < compact.n_atoms; ++i)
+    for (int t = 0; t < compact.ntypes; ++t)
+      for (int k = 0; k < compact.count(i, t); ++k) {
+        const std::size_t sd = dense.block_begin(i, t) + static_cast<std::size_t>(k);
+        const std::size_t sc = compact.block_begin(i, t) + static_cast<std::size_t>(k);
+        for (std::size_t c = 0; c < 4; ++c)
+          g_dense[4 * sd + c] = g_compact[4 * sc + c] = rng.uniform(-1.0, 1.0);
+        const Vec3 raw = sys.atoms.pos[static_cast<std::size_t>(compact.atom_of(sc))] -
+                         sys.atoms.pos[i];
+        if (norm(raw) > cfg.rcut) ++wrapped;
+      }
+  ASSERT_GT(wrapped, 0u);  // some slots exist only through the minimum image
+
+  std::vector<Vec3> f_dense(sys.atoms.size()), f_compact(sys.atoms.size());
+  Mat3 w_dense{}, w_compact{};
+  prod_force_virial(dense, g_dense.data(), sys.box, sys.atoms, true, f_dense, w_dense);
+  prod_force_virial(compact, g_compact.data(), sys.box, sys.atoms, true, f_compact, w_compact);
+  EXPECT_EQ(0, std::memcmp(f_dense.data(), f_compact.data(), f_dense.size() * sizeof(Vec3)));
+  EXPECT_EQ(0, std::memcmp(&w_dense, &w_compact, sizeof(Mat3)));
 }
 
 TEST(EnvCompact, SteadyStateIsAllocationFree) {

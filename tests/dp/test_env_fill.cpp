@@ -2,8 +2,10 @@
 // order and content must equal the sort-and-fill oracle byte for byte at
 // every thread count, the build's scratch must not scale with the system,
 // and slot arrays that grow between builds must read like fresh ones. The
-// CSR stores no derivative rows: the ones rebuilt from its displacements
-// must equal the oracle's stored rows byte for byte, at every SIMD level.
+// CSR stores neither derivative rows nor displacements: the displacements
+// recomputed from the positions must equal the oracle's stored ones, and
+// the rows rebuilt from them its stored rows, byte for byte, at every SIMD
+// level.
 #include <omp.h>
 
 #include <gtest/gtest.h>
@@ -32,9 +34,10 @@ struct OmpThreadGuard {
 };
 
 /// Byte equality of every CSR array over the stored slots, and of the
-/// rebuilt derivative rows with the oracle's stored ones.
+/// recomputed displacements and rebuilt derivative rows with the oracle's
+/// stored ones.
 void expect_same_csr(const EnvMat& env, const env_ref::CompactReference& ref,
-                     const std::string& what) {
+                     const md::Configuration& sys, const std::string& what) {
   const std::size_t slots = ref.slot_atom.size();
   ASSERT_EQ(env.stored_slots(), slots) << what;
   EXPECT_TRUE(env.deriv.empty()) << what;
@@ -45,10 +48,11 @@ void expect_same_csr(const EnvMat& env, const env_ref::CompactReference& ref,
       << what;
   EXPECT_EQ(0, std::memcmp(env.rmat.data(), ref.rmat.data(), slots * 4 * sizeof(double)))
       << what;
-  EXPECT_EQ(0, std::memcmp(env_ref::rebuilt_deriv(env).data(), ref.deriv.data(),
-                           slots * 12 * sizeof(double)))
+  EXPECT_EQ(0, std::memcmp(env_ref::rebuilt_deriv(env, sys.box, sys.atoms).data(),
+                           ref.deriv.data(), slots * 12 * sizeof(double)))
       << what;
-  EXPECT_EQ(0, std::memcmp(env.diff.data(), ref.diff.data(), slots * 3 * sizeof(double)))
+  EXPECT_EQ(0, std::memcmp(env_ref::displacements(env, sys.box, sys.atoms).data(),
+                           ref.diff.data(), slots * 3 * sizeof(double)))
       << what;
 }
 
@@ -66,8 +70,8 @@ void expect_matches_oracle(const ModelConfig& cfg, const md::Configuration& sys,
     EnvMat fresh;
     build_env_mat(cfg, sys.box, sys.atoms, nl, fresh);
     build_env_mat(cfg, sys.box, sys.atoms, nl, reused, ws);
-    expect_same_csr(fresh, ref, "fresh, threads=" + std::to_string(t));
-    expect_same_csr(reused, ref, "reused, threads=" + std::to_string(t));
+    expect_same_csr(fresh, ref, sys, "fresh, threads=" + std::to_string(t));
+    expect_same_csr(reused, ref, sys, "reused, threads=" + std::to_string(t));
   }
 }
 
@@ -215,17 +219,17 @@ TEST(EnvFill, GrownSlotArraysMatchAFreshBuild) {
   EnvMatWorkspace ws;
   build_env_mat(cfg, loose.box, loose.atoms, nl_loose, env, ws);
   const std::size_t first = env.stored_slots();
-  const std::size_t first_capacity = env.diff.capacity();
+  const std::size_t first_capacity = env.rmat.capacity();
   build_env_mat(cfg, dense.box, dense.atoms, nl_dense, env, ws);
   ASSERT_GT(env.stored_slots(), 2 * first);
-  ASSERT_GT(env.stored_slots() * 3, first_capacity);
+  ASSERT_GT(env.stored_slots() * 4, first_capacity);
   EnvMat fresh;
   build_env_mat(cfg, dense.box, dense.atoms, nl_dense, fresh);
   const auto ref = env_ref::build_compact_reference(cfg, dense.box, dense.atoms, nl_dense);
-  expect_same_csr(env, ref, "grown");
-  expect_same_csr(fresh, ref, "fresh");
+  expect_same_csr(env, ref, dense, "grown");
+  expect_same_csr(fresh, ref, dense, "fresh");
 
-  // The same through a model whose g_rmat grows with the slot count.
+  // The same through a model whose CSR grows with the slot count.
   DPModel model(cfg, 23);
   tab::TabulatedDP tab(model, {0.0, tab::TabulatedDP::s_max(cfg, 0.9), 0.005});
   fused::FusedDP grown(tab);
@@ -242,9 +246,9 @@ TEST(EnvFill, GrownSlotArraysMatchAFreshBuild) {
 }
 
 TEST(EnvFill, CompactStoresNoDerivative) {
-  // A compact slot is rmat (4 doubles), diff (3) and slot_atom (1 int);
-  // the derivative rows are rebuilt where prod-force reads them. An EnvMat
-  // that held a dense build gives its deriv array back.
+  // A compact slot is rmat (4 doubles) and slot_atom (1 int); the
+  // displacement and the derivative rows are rebuilt where prod-force reads
+  // them. An EnvMat that held a dense build gives its deriv array back.
   const ModelConfig cfg = ModelConfig::tiny(2);
   auto sys = md::make_fcc(4, 4, 4, 3.634, 63.546, 0.15, 24);
   sys.atoms.mass_by_type = {63.546, 63.546};
@@ -263,7 +267,7 @@ TEST(EnvFill, CompactStoresNoDerivative) {
   const std::size_t slots = env.stored_slots();
   const std::size_t blocks = env.n_atoms * static_cast<std::size_t>(env.ntypes);
   ASSERT_GT(slots, 0u);
-  EXPECT_EQ(env.compact_bytes(), slots * (7 * sizeof(double) + sizeof(int)) +
+  EXPECT_EQ(env.compact_bytes(), slots * (4 * sizeof(double) + sizeof(int)) +
                                      blocks * sizeof(int) + (blocks + 1) * sizeof(std::size_t));
 }
 
@@ -298,8 +302,9 @@ TEST(EnvFill, RebuiltRowsMatchTheOracleAtEveryLevel) {
       sys.atoms.type[i] = static_cast<int>(i * 7 / 3 % 2);
     EnvMat env;
     build_env_mat(cfg, sys.box, sys.atoms, neighbors_of(cfg, sys), env);
+    const std::vector<double> d = env_ref::displacements(env, sys.box, sys.atoms);
     for (std::size_t s = 0; s < env.stored_slots(); ++s)
-      disp.push_back({env.diff_at(s)[0], env.diff_at(s)[1], env.diff_at(s)[2]});
+      disp.push_back({d[3 * s], d[3 * s + 1], d[3 * s + 2]});
   }
   Rng rng(30);
   for (int k = 1; k < 4000; ++k) disp.push_back(rng.unit_vector() * (cfg.rcut * k / 4000.0));

@@ -77,7 +77,7 @@ TEST(EnvMat, BaselineAndOptimizedIdentical) {
   EXPECT_EQ(a.overflow, b.overflow);
   EXPECT_EQ(b.stored_slots(), b.filled_slots());
   EXPECT_EQ(a.filled_slots(), b.filled_slots());
-  const std::vector<double> b_deriv = env_ref::rebuilt_deriv(b);
+  const std::vector<double> b_deriv = env_ref::rebuilt_deriv(b, sys.box, sys.atoms);
   for (std::size_t i = 0; i < a.n_atoms; ++i)
     for (int t = 0; t < a.ntypes; ++t) {
       const std::size_t sa = a.block_begin(i, t);
@@ -167,7 +167,7 @@ TEST(EnvMat, DerivMatchesFiniteDifference) {
   nl.build(sys.box, sys.atoms.pos);
   EnvMat env;
   build_env_mat(cfg, sys.box, sys.atoms, nl, env);
-  const std::vector<double> deriv = env_ref::rebuilt_deriv(env);
+  const std::vector<double> deriv = env_ref::rebuilt_deriv(env, sys.box, sys.atoms);
 
   const double h = 1e-6;
   for (int l = 0; l < 3; ++l) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "../tab/aos_reference.hpp"
 #include "common/cost.hpp"
 #include "dp/baseline_model.hpp"
+#include "fused/mixed_model.hpp"
+#include "fused/se_r_model.hpp"
 #include "md/lattice.hpp"
 #include "md/simulation.hpp"
 #include "tab/compressed_model.hpp"
@@ -172,6 +176,51 @@ TEST(FusedDP, PaddingSkipStatisticsMatchEnvMat) {
   const double skipped_frac = 1.0 - static_cast<double>(fused.slots_processed()) /
                                         static_cast<double>(fused.slots_total());
   EXPECT_NEAR(skipped_frac, fused.env().padding_fraction(), 1e-12);
+}
+
+/// What a path holds beside its environment matrix after one compute().
+template <class Path>
+std::size_t bytes_beside_csr(Path& path, const md::Configuration& sys,
+                             const md::NeighborList& nl) {
+  md::Atoms atoms = sys.atoms;
+  path.compute(sys.box, atoms, nl);
+  return path.workspace_bytes() - path.env().storage_bytes();
+}
+
+TEST(PathFootprint, FusedPathsHoldNoPerSlotBufferBesidesTheCsr) {
+  // The fused-kernel paths write dE/dR~ over the env rows, and prod-force
+  // recomputes displacements from the positions, so nothing they hold
+  // beside the CSR is sized by the slot count. At two system sizes, a sel
+  // that caps every block at 8 slots and one that keeps all ~18 neighbors
+  // give the same atoms, neighbor lists and scratch but different CSRs:
+  // what each path holds beside its CSR must not change.
+  for (const int cells : {4, 6}) {
+    const auto sys = md::make_fcc(cells, cells, cells, 3.634, 63.546, 0.1, 60);
+    md::NeighborList nl(ModelConfig::tiny().rcut, 1.0);
+    nl.build(sys.box, sys.atoms.pos);
+    std::size_t slots[2] = {}, fused[2] = {}, mixed[2] = {}, se_r[2] = {};
+    for (int k = 0; k < 2; ++k) {
+      ModelConfig cfg = ModelConfig::tiny();
+      cfg.sel = {k == 0 ? 8 : 24};
+      DPModel model(cfg, 61);
+      TabulatedDP tab(model, {0.0, TabulatedDP::s_max(cfg, 0.9), 0.005});
+      FusedDP f(tab);
+      fused[k] = bytes_beside_csr(f, sys, nl);
+      slots[k] = f.env().stored_slots();
+      MixedFusedDP mx(tab);
+      mixed[k] = bytes_beside_csr(mx, sys, nl);
+      cfg.descriptor = core::DescriptorKind::SeR;
+      DPModel radial(cfg, 62);
+      TabulatedDP radial_tab(radial, {0.0, TabulatedDP::s_max(cfg, 0.9), 0.005});
+      SeRFusedDP sr(radial_tab);
+      se_r[k] = bytes_beside_csr(sr, sys, nl);
+    }
+    const std::string where = "cells " + std::to_string(cells);
+    ASSERT_GT(slots[1], 2 * slots[0]) << where;
+    EXPECT_EQ(fused[0], fused[1]) << where;
+    EXPECT_EQ(mixed[0], mixed[1]) << where;
+    EXPECT_EQ(se_r[0], se_r[1]) << where;
+  }
 }
 
 TEST(FusedDP, NveEnergyConservation) {

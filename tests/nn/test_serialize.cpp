@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <sstream>
 #include <vector>
 
@@ -41,31 +40,6 @@ TEST(Serialize, FittingRoundTrip) {
   EXPECT_DOUBLE_EQ(net.forward(d.data(), ws), loaded.forward(d.data(), ws));
 }
 
-TEST(Serialize, FileRoundTrip) {
-  EmbeddingNet e({4, 8});
-  FittingNet f(8, {10, 10});
-  Rng rng(3);
-  e.init_random(rng);
-  f.init_random(rng);
-
-  const std::string path = ::testing::TempDir() + "/dp_model_test.bin";
-  save_to_file(path, e, f);
-
-  EmbeddingNet e2;
-  FittingNet f2;
-  load_from_file(path, e2, f2);
-
-  std::vector<double> a(8), b(8);
-  e.eval(0.42, a.data());
-  e2.eval(0.42, b.data());
-  for (std::size_t j = 0; j < 8; ++j) EXPECT_DOUBLE_EQ(a[j], b[j]);
-
-  FittingNet::Workspace ws;
-  std::vector<double> d(8, 0.2);
-  EXPECT_DOUBLE_EQ(f.forward(d.data(), ws), f2.forward(d.data(), ws));
-  std::remove(path.c_str());
-}
-
 TEST(Serialize, BadMagicRejected) {
   std::stringstream ss;
   ss.write("not a model at all, definitely", 30);
@@ -81,12 +55,6 @@ TEST(Serialize, TruncatedStreamRejected) {
   std::string full = ss.str();
   std::stringstream cut(full.substr(0, full.size() / 2));
   EXPECT_THROW(load_embedding(cut), Error);
-}
-
-TEST(Serialize, MissingFileThrows) {
-  EmbeddingNet e;
-  FittingNet f;
-  EXPECT_THROW(load_from_file("/nonexistent/path/model.bin", e, f), Error);
 }
 
 }  // namespace

@@ -13,7 +13,10 @@
 // and 500 slots (500 is the dense padded run that Fig 7's
 // skip_padding = false rung walks, longer than one located group); s
 // in-domain and extrapolating. Each pass counts an out-of-domain slot once,
-// as a single-row walk of the same s does, unless told not to.
+// as a single-row walk of the same s does, unless told not to. Pass 2
+// written over its own rows (grad == rmat, as the fused-kernel paths call
+// it) equals the out-of-place result bit for bit, on runs that end on
+// either side of the 256-slot group seam.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -210,6 +213,37 @@ TEST(FusedKernels, FloatTableMatchesTheFmaReferenceBitwise) {
 }
 TEST(FusedKernels, HalfTableMatchesTheFmaReferenceBitwise) {
   expect_passes_match_reference<_Float16>();
+}
+
+template <class C>
+void expect_in_place_pass2_matches_out_of_place() {
+  using Real = simd::TableReal<C>;
+  for (const std::size_t m : {37u, 64u}) {
+    const Case<C> cs(m);
+    Rng rng(13 + m);
+    std::vector<Real> g_a(4 * m);
+    for (Real& x : g_a) x = static_cast<Real>(rng.uniform(-1.0, 1.0));
+    for (const std::size_t cnt : {1u, 255u, 256u, 257u, 600u}) {
+      const auto rmat = env_rows(cnt, true, 300 * m + cnt);
+      for (const bool unit : {false, true}) {
+        for (simd::Level lvl : available_levels()) {
+          LevelGuard guard(lvl);
+          std::vector<double> grad(4 * cnt, -1.0);
+          cs.table.contract_gradient(rmat.data(), cnt, g_a.data(), grad.data(), unit);
+          std::vector<double> rows = rmat;
+          cs.table.contract_gradient(rows.data(), cnt, g_a.data(), rows.data(), unit);
+          EXPECT_TRUE(bitwise_equal(rows, grad))
+              << simd::name(lvl) << " m " << m << " run " << cnt << (unit ? " unit" : "");
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedKernels, PassTwoInPlaceMatchesOutOfPlace) {
+  expect_in_place_pass2_matches_out_of_place<double>();
+  expect_in_place_pass2_matches_out_of_place<float>();
+  expect_in_place_pass2_matches_out_of_place<_Float16>();
 }
 
 template <class C>

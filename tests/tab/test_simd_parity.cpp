@@ -189,6 +189,11 @@ TEST(SimdParity, VectorLevelsWithinOneUlpOfScalar) {
     const double r = 0.3 + 4.0 * static_cast<double>(k) / cnt;
     for (std::size_t c = 0; c < 3; ++c) diff[3 * k + c] *= r / len;
   }
+  // The same displacements as x, y and z streams, the layout prod-force
+  // stages them in.
+  std::vector<double> diff_streams(3 * cnt);
+  for (std::size_t k = 0; k < cnt; ++k)
+    for (std::size_t c = 0; c < 3; ++c) diff_streams[c * cnt + k] = diff[3 * k + c];
   std::vector<float> a_f(4 * m);
   for (std::size_t k = 0; k < 4 * m; ++k) a_f[k] = static_cast<float>(a_mat[k]);
 
@@ -215,8 +220,8 @@ TEST(SimdParity, VectorLevelsWithinOneUlpOfScalar) {
     simd::pick_pair_gradients(lvl)(g_rows.data(), d_rows.data(), static_cast<int>(cnt),
                                    o.pair.data());
     simd::pick_env_rows(lvl)(diff.data(), cnt, kRs, kRc, o.env_r.data(), o.env_d.data());
-    simd::pick_pair_gradients_diff(lvl)(g_rows.data(), diff.data(), static_cast<int>(cnt), kRs,
-                                        kRc, o.pair_diff.data());
+    simd::pick_pair_gradients_diff(lvl)(g_rows.data(), diff_streams.data(),
+                                        static_cast<int>(cnt), kRs, kRc, o.pair_diff.data());
     simd::pick_pair_gradients(lvl)(g_rows.data(), o.env_d.data(), static_cast<int>(cnt),
                                    o.pair_env.data());
     return o;
