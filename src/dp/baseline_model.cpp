@@ -9,7 +9,9 @@
 namespace dp::core {
 
 BaselineDP::BaselineDP(const DPModel& model, EnvMatKernel env_kernel)
-    : model_(model), env_kernel_(env_kernel) {}
+    : model_(model), env_kernel_(env_kernel) {
+  require_descriptor(model.config(), DescriptorKind::SeA, "BaselineDP");
+}
 
 void BaselineDP::prepare(std::size_t n) {
   const ModelConfig& cfg = model_.config();
@@ -34,7 +36,7 @@ void BaselineDP::prepare(std::size_t n) {
   }
   s_buf_.resize(max_rows);
   g_s_.resize(max_rows);
-  fit_.prepare(cfg.ntypes, m);
+  fit_.prepare(cfg);
 }
 
 std::size_t BaselineDP::workspace_bytes() const {
@@ -58,7 +60,6 @@ md::ForceResult BaselineDP::compute(const md::Box& box, md::Atoms& atoms,
   }
   const std::size_t n = env_.n_atoms;
   const std::size_t m = cfg.m();
-  const std::size_t m_sub = cfg.axis_neuron;
   const int nm = cfg.nm();
   const double scale = 1.0 / static_cast<double>(nm);
   prepare(n);
@@ -98,7 +99,7 @@ md::ForceResult BaselineDP::compute(const md::Box& box, md::Atoms& atoms,
   {
     ScopedTimer t("baseline.descriptor_fit", "kernel");
     // dE/dG rows and dE/dR~ rows for every stored slot of atom i.
-    const auto pass2 = [&](std::size_t i, std::size_t, const double* g_a) {
+    const auto pass2 = [&](std::size_t i, const double* g_a) {
       for (int t = 0; t < cfg.ntypes; ++t) {
         const std::size_t krows = static_cast<std::size_t>(rows_of(i, t));
         if (krows == 0) continue;
@@ -113,7 +114,7 @@ md::ForceResult BaselineDP::compute(const md::Box& box, md::Atoms& atoms,
     for (std::size_t i = 0; i < n; ++i) {
       // A = (1/N_m) R~^T G, accumulated over the per-type slot blocks.
       const int ct = atoms.type[i];
-      double* a_mat = fit_.a_mat(ct, fit_.push(ct, i));
+      double* a_mat = fit_.push(ct, i);
       for (int t = 0; t < cfg.ntypes; ++t) {
         const std::size_t krows = static_cast<std::size_t>(rows_of(i, t));
         if (krows == 0) continue;
@@ -121,11 +122,10 @@ md::ForceResult BaselineDP::compute(const md::Box& box, md::Atoms& atoms,
                         a_mat, 4, krows, m);
       }
       for (std::size_t k = 0; k < 4 * m; ++k) a_mat[k] *= scale;
-      if (fit_.full(ct))
-        fit_.flush(ct, model_.fitting(ct), m_sub, scale, atom_energy_.data(), pass2);
+      if (fit_.full(ct)) fit_.flush(ct, model_.fitting(ct), atom_energy_.data(), pass2);
     }
     for (int t = 0; t < cfg.ntypes; ++t)
-      fit_.flush(t, model_.fitting(t), m_sub, scale, atom_energy_.data(), pass2);
+      fit_.flush(t, model_.fitting(t), atom_energy_.data(), pass2);
     for (std::size_t i = 0; i < n; ++i) out.energy += atom_energy_[i];
   }
   record_fit_block_cost(model_.fitting(0), n, fit_.blocks());

@@ -28,6 +28,7 @@ namespace dp::core {
 
 class BaselineDP final : public md::ForceField {
  public:
+  /// The model must be se_a (DescriptorKind::SeA); se_r runs on SeRFusedDP.
   explicit BaselineDP(const DPModel& model, EnvMatKernel env_kernel = EnvMatKernel::Optimized);
 
   md::ForceResult compute(const md::Box& box, md::Atoms& atoms, const md::NeighborList& nlist,

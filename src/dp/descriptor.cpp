@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/cost.hpp"
+#include "common/error.hpp"
 #include "common/simd.hpp"
 
 namespace dp::core {
@@ -44,28 +45,53 @@ double descriptor_fit_atom(const nn::FittingNet& fit, const double* a_mat, std::
   return energy;
 }
 
-void FitBlocks::prepare(int ntypes, std::size_t m) {
-  const std::size_t nt = static_cast<std::size_t>(ntypes);
-  m_ = m;
-  a_.resize(nt);
-  for (auto& a : a_) a.resize(nn::kFitBlock * 4 * m);
+void require_descriptor(const ModelConfig& cfg, DescriptorKind kind, const char* path) {
+  DP_CHECK_MSG(cfg.descriptor == kind,
+               path << " needs a model configured with DescriptorKind::"
+                    << (kind == DescriptorKind::SeA ? "SeA" : "SeR"));
+}
+
+void FitBlocks::prepare(const ModelConfig& cfg) {
+  const std::size_t nt = static_cast<std::size_t>(cfg.ntypes);
+  se_a_ = cfg.descriptor == DescriptorKind::SeA;
+  m_ = cfg.m();
+  m_sub_ = cfg.axis_neuron;
+  width_ = se_a_ ? 4 * m_ : m_;
+  scale_ = 1.0 / static_cast<double>(cfg.nm());
+  rows_.resize(nt);
+  for (auto& r : rows_) r.resize(nn::kFitBlock * width_);
   atoms_.resize(nt);
   count_.assign(nt, 0);
-  g_a_.resize(nn::kFitBlock * 4 * m);
+  if (se_a_) g_a_.resize(nn::kFitBlock * width_);
   blocks_ = 0;
 }
 
-std::size_t FitBlocks::push(int t, std::size_t i) {
+double* FitBlocks::push(int t, std::size_t i) {
   const std::size_t ut = static_cast<std::size_t>(t);
   const std::size_t slot = count_[ut]++;
   atoms_[ut][slot] = i;
-  std::memset(a_mat(t, slot), 0, 4 * m_ * sizeof(double));
-  return slot;
+  double* row = rows_[ut].data() + slot * width_;
+  std::memset(row, 0, width_ * sizeof(double));
+  return row;
+}
+
+const double* FitBlocks::evaluate(std::size_t t, const nn::FittingNet& fit, std::size_t rows) {
+  double* d = rows_[t].data();
+  if (se_a_) {
+    descriptor_fit_block(fit, d, rows, m_, m_sub_, scale_, kernel_, g_a_.data(),
+                         energy_.data());
+    return g_a_.data();
+  }
+  // se_r: the rows are D. dE/dD overwrites them in place, as in
+  // descriptor_fit_block.
+  fit.forward_block(d, rows, kernel_.fit_ws, energy_.data());
+  fit.backward(kernel_.fit_ws, d);
+  return d;
 }
 
 std::size_t FitBlocks::bytes() const {
   std::size_t b = g_a_.capacity() + kernel_.d_flat.capacity();
-  for (const auto& a : a_) b += a.capacity();
+  for (const auto& r : rows_) b += r.capacity();
   return b * sizeof(double) + kernel_.fit_ws.bytes();
 }
 

@@ -2,9 +2,10 @@
 // its contracted form: with A = (1/N_m) R~^T G (4 x M) and A< its first M<
 // columns, D = A<^T A (M< x M).
 //
-// Every inference path (baseline / compressed / fused) funnels through these
+// Every se_a path (baseline, compressed, fused, mixed) funnels through these
 // two kernels, so they are the single point of truth for the descriptor
-// algebra and its adjoint.
+// algebra and its adjoint. Every path, se_r included, evaluates its fitting
+// net through FitBlocks.
 #pragma once
 
 #include <array>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "common/aligned.hpp"
+#include "dp/model_config.hpp"
 #include "nn/fitting_net.hpp"
 
 namespace dp::core {
@@ -50,43 +52,44 @@ double descriptor_fit_atom(const nn::FittingNet& fit, const double* a_mat, std::
                            std::size_t m_sub, double scale, AtomKernelScratch& scratch,
                            double* g_a);
 
+/// Throws unless `cfg` is configured with `kind`: a path's kernels build one
+/// descriptor, and the fitting net's input width follows the model's.
+void require_descriptor(const ModelConfig& cfg, DescriptorKind kind, const char* path);
+
 /// One thread's pending fitting blocks: the middle phase of every DP path's
 /// three-phase atom loop (pass 1 per atom, one batched descriptor + fitting
-/// evaluation per block, pass 2 per atom). Pass 1 leaves an atom's A matrix
-/// in its center type's block; a block is evaluated when it holds
-/// nn::kFitBlock atoms or when the caller's atom range ends. Water
-/// interleaves O and H, so every center type keeps its own block.
+/// evaluation per block, pass 2 per atom). Pass 1 leaves an atom's row,
+/// already scaled by 1/N_m, in its center type's block: the 4 x m matrix A
+/// for se_a, the m-wide descriptor D itself for se_r, which goes straight
+/// into the fitting net. A block is evaluated when it holds nn::kFitBlock
+/// atoms or when the caller's atom range ends. Water interleaves O and H, so
+/// every center type keeps its own block.
 class FitBlocks {
  public:
-  /// Grow-only sizing for `ntypes` center types and embedding width m; also
-  /// empties every block and zeroes the block counter.
-  void prepare(int ntypes, std::size_t m);
+  /// Grow-only sizing for cfg's center types and its descriptor's row
+  /// shape; also empties every block and zeroes the block counter.
+  void prepare(const ModelConfig& cfg);
 
-  /// Queues atom i in center type t's block and returns its slot; the slot's
-  /// A matrix (a_mat(t, slot), 4 x m) is zeroed, ready for pass 1.
-  std::size_t push(int t, std::size_t i);
-  double* a_mat(int t, std::size_t slot) {
-    return a_[static_cast<std::size_t>(t)].data() + slot * 4 * m_;
-  }
+  /// Queues atom i in center type t's block and returns its row, zeroed,
+  /// ready for pass 1.
+  double* push(int t, std::size_t i);
   bool full(int t) const { return count_[static_cast<std::size_t>(t)] == nn::kFitBlock; }
 
   /// Evaluates type t's queued atoms (a no-op when none): writes
-  /// atom_energy[i] for each, then calls pass2(i, slot, g_a) in slot order
-  /// with g_a = scale * dE/dA (4 x m).
+  /// atom_energy[i] for each, then calls pass2(i, grad) in queue order with
+  /// grad = dE/dA / N_m (4 x m) for se_a, dE/dD (m, unscaled) for se_r.
   template <class Pass2>
-  void flush(int t, const nn::FittingNet& fit, std::size_t m_sub, double scale,
-             double* atom_energy, Pass2&& pass2) {
+  void flush(int t, const nn::FittingNet& fit, double* atom_energy, Pass2&& pass2) {
     const std::size_t ut = static_cast<std::size_t>(t);
     const std::size_t rows = count_[ut];
     if (rows == 0) return;
     count_[ut] = 0;
     ++blocks_;
-    descriptor_fit_block(fit, a_[ut].data(), rows, m_, m_sub, scale, kernel_, g_a_.data(),
-                         energy_.data());
+    const double* grad = evaluate(ut, fit, rows);
     for (std::size_t r = 0; r < rows; ++r) {
       const std::size_t i = atoms_[ut][r];
       atom_energy[i] = energy_[r];
-      pass2(i, r, g_a_.data() + r * 4 * m_);
+      pass2(i, grad + r * width_);
     }
   }
 
@@ -96,11 +99,18 @@ class FitBlocks {
   std::size_t bytes() const;
 
  private:
-  std::size_t m_ = 0;
-  std::vector<AlignedVector<double>> a_;  ///< per type: kFitBlock A matrices
+  /// The descriptor (se_a) and fitting net, forward and backward, over type
+  /// t's first `rows` rows; returns their gradients, width_ apart.
+  const double* evaluate(std::size_t t, const nn::FittingNet& fit, std::size_t rows);
+
+  bool se_a_ = true;
+  std::size_t m_ = 0, m_sub_ = 0;
+  std::size_t width_ = 0;  ///< row width: 4 m (se_a) or m (se_r)
+  double scale_ = 1.0;     ///< 1 / N_m
+  std::vector<AlignedVector<double>> rows_;  ///< per type: kFitBlock rows
   std::vector<std::array<std::size_t, nn::kFitBlock>> atoms_;  ///< queued atom ids
   std::vector<std::size_t> count_;        ///< queued atoms per type
-  AlignedVector<double> g_a_;             ///< kFitBlock scaled dE/dA matrices
+  AlignedVector<double> g_a_;             ///< se_a: kFitBlock scaled dE/dA matrices
   std::array<double, nn::kFitBlock> energy_{};
   AtomKernelScratch kernel_;
   std::size_t blocks_ = 0;

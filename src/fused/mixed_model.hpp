@@ -17,12 +17,11 @@
 // with the derivative for the gradient dots (Table::contract_gradient).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
-#include "dp/descriptor.hpp"
-#include "dp/env_mat.hpp"
-#include "dp/prod_force.hpp"
-#include "md/force_field.hpp"
+#include "common/aligned.hpp"
+#include "fused/skeleton.hpp"
 #include "tab/tabulated_model.hpp"
 
 namespace dp::fused {
@@ -30,14 +29,24 @@ namespace dp::fused {
 /// Embedding-stage storage/arithmetic width of the mixed path.
 enum class MixedPrecision { Single, Half };
 
-class MixedFusedDP final : public md::ForceField {
+/// Per-thread float staging of the mixed path: A and dE/dA on float lanes.
+struct FloatStaging {
+  AlignedVector<float> a, ga;
+  void prepare(std::size_t m) {
+    a.resize(4 * m);
+    ga.resize(4 * m);
+  }
+  std::size_t bytes() const { return (a.capacity() + ga.capacity()) * sizeof(float); }
+};
+
+/// The model must be se_a (DescriptorKind::SeA); se_r runs on SeRFusedDP.
+class MixedFusedDP final : public Skeleton<FloatStaging> {
  public:
   explicit MixedFusedDP(const tab::TabulatedDP& tabulated,
                         MixedPrecision precision = MixedPrecision::Single);
 
   md::ForceResult compute(const md::Box& box, md::Atoms& atoms, const md::NeighborList& nlist,
                           bool periodic = true) override;
-  double cutoff() const override { return tab_.model().config().rcut; }
   /// The mixed path evaluates its own reduced-precision tables, so the
   /// --health extrapolation-rate watchdog must read their counters (the
   /// shared double tables in tab_ never see these lookups).
@@ -47,14 +56,7 @@ class MixedFusedDP final : public md::ForceField {
     for (const auto& t : tables_hp_) n += t.extrapolations();
     return n;
   }
-  std::size_t neighbor_reservation() const override {
-    return static_cast<std::size_t>(tab_.model().config().nm());
-  }
 
-  const std::vector<double>& atom_energies() const { return atom_energy_; }
-  const core::EnvMat& env() const { return env_; }
-  /// Capacity-based bytes of every persistent buffer this model owns.
-  std::size_t workspace_bytes() const;
   /// Bytes of the reduced-precision tables (double/2 for Single, /4 for
   /// Half).
   std::size_t table_bytes() const;
@@ -69,23 +71,10 @@ class MixedFusedDP final : public md::ForceField {
     else
       f(tables_hp_[idx]);
   }
-  void prepare(std::size_t n);
 
-  struct ThreadScratch {
-    AlignedVector<float> a_sp, ga_sp;
-    core::FitBlocks fit;              ///< pending fitting blocks, one per center type
-    double energy_partial = 0.0;  ///< folded by the master, ascending thread order
-  };
-
-  const tab::TabulatedDP& tab_;
   MixedPrecision precision_;
   std::vector<tab::TabulatedEmbeddingSP> tables_sp_;
   std::vector<tab::TabulatedEmbeddingHP> tables_hp_;
-  core::EnvMat env_;
-  core::EnvMatWorkspace env_ws_;
-  core::ProdForceWorkspace prod_ws_;
-  std::vector<ThreadScratch> scratch_;
-  std::vector<double> atom_energy_;
 };
 
 }  // namespace dp::fused

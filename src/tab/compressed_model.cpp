@@ -13,7 +13,10 @@ using core::EnvMat;
 using core::ModelConfig;
 
 CompressedDP::CompressedDP(const TabulatedDP& tabulated, core::EnvMatKernel env_kernel)
-    : tab_(tabulated), env_kernel_(env_kernel) {}
+    : tab_(tabulated), env_kernel_(env_kernel) {
+  core::require_descriptor(tabulated.model().config(), core::DescriptorKind::SeA,
+                           "CompressedDP");
+}
 
 void CompressedDP::prepare(std::size_t n) {
   const ModelConfig& cfg = tab_.model().config();
@@ -36,7 +39,7 @@ void CompressedDP::prepare(std::size_t n) {
     dg_by_type_[t].resize(run, m);
     max_sel = std::max(max_sel, cfg.sel[t]);
   }
-  fit_.prepare(cfg.ntypes, m);
+  fit_.prepare(cfg);
   g_g_.resize(static_cast<std::size_t>(max_sel) * m);
 }
 
@@ -51,7 +54,6 @@ md::ForceResult CompressedDP::compute(const md::Box& box, md::Atoms& atoms,
   }
   const std::size_t n = env_.n_atoms;
   const std::size_t m = cfg.m();
-  const std::size_t m_sub = cfg.axis_neuron;
   const int nm = cfg.nm();
   const double scale = 1.0 / static_cast<double>(nm);
   prepare(n);
@@ -105,7 +107,7 @@ md::ForceResult CompressedDP::compute(const md::Box& box, md::Atoms& atoms,
   md::ForceResult out;
   {
     ScopedTimer t("compressed.descriptor_fit", "kernel");
-    const auto pass2 = [&](std::size_t i, std::size_t, const double* g_a) {
+    const auto pass2 = [&](std::size_t i, const double* g_a) {
       for (int ty = 0; ty < cfg.ntypes; ++ty) {
         const std::size_t krows = static_cast<std::size_t>(rows_of(i, ty));
         if (krows == 0) continue;
@@ -128,7 +130,7 @@ md::ForceResult CompressedDP::compute(const md::Box& box, md::Atoms& atoms,
     };
     for (std::size_t i = 0; i < n; ++i) {
       const int ct = atoms.type[i];
-      double* a_mat = fit_.a_mat(ct, fit_.push(ct, i));
+      double* a_mat = fit_.push(ct, i);
       for (int ty = 0; ty < cfg.ntypes; ++ty) {
         const std::size_t krows = static_cast<std::size_t>(rows_of(i, ty));
         if (krows == 0) continue;
@@ -137,11 +139,10 @@ md::ForceResult CompressedDP::compute(const md::Box& box, md::Atoms& atoms,
                         4, krows, m);
       }
       for (std::size_t k = 0; k < 4 * m; ++k) a_mat[k] *= scale;
-      if (fit_.full(ct))
-        fit_.flush(ct, model.fitting(ct), m_sub, scale, atom_energy_.data(), pass2);
+      if (fit_.full(ct)) fit_.flush(ct, model.fitting(ct), atom_energy_.data(), pass2);
     }
     for (int t = 0; t < cfg.ntypes; ++t)
-      fit_.flush(t, model.fitting(t), m_sub, scale, atom_energy_.data(), pass2);
+      fit_.flush(t, model.fitting(t), atom_energy_.data(), pass2);
     for (std::size_t i = 0; i < n; ++i) out.energy += atom_energy_[i];
   }
   core::record_fit_block_cost(model.fitting(0), n, fit_.blocks());

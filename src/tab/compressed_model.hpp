@@ -23,7 +23,8 @@ namespace dp::tab {
 class CompressedDP final : public md::ForceField {
  public:
   /// `env_kernel` picks the ProdEnvMatA implementation (the Fig 7/8 "other
-  /// optimizations" step toggles it).
+  /// optimizations" step toggles it). The model must be se_a
+  /// (DescriptorKind::SeA); se_r runs on SeRFusedDP.
   explicit CompressedDP(const TabulatedDP& tabulated,
                         core::EnvMatKernel env_kernel = core::EnvMatKernel::Optimized);
 

@@ -1,7 +1,7 @@
 // The three-phase atom loop shared by every DP path (pass 1, one batched
 // descriptor + fitting evaluation per block of same-type atoms, pass 2):
-// block-invariant per-atom outputs, forces bitwise identical at any thread
-// count, and the fit.block cost booking.
+// block-invariant per-atom outputs, total energy, forces and virial bitwise
+// identical at any thread count, and the fit.block cost booking.
 #include <omp.h>
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "dp/descriptor.hpp"
 #include "fused/fused_model.hpp"
 #include "fused/mixed_model.hpp"
+#include "fused/se_r_model.hpp"
 #include "md/lattice.hpp"
 #include "tab/compressed_model.hpp"
 #include "tab/tabulated_model.hpp"
@@ -59,27 +60,44 @@ TEST(FitBlocks, DescriptorFitBlockMatchesOneAtomBitwise) {
 }
 
 struct WaterCase {
-  ModelConfig cfg = ModelConfig::tiny(2);
-  DPModel model{cfg, 23};
+  ModelConfig cfg;
+  DPModel model;
   md::Configuration sys = md::make_water(1, 1, 1, 23);
-  tab::TabulatedDP tab{model, {0.0, tab::TabulatedDP::s_max(cfg, 0.9), 0.005}};
-  md::NeighborList nl{cfg.rcut, 1.0};
-  WaterCase() { nl.build(sys.box, sys.atoms.pos); }
+  tab::TabulatedDP tab;
+  md::NeighborList nl;
+  explicit WaterCase(DescriptorKind kind = DescriptorKind::SeA)
+      : cfg(config(kind)),
+        model(cfg, 23),
+        tab(model, {0.0, tab::TabulatedDP::s_max(cfg, 0.9), 0.005}),
+        nl(cfg.rcut, 1.0) {
+    nl.build(sys.box, sys.atoms.pos);
+  }
+  static ModelConfig config(DescriptorKind kind) {
+    ModelConfig c = ModelConfig::tiny(2);
+    c.descriptor = kind;
+    return c;
+  }
 };
 
 template <class Make>
-void expect_forces_thread_invariant(const WaterCase& w, const char* path, Make make) {
+void expect_thread_invariant(const WaterCase& w, const char* path, Make make) {
   OmpThreadGuard guard;
+  md::ForceResult ref_out;
   std::vector<Vec3> ref;
   for (const int t : {1, 2, 4, 8}) {
     omp_set_num_threads(t);
     const std::unique_ptr<md::ForceField> ff = make();
     md::Atoms atoms = w.sys.atoms;
-    ff->compute(w.sys.box, atoms, w.nl);
+    const md::ForceResult out = ff->compute(w.sys.box, atoms, w.nl);
     if (ref.empty()) {
+      ref_out = out;
       ref = atoms.force;
       continue;
     }
+    EXPECT_EQ(0, std::memcmp(&out.energy, &ref_out.energy, sizeof(double)))
+        << path << " threads=" << t << ": energy " << out.energy << " vs " << ref_out.energy;
+    EXPECT_EQ(0, std::memcmp(&out.virial, &ref_out.virial, sizeof(Mat3)))
+        << path << " threads=" << t;
     EXPECT_EQ(0, std::memcmp(atoms.force.data(), ref.data(), ref.size() * sizeof(Vec3)))
         << path << " threads=" << t;
   }
@@ -88,16 +106,21 @@ void expect_forces_thread_invariant(const WaterCase& w, const char* path, Make m
 TEST(FitBlocks, WaterForcesBitwiseAcrossThreadCounts) {
   // Water interleaves O and H, so every thread chunk keeps two pending
   // blocks and flushes partial ones at its end; 192 atoms over 1-8 threads
-  // covers full blocks, tails and chunks shorter than a block.
+  // covers full blocks, tails and chunks shorter than a block. The total
+  // energy and the virial must not move either.
   const WaterCase w;
-  expect_forces_thread_invariant(w, "fused",
-                                 [&] { return std::make_unique<fused::FusedDP>(w.tab); });
-  expect_forces_thread_invariant(w, "mixed",
-                                 [&] { return std::make_unique<fused::MixedFusedDP>(w.tab); });
-  expect_forces_thread_invariant(w, "compressed",
-                                 [&] { return std::make_unique<tab::CompressedDP>(w.tab); });
-  expect_forces_thread_invariant(w, "baseline",
-                                 [&] { return std::make_unique<BaselineDP>(w.model); });
+  expect_thread_invariant(w, "fused", [&] { return std::make_unique<fused::FusedDP>(w.tab); });
+  expect_thread_invariant(w, "mixed",
+                          [&] { return std::make_unique<fused::MixedFusedDP>(w.tab); });
+  expect_thread_invariant(w, "mixed-half", [&] {
+    return std::make_unique<fused::MixedFusedDP>(w.tab, fused::MixedPrecision::Half);
+  });
+  expect_thread_invariant(w, "compressed",
+                          [&] { return std::make_unique<tab::CompressedDP>(w.tab); });
+  expect_thread_invariant(w, "baseline", [&] { return std::make_unique<BaselineDP>(w.model); });
+  const WaterCase radial(DescriptorKind::SeR);
+  expect_thread_invariant(radial, "se_r",
+                          [&] { return std::make_unique<fused::SeRFusedDP>(radial.tab); });
 }
 
 TEST(FitBlocks, RecordsFitBlockCost) {

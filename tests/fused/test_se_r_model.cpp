@@ -9,10 +9,13 @@
 #include <vector>
 
 #include "common/timer.hpp"
+#include "dp/baseline_model.hpp"
 #include "dp/env_mat.hpp"
 #include "fused/fused_model.hpp"
+#include "fused/mixed_model.hpp"
 #include "md/lattice.hpp"
 #include "md/simulation.hpp"
+#include "tab/compressed_model.hpp"
 
 namespace dp::fused {
 namespace {
@@ -94,6 +97,18 @@ TEST(SeR, RejectsSeAModel) {
   DPModel model(ModelConfig::tiny(), 2);
   TabulatedDP tab(model, {0.0, 1.0, 0.05});
   EXPECT_THROW(SeRFusedDP{tab}, Error);
+}
+
+TEST(SeR, SeAPathsRejectSeRModel) {
+  // The se_a paths build an M< x M descriptor, and a se_r model's fitting
+  // net reads M inputs: each path refuses the model instead of returning
+  // energies from a misread descriptor.
+  DPModel model(se_r_cfg(2), 2);
+  TabulatedDP tab(model, {0.0, 1.0, 0.05});
+  EXPECT_THROW(FusedDP{tab}, Error);
+  EXPECT_THROW(MixedFusedDP{tab}, Error);
+  EXPECT_THROW(tab::CompressedDP{tab}, Error);
+  EXPECT_THROW(core::BaselineDP{model}, Error);
 }
 
 TEST(SeR, ForcesAreNegativeGradient) {

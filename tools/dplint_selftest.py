@@ -168,6 +168,16 @@ class RuleTest(unittest.TestCase):
                        "  AlignedVector<double> row(m * 4);\n"
                        "}\n")
         self.assertIn("env-hot-alloc", rules("src/dp/baseline_model.cpp", bad_aligned))
+        # The fused paths' shared compute() body, and not its prepare().
+        bad_run = ("  md::ForceResult run(const md::Box& box, bool periodic) {\n"
+                   "    atom_energy_.resize(n);\n"
+                   "  }\n")
+        self.assertIn("env-hot-alloc", rules("src/fused/skeleton.hpp", bad_run))
+        ok_prepare_run = ("  void prepare(std::size_t n) { atom_energy_.resize(n); }\n"
+                          "  md::ForceResult run(const md::Box& box) {\n"
+                          "    BuildTeam::team().run(T, BodyRef(body));\n"
+                          "  }\n")
+        self.assertNotIn("env-hot-alloc", rules("src/fused/skeleton.hpp", ok_prepare_run))
         # References into the persistent workspace are the sanctioned pattern.
         ok_ref = ("md::ForceResult FusedDP::compute(const md::Box& box) {\n"
                   "  AlignedVector<double>& g = ws_.g_rmat;\n"
@@ -269,7 +279,8 @@ class RuleTest(unittest.TestCase):
                "  for (std::size_t b = 0; b < m; ++b) a[b] += r[0];\n"
                "}\n")
         for rel in ("src/fused/fused_model.cpp", "src/fused/mixed_model.cpp",
-                    "src/dp/descriptor.cpp", "src/dp/prod_force.cpp", "src/nn/gemm.cpp",
+                    "src/fused/skeleton.hpp", "src/dp/descriptor.cpp",
+                    "src/dp/prod_force.cpp", "src/nn/gemm.cpp",
                     "src/tab/table.cpp", "src/common/simd_kernels.inc",
                     "src/nn/gemm_kernels.inc"):
             self.assertIn("hot-pragma-simd", rules(rel, bad), msg=rel)
@@ -292,6 +303,28 @@ class RuleTest(unittest.TestCase):
         self.assertNotIn("hot-pragma-simd",
                          rules("src/fused/fused_model.cpp", other_pragma))
         self.assertNotIn("hot-pragma-simd", rules("src/fused/se_r_model.cpp", bad))
+
+    def test_raw_fma(self):
+        # Kernel bodies spell every fma through the lane traits.
+        bad = "for (; b < m; ++b) y = std::fma(a[b], x, y);\n"
+        for rel in ("src/common/simd_kernels.inc", "src/nn/gemm_kernels.inc",
+                    "src/tab/new_kernels.inc"):
+            self.assertIn("raw-fma", rules(rel, bad), msg=rel)
+        self.assertIn("raw-fma", rules("src/nn/gemm_kernels.inc", "s = fma(a, b, s);\n"))
+        self.assertIn("raw-fma",
+                      rules("src/nn/gemm_kernels.inc", "s = __builtin_fma(a, b, s);\n"))
+        # The traits are the sanctioned spelling, and simd.hpp defines them
+        # with std::fma.
+        self.assertNotIn("raw-fma",
+                         rules("src/common/simd_kernels.inc", "y = S::fmadd(a[b], x, y);\n"))
+        self.assertNotIn("raw-fma",
+                         rules("src/common/simd.hpp",
+                               "static V fmadd(V a, V b, V c) { return std::fma(a, b, c); }\n"))
+        # Other files and comments stay out of scope.
+        self.assertNotIn("raw-fma", rules("src/dp/env_mat.cpp", bad))
+        self.assertNotIn("raw-fma", rules("tests/common/foo_kernels.inc", bad))
+        self.assertNotIn("raw-fma",
+                         rules("src/common/simd_kernels.inc", "// tails run std::fma( too\n"))
 
     def test_narrowing_cast(self):
         self.assertIn("narrowing-cast", rules("src/md/neighbor.cpp", "int j = (int)a;\n"))
